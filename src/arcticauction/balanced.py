@@ -21,7 +21,7 @@ from .flownet import (
     buyer_vertex,
     max_flow,
     min_cut_source_side,
-    _residual_arcs,
+    _Residual,
 )
 
 
@@ -108,16 +108,7 @@ def _balanced_surplus_rec(
     # the source in the residual graph of f_red taken with original sink caps.
     # Paths may not run through the sink: reaching a buyer must mean more
     # flow can be pushed into her without rerouting any other sink edge.
-    succ = _residual_arcs(sub, f_red)
-    seen = {SOURCE}
-    stack = [SOURCE]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v == SINK or v in seen:
-                continue
-            seen.add(v)
-            stack.append(v)
+    seen = _Residual(sub, f_red).walk([SOURCE], avoid=(SINK,))
     reachable_buyers = {v[1] for v in seen if v[0] == "b"}
     pinned = set(buyers) - reachable_buyers
     if not pinned:
@@ -157,18 +148,9 @@ def verify_property1(net: FlowNetwork, flow: Flow) -> bool:
     Paths are taken through goods and buyers only.
     """
     gamma = surplus(net, flow)
-    succ = _residual_arcs(net, flow)
+    g = _Residual(net, flow)
     for i in net.buyers:
-        # Buyers reachable from buyer i without passing through s or t.
-        seen = {buyer_vertex(i)}
-        stack = [buyer_vertex(i)]
-        while stack:
-            u = stack.pop()
-            for v in succ[u]:
-                if v in (SOURCE, SINK) or v in seen:
-                    continue
-                seen.add(v)
-                stack.append(v)
+        seen = g.walk([buyer_vertex(i)], avoid=(SOURCE, SINK))
         for v in seen:
             if v[0] == "b" and gamma[i] < gamma[v[1]]:
                 return False

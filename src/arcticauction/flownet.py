@@ -4,10 +4,18 @@ A network has a source feeding every good with capacity equal to its price,
 unbounded good-to-buyer edges for maximum bang-per-buck pairs, and a
 buyer-to-sink edge capped by the buyer's left-over money.  All arithmetic is
 exact; unbounded capacities are a distinct marker (None), never a big number.
+
+Every residual query (augmenting paths, the maximality check, both extreme
+min cuts, buyer-to-buyer reachability and the balanced-flow walks) goes
+through one residual graph and its one breadth-first walk.  Its neighbour
+lists are in a fixed vertex order; that order fixes which augmenting paths
+max_flow takes, hence which maximum flow it returns, hence the allocation a
+solve reports.  Changing it changes answers, not just speed.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,6 +23,7 @@ from .market import MarketInstance
 
 SOURCE = ("s",)
 SINK = ("t",)
+_ZERO = Fraction(0)
 
 
 def good_vertex(j: int) -> tuple:
@@ -67,16 +76,6 @@ class FlowNetwork:
     @property
     def total_money(self) -> Fraction:
         return sum((self.sink_caps[i] for i in self.buyers), Fraction(0))
-
-    def good_neighbors(self, j: int) -> list[int]:
-        return sorted(i for (g, i) in self.edges if g == j)
-
-    def buyer_neighbors(self, i: int) -> list[int]:
-        return sorted(j for (j, b) in self.edges if b == i)
-
-    def neighborhood_of_goods(self, goods) -> set[int]:
-        goods = set(goods)
-        return {i for (j, i) in self.edges if j in goods}
 
     def neighborhood_of_buyers(self, buyers) -> set[int]:
         buyers = set(buyers)
@@ -184,65 +183,79 @@ def build_network(
     )
 
 
-def _adjacency(net: FlowNetwork) -> dict:
-    """Capacity map u -> {v: cap or None for unbounded}, in sorted order."""
-    adj: dict = {SOURCE: {}, SINK: {}}
-    for j in net.goods:
-        adj[good_vertex(j)] = {}
-    for i in net.buyers:
-        adj[buyer_vertex(i)] = {}
-    for j in net.goods:
-        adj[SOURCE][good_vertex(j)] = net.source_caps[j]
-    for j, i in sorted(net.edges):
-        adj[good_vertex(j)][buyer_vertex(i)] = None
-    for i in net.buyers:
-        adj[buyer_vertex(i)][SINK] = net.sink_caps[i]
-    return adj
+class _Residual:
+    """Residual graph of a network under a flow.
+
+    ``cap`` maps u -> {v: capacity, None for unbounded}; ``flow`` maps
+    (u, v) -> value and is only written by max_flow, on a graph it owns.
+    The network has no antiparallel capacity edges, so each ordered pair is
+    traversed either forward against its own capacity or backward against
+    the reverse edge's flow.
+    """
+
+    def __init__(self, net: FlowNetwork, flow: Flow | None = None):
+        cap: dict = {SOURCE: {good_vertex(j): net.source_caps[j] for j in net.goods}, SINK: {}}
+        for j in net.goods:
+            cap[good_vertex(j)] = {}
+        for j, i in net.edges:
+            cap[good_vertex(j)][buyer_vertex(i)] = None
+        for i in net.buyers:
+            cap[buyer_vertex(i)] = {SINK: net.sink_caps[i]}
+        neighbors: dict[tuple, set] = {u: set() for u in cap}
+        for u, targets in cap.items():
+            for v in targets:
+                neighbors[u].add(v)
+                neighbors[v].add(u)
+        self.cap = cap
+        self.flow = {} if flow is None else flow.values
+        self.neighbors = {u: sorted(vs, key=_vertex_key) for u, vs in neighbors.items()}
+
+    def residual(self, u: tuple, v: tuple) -> Fraction | None:
+        """Residual capacity on arc (u, v); None means unbounded."""
+        if v in self.cap[u]:
+            c = self.cap[u][v]
+            if c is None:
+                return None
+            return c - self.flow.get((u, v), _ZERO)
+        return self.flow.get((v, u), _ZERO)
+
+    def walk(self, starts, reverse: bool = False, avoid=(), stop=None) -> dict:
+        """Breadth-first search along residual arcs, or against them if ``reverse``.
+
+        Returns the parent map of every vertex reached (starts map to None).
+        Vertices in ``avoid`` are never entered; the search ends as soon as
+        ``stop`` is reached.
+        """
+        parent = dict.fromkeys(starts)
+        queue = deque(parent)
+        residual, neighbors = self.residual, self.neighbors
+        while queue:
+            u = queue.popleft()
+            for v in neighbors[u]:
+                if v in parent or v in avoid:
+                    continue
+                r = residual(v, u) if reverse else residual(u, v)
+                if r is None or r > 0:
+                    parent[v] = u
+                    if v == stop:
+                        return parent
+                    queue.append(v)
+        return parent
 
 
 def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
     """Exact maximum flow via shortest augmenting paths.
 
-    Deterministic: BFS expands vertices in a fixed order, so the chosen flow
-    (not just its value) is reproducible.  The network has no antiparallel
-    capacity edges, so each ordered pair is traversed either forward against
-    its own capacity or backward against the reverse edge's flow.
+    Deterministic: the walk expands vertices in a fixed order, so the chosen
+    flow (not just its value) is reproducible.
     """
     if counter is not None:
         counter.calls += 1
-    cap = _adjacency(net)
-    flow: dict[tuple[tuple, tuple], Fraction] = {}
+    g = _Residual(net)
+    cap, flow = g.cap, g.flow
     value = Fraction(0)
-
-    neighbors: dict[tuple, list[tuple]] = {u: [] for u in cap}
-    for u, targets in cap.items():
-        for v in targets:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-    for u in neighbors:
-        neighbors[u] = sorted(set(neighbors[u]), key=_vertex_key)
-
-    def residual(u, v):
-        """Residual capacity on arc (u, v); None means unbounded."""
-        if v in cap.get(u, {}):
-            c = cap[u][v]
-            if c is None:
-                return None
-            return c - flow.get((u, v), Fraction(0))
-        return flow.get((v, u), Fraction(0))
-
     while True:
-        parent = {SOURCE: None}
-        queue = [SOURCE]
-        while queue and SINK not in parent:
-            u = queue.pop(0)
-            for v in neighbors[u]:
-                if v in parent:
-                    continue
-                r = residual(u, v)
-                if r is None or r > 0:
-                    parent[v] = u
-                    queue.append(v)
+        parent = g.walk([SOURCE], stop=SINK)
         if SINK not in parent:
             break
         path = []
@@ -251,63 +264,31 @@ def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
             u = parent[v]
             path.append((u, v))
             v = u
-        path.reverse()
         bottleneck = None
         for u, v in path:
-            r = residual(u, v)
+            r = g.residual(u, v)
             if r is not None:
                 bottleneck = r if bottleneck is None else min(bottleneck, r)
         if bottleneck is None or bottleneck <= 0:
             raise FlowError("augmenting path without finite bottleneck")
         for u, v in path:
-            if v in cap.get(u, {}):
-                flow[(u, v)] = flow.get((u, v), Fraction(0)) + bottleneck
+            if v in cap[u]:
+                flow[(u, v)] = flow.get((u, v), _ZERO) + bottleneck
             else:
-                flow[(v, u)] = flow.get((v, u), Fraction(0)) - bottleneck
+                flow[(v, u)] = flow.get((v, u), _ZERO) - bottleneck
         value += bottleneck
 
     flow = {e: f for e, f in flow.items() if f != 0}
     return Flow(values=flow, value=value)
 
 
-def _residual_arcs(net: FlowNetwork, flow: Flow) -> dict[tuple, list[tuple]]:
-    """Residual successor lists over all vertices, in deterministic order."""
-    succ: dict[tuple, set] = {SOURCE: set(), SINK: set()}
-    for j in net.goods:
-        succ[good_vertex(j)] = set()
-    for i in net.buyers:
-        succ[buyer_vertex(i)] = set()
-    for j in net.goods:
-        g = good_vertex(j)
-        if net.source_caps[j] - flow.on(SOURCE, g) > 0:
-            succ[SOURCE].add(g)
-        if flow.on(SOURCE, g) > 0:
-            succ[g].add(SOURCE)
-    for j, i in net.edges:
-        g, b = good_vertex(j), buyer_vertex(i)
-        succ[g].add(b)  # unbounded forward capacity: always residual
-        if flow.on(g, b) > 0:
-            succ[b].add(g)
-    for i in net.buyers:
-        b = buyer_vertex(i)
-        if net.sink_caps[i] - flow.on(b, SINK) > 0:
-            succ[b].add(SINK)
-        if flow.on(b, SINK) > 0:
-            succ[SINK].add(b)
-    return {u: sorted(vs, key=_vertex_key) for u, vs in succ.items()}
-
-
-def _check_max(net: FlowNetwork, flow: Flow, succ: dict) -> None:
-    seen = {SOURCE}
-    stack = [SOURCE]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v not in seen:
-                if v == SINK:
-                    raise FlowError("flow is not maximum: residual path to sink exists")
-                seen.add(v)
-                stack.append(v)
+def _maximum_residual(net: FlowNetwork, flow: Flow) -> tuple[_Residual, dict]:
+    """The residual graph of a maximum flow and the vertices reachable from s."""
+    g = _Residual(net, flow)
+    reached = g.walk([SOURCE])
+    if SINK in reached:
+        raise FlowError("flow is not maximum: residual path to sink exists")
+    return g, reached
 
 
 def _cut_capacity(net: FlowNetwork, source_side: frozenset) -> Fraction:
@@ -326,37 +307,16 @@ def _cut_capacity(net: FlowNetwork, source_side: frozenset) -> Fraction:
 
 def min_cut_source_side(net: FlowNetwork, flow: Flow) -> Cut:
     """The source-nearest min cut: residual-reachable vertices from s."""
-    succ = _residual_arcs(net, flow)
-    _check_max(net, flow, succ)
-    seen = {SOURCE}
-    stack = [SOURCE]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    side = frozenset(seen)
+    _, reached = _maximum_residual(net, flow)
+    side = frozenset(reached)
     return Cut(source_side=side, capacity=_cut_capacity(net, side))
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> Cut:
     """The sink-nearest min cut: all vertices from which the sink is unreachable."""
-    succ = _residual_arcs(net, flow)
-    _check_max(net, flow, succ)
-    pred: dict[tuple, set] = {u: set() for u in succ}
-    for u, vs in succ.items():
-        for v in vs:
-            pred[v].add(u)
-    reaches_sink = {SINK}
-    stack = [SINK]
-    while stack:
-        v = stack.pop()
-        for u in pred[v]:
-            if u not in reaches_sink:
-                reaches_sink.add(u)
-                stack.append(u)
-    side = frozenset(u for u in succ if u not in reaches_sink)
+    g, _ = _maximum_residual(net, flow)
+    reaches_sink = g.walk([SINK], reverse=True)
+    side = frozenset(u for u in g.cap if u not in reaches_sink)
     return Cut(source_side=side, capacity=_cut_capacity(net, side))
 
 
@@ -366,24 +326,8 @@ def residual_reachable(net: FlowNetwork, flow: Flow, targets) -> set[int]:
     Paths run through goods and buyers only; the source and sink are not
     valid interior vertices for buyer-to-buyer reachability.
     """
-    succ = _residual_arcs(net, flow)
-    target_set = {buyer_vertex(i) for i in targets}
-    pred: dict[tuple, set] = {u: set() for u in succ}
-    for u, vs in succ.items():
-        if u in (SOURCE, SINK):
-            continue
-        for v in vs:
-            if v in (SOURCE, SINK):
-                continue
-            pred[v].add(u)
-    seen = set(target_set)
-    stack = list(target_set)
-    while stack:
-        v = stack.pop()
-        for u in pred[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
+    g = _Residual(net, flow)
+    seen = g.walk([buyer_vertex(i) for i in targets], reverse=True, avoid=(SOURCE, SINK))
     return {v[1] for v in seen if v[0] == "b"} - set(targets)
 
 

@@ -65,7 +65,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _buyer_aggregates(inst: MarketInstance, allocation, returned):
+def _buyer_aggregates(inst: MarketInstance, allocation):
     bundle = []
     for i in inst.buyers:
         bundle.append(
@@ -86,7 +86,7 @@ def verify_arctic_kkt(inst: MarketInstance, eq: Equilibrium) -> KktReport:
         raise ValueError("dimension mismatch between instance and solution")
     lam = ONE
     x, s, p = eq.allocation, eq.returned, eq.prices
-    w = _buyer_aggregates(inst, x, s)
+    w = _buyer_aggregates(inst, x)
     total_s = sum(s, ZERO)
     out: list[ConditionResult] = []
 
@@ -119,7 +119,15 @@ def verify_arctic_kkt(inst: MarketInstance, eq: Equilibrium) -> KktReport:
         if p[j] > 0:
             col = sum((x[i][j] for i in inst.buyers), ZERO)
             out.append(_eq(f"kkt2_priced_good_sold_{j}", col, ONE))
-    out.append(_ge("kkt3_dual_scalar_bound", ONE, lam))
+    out.extend(_dual_conditions(inst, x, s, p, w, lam, total_s))
+    out.extend(_equilibrium_facts(inst, eq, w))
+    out.extend(_trichotomy(inst, eq, w))
+    return KktReport(tuple(out), lam)
+
+
+def _dual_conditions(inst, x, s, p, w, lam, total_s) -> list[ConditionResult]:
+    """kkt3-kkt8, shared by the auction and production-cost programs."""
+    out = [_ge("kkt3_dual_scalar_bound", ONE, lam)]
     if total_s > 0:
         out.append(_eq("kkt4_refund_forces_dual", lam, ONE))
 
@@ -154,9 +162,7 @@ def verify_arctic_kkt(inst: MarketInstance, eq: Equilibrium) -> KktReport:
                 _eq(f"kkt8_refunded_{i}", lam * (w[i] + s[i]), inst.money[i])
             )
 
-    out.extend(_equilibrium_facts(inst, eq, w))
-    out.extend(_trichotomy(inst, eq, w))
-    return KktReport(tuple(out), lam)
+    return out
 
 
 def _equilibrium_facts(inst, eq, w) -> list[ConditionResult]:
@@ -244,7 +250,7 @@ def verify_cost_kkt(inst, sol) -> KktReport:
         raise ValueError("dimension mismatch between instance and solution")
     lam = ONE
     x, s, p, y = sol.allocation, sol.returned, sol.prices, sol.produced
-    w = _buyer_aggregates(base, x, s)
+    w = _buyer_aggregates(base, x)
     total_s = sum(s, ZERO)
     out: list[ConditionResult] = []
 
@@ -270,39 +276,7 @@ def verify_cost_kkt(inst, sol) -> KktReport:
         out.append(_ge(f"kkt1_cost_covers_price_{j}", d[j] - p[j], ZERO))
         if y[j] > 0:
             out.append(_eq(f"kkt2_produced_at_cost_{j}", d[j], p[j]))
-    out.append(_ge("kkt3_dual_scalar_bound", ONE, lam))
-    if total_s > 0:
-        out.append(_eq("kkt4_refund_forces_dual", lam, ONE))
-    for i in base.buyers:
-        for j in base.goods:
-            lhs = base.utilities[i][j] * base.money[i]
-            rhs = (w[i] + s[i]) * p[j]
-            out.append(
-                ConditionResult(f"kkt5_ratio_bound_{i}_{j}", lhs <= rhs, lhs - rhs)
-            )
-            if x[i][j] > 0:
-                out.append(_eq(f"kkt6_allocated_at_best_ratio_{i}_{j}", lhs, rhs))
-    for i in base.buyers:
-        if w[i] + s[i] <= 0:
-            out.append(
-                ConditionResult(
-                    f"kkt7_dual_ratio_{i}", False, Fraction(-1),
-                    detail="degenerate buyer: zero utility and zero refund",
-                )
-            )
-            continue
-        out.append(
-            ConditionResult(
-                f"kkt7_dual_ratio_{i}",
-                lam * (w[i] + s[i]) >= base.money[i],
-                lam * (w[i] + s[i]) - base.money[i],
-            )
-        )
-        if s[i] > 0:
-            out.append(
-                _eq(f"kkt8_refunded_{i}", lam * (w[i] + s[i]), base.money[i])
-            )
-
+    out.extend(_dual_conditions(base, x, s, p, w, lam, total_s))
     revenue = sum(base.money, ZERO) - total_s
     cost = sum((d[j] * y[j] for j in base.goods), ZERO)
     out.append(_eq("zero_profit", revenue - cost, ZERO))

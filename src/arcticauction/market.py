@@ -322,11 +322,6 @@ def equilibrium_for_instance(
     )
 
 
-def rehydrate_equilibrium(inst: MarketInstance, eq: Equilibrium) -> Equilibrium:
-    """Recompute derived fields of a parsed equilibrium against an instance."""
-    return equilibrium_for_instance(inst, eq.prices, eq.allocation, eq.returned)
-
-
 def generate_random_instance(seed: int, n: int, m: int, max_value: int) -> MarketInstance:
     """Deterministically generate a valid instance with integer data.
 

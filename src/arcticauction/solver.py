@@ -29,6 +29,7 @@ from .balanced import balanced_flow, potential, surplus
 from .flownet import (
     FlowNetwork,
     MaxflowCounter,
+    check_invariant,
     max_flow,
     maximal_min_cut,
     mbpb_edges,
@@ -177,13 +178,8 @@ def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int 
     )
 
 
-def _invariant_holds(state: SolverState, theta: Fraction | None = None, zero_buyer: int | None = None) -> bool:
-    net = _network(state, theta=theta, zero_buyer=zero_buyer)
-    return max_flow(net, state.counter).value == net.total_price
-
-
 def _require_invariant(state: SolverState, where: str) -> None:
-    if not _invariant_holds(state):
+    if not check_invariant(_network(state), state.counter):
         raise SolverError(f"price cut invariant broken at {where}")
 
 
@@ -336,8 +332,8 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     raise SolverError("tight set search failed to settle")
 
 
-def _refund_probe(state: SolverState, theta: Fraction, i: int):
-    """Would-be refund for buyer i at theta: (amount, full?).
+def _refund_probe(state: SolverState, theta: Fraction | None, i: int):
+    """Would-be refund for buyer i at theta, or at current prices: (amount, full?).
 
     With i's left-over money zeroed, either the cut stays minimal (full
     refund) or the maximal min cut fixes the partial amount that restores
@@ -476,21 +472,13 @@ def apply_money_return(state: SolverState, i: int) -> str:
     abar = _alpha_bar_active(state, i)
     if abar != state.theta:
         raise SolverError("money return fired away from bang-per-buck 1")
-    net0 = _network(state, zero_buyer=i)
-    f0 = max_flow(net0, state.counter)
-    if f0.value == net0.total_price:
+    amount, full = _refund_probe(state, None, i)
+    if full:
         state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
         _require_invariant(state, "full money return")
         return "II"
-    cut = maximal_min_cut(net0, f0)
-    S = set(cut.goods_part())
-    T = set(cut.buyers_part())
-    if i not in T:
-        raise SolverError("returning buyer missing from the maximal min cut")
-    worth_s = sum((state.prices[j] for j in S), Fraction(0))
-    worth_t = sum((state.leftover(b) for b in T if b != i), Fraction(0))
-    beta = worth_s - worth_t
+    beta = state.leftover(i) - amount
     if not (0 < beta <= state.leftover(i)):
         raise SolverError("partial return outside the feasible range")
     new_return = state.inst.money[i] - beta
@@ -565,10 +553,13 @@ def _phase_cap(inst: MarketInstance) -> int:
     """Runaway guard: a generous multiple of the polynomial phase bound."""
     n = inst.n_buyers
     _, total_m, max_u, _ = instance_bit_bounds(inst)
+    # Each bit length is at least the log2 it stands for, in exact integers.
     bound = 64 * n**3 * (
-        math.log2(n) + n * math.log2(float(max_u) + 2) + math.log2(float(total_m) + 2)
+        n.bit_length()
+        + n * (math.ceil(max_u) + 2).bit_length()
+        + (math.ceil(total_m) + 2).bit_length()
     )
-    return 4 * (int(bound) + 16)
+    return 4 * (bound + 16)
 
 
 def _extract(state: SolverState) -> Equilibrium:

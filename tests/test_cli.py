@@ -5,6 +5,8 @@ import json
 import pytest
 
 from arcticauction.cli import main
+from arcticauction.kkt import verify_arctic_kkt
+from arcticauction.market import parse_equilibrium, parse_instance
 
 
 def run(argv):
@@ -127,3 +129,13 @@ def test_determinism_of_solve(tmp_path):
     assert run(["solve", "-i", inst, "-o", out1]) == 0
     assert run(["solve", "-i", inst, "-o", out2]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_solve_huge_utility(tmp_path):
+    inst = tmp_path / "inst.json"
+    eq = tmp_path / "eq.json"
+    inst.write_text(json.dumps({"money": ["1"], "utilities": [["1" + "0" * 400]]}))
+    assert run(["solve", "-i", inst, "-o", eq]) == 0
+    instance = parse_instance(inst.read_text())
+    solution, _ = parse_equilibrium(eq.read_text(), instance)
+    assert verify_arctic_kkt(instance, solution).overall

@@ -1,8 +1,12 @@
 """The primal-dual solver: initialization, phases, events, full solves."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import arcticauction
 
 from arcticauction.flownet import build_network, check_invariant
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
@@ -325,3 +329,17 @@ def test_stats_report_output_denominators():
     assert stats.output_max_denominator == max(
         denoms | {s.denominator for s in eq.returned}
     )
+
+
+@pytest.mark.parametrize("module", ["flownet", "balanced", "solver", "kkt", "costmarket"])
+def test_no_floats_on_solving_path(module):
+    path = Path(arcticauction.__file__).parent / f"{module}.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            offenders.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name == "float" or name.startswith("math.log"):
+                offenders.append((node.lineno, name))
+    assert not offenders, f"{module}.py: {offenders}"
