@@ -86,15 +86,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import json
-
     instance_text = _read(args.input)
     solution_text = _read(args.solution)
-    try:
-        instance_doc = json.loads(instance_text)
-    except json.JSONDecodeError as exc:
-        raise MarketFormatError(f"malformed JSON: {exc}") from exc
-    if isinstance(instance_doc, dict) and "costs" in instance_doc:
+    if "costs" in market.parse_json_object(instance_text):
         inst = parse_cost_instance(instance_text)
         sol = parse_cost_solution(solution_text)
         report = verify_cost_kkt(inst, sol)

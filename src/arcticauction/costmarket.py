@@ -17,9 +17,11 @@ from fractions import Fraction
 from .market import (
     MarketFormatError,
     MarketInstance,
+    _parse_matrix,
     format_rational,
     generate_random_instance,
-    parse_rational,
+    parse_json_object,
+    rational_field,
     validate_instance,
 )
 
@@ -50,20 +52,14 @@ class CostSolution:
 
 def parse_cost_instance(text: str) -> CostMarketInstance:
     """Parse the shared instance JSON; the "costs" field is required here."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MarketFormatError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "costs" not in doc:
+    doc = parse_json_object(text)
+    if "costs" not in doc:
         raise MarketFormatError("cost-market instance requires a 'costs' field")
-    from .market import _parse_matrix
-
     base = _parse_matrix(doc)
     report = validate_instance(base)
     if not report.ok:
         raise MarketFormatError("invalid instance: " + "; ".join(report.violations))
-    costs = tuple(parse_rational(t) for t in doc["costs"])
-    return CostMarketInstance(base=base, unit_costs=costs)
+    return CostMarketInstance(base=base, unit_costs=rational_field(doc, "costs", None))
 
 
 def serialize_cost_instance(inst: CostMarketInstance) -> str:
@@ -88,23 +84,19 @@ def serialize_cost_solution(sol: CostSolution) -> str:
 
 
 def parse_cost_solution(text: str) -> CostSolution:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MarketFormatError(f"malformed JSON: {exc}") from exc
-    try:
-        return CostSolution(
-            prices=tuple(parse_rational(t) for t in doc["prices"]),
-            allocation=tuple(
-                tuple(parse_rational(t) for t in row) for row in doc["allocation"]
-            ),
-            produced=tuple(parse_rational(t) for t in doc["produced"]),
-            returned=tuple(parse_rational(t) for t in doc["returned"]),
-            revenue=parse_rational(doc["revenue"]),
-            profit=parse_rational(doc["profit"]),
-        )
-    except KeyError as exc:
-        raise MarketFormatError(f"missing field: {exc.args[0]}") from exc
+    """Parse a cost-solution document; MarketFormatError when it is malformed."""
+    doc = parse_json_object(text)
+    prices = rational_field(doc, "prices", None)
+    returned = rational_field(doc, "returned", None)
+    n, m = len(returned), len(prices)
+    return CostSolution(
+        prices=prices,
+        allocation=rational_field(doc, "allocation", n, m),
+        produced=rational_field(doc, "produced", m),
+        returned=returned,
+        revenue=rational_field(doc, "revenue"),
+        profit=rational_field(doc, "profit"),
+    )
 
 
 def solve_cost_market(inst: CostMarketInstance) -> CostSolution:

@@ -39,6 +39,37 @@ def parse_rational(token) -> Fraction:
     raise MarketFormatError(f"not a rational token: {token!r}")
 
 
+def parse_json_object(text: str) -> dict:
+    """The JSON object in text; MarketFormatError when it is malformed or not an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MarketFormatError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MarketFormatError("document must be a JSON object")
+    return doc
+
+
+def rational_field(doc: dict, key: str, *shape):
+    """doc[key] as a rational, or as nested tuples of rationals of the given
+    shape (one length per level; None leaves a length free).
+
+    Raises MarketFormatError when the field is missing, is not an array
+    where one is expected, or has the wrong length.
+    """
+    if key not in doc:
+        raise MarketFormatError(f"missing field: {key}")
+
+    def parse(value, shape):
+        if not shape:
+            return parse_rational(value)
+        if not isinstance(value, list) or shape[0] not in (None, len(value)):
+            raise MarketFormatError(f"'{key}' is not an array of the expected shape")
+        return tuple(parse(v, shape[1:]) for v in value)
+
+    return parse(doc[key], shape)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a rational as "p" or "p/q", the inverse of parse_rational."""
     if value.denominator == 1:
@@ -157,31 +188,11 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
 
 
 def _parse_matrix(doc: dict) -> MarketInstance:
-    if not isinstance(doc, dict):
-        raise MarketFormatError("instance document must be a JSON object")
-    try:
-        money_raw = doc["money"]
-        util_raw = doc["utilities"]
-    except KeyError as exc:
-        raise MarketFormatError(f"missing field: {exc.args[0]}") from exc
-    if not isinstance(money_raw, list) or not isinstance(util_raw, list):
-        raise MarketFormatError("'money' and 'utilities' must be arrays")
-    money = tuple(parse_rational(tok) for tok in money_raw)
-    if len(util_raw) != len(money):
-        raise MarketFormatError(
-            f"{len(money)} buyers but {len(util_raw)} utility rows"
-        )
-    rows = []
-    width = None
-    for row in util_raw:
-        if not isinstance(row, list):
-            raise MarketFormatError("utility rows must be arrays")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise MarketFormatError("ragged utility matrix")
-        rows.append(tuple(parse_rational(tok) for tok in row))
-    return MarketInstance(money=money, utilities=tuple(rows), names=doc.get("names"))
+    money = rational_field(doc, "money", None)
+    rows = rational_field(doc, "utilities", len(money), None)
+    if len({len(row) for row in rows}) > 1:
+        raise MarketFormatError("ragged utility matrix")
+    return MarketInstance(money=money, utilities=rows, names=doc.get("names"))
 
 
 def parse_instance(text: str) -> MarketInstance:
@@ -190,11 +201,7 @@ def parse_instance(text: str) -> MarketInstance:
     Raises MarketFormatError listing every violation when the document is
     malformed or the mild assumptions fail.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MarketFormatError(f"malformed JSON: {exc}") from exc
-    inst = _parse_matrix(doc)
+    inst = _parse_matrix(parse_json_object(text))
     report = validate_instance(inst)
     if not report.ok:
         raise MarketFormatError("invalid instance: " + "; ".join(report.violations))
@@ -267,19 +274,22 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
     """Parse an equilibrium document; inverse of serialize_equilibrium.
 
     Bundle utilities are not part of the wire format; pass the instance to
-    have them recomputed, otherwise they are left as zeros.
+    have them recomputed, otherwise they are left as zeros.  Raises
+    MarketFormatError on a malformed document, or on one whose shape does
+    not match the instance.
     """
+    doc = parse_json_object(text)
+    prices = rational_field(doc, "prices", None)
+    returned = rational_field(doc, "returned", None)
+    n, m = len(returned), len(prices)
+    if inst is not None and (n, m) != (inst.n_buyers, inst.n_goods):
+        raise MarketFormatError("dimension mismatch between instance and solution")
+    allocation = rational_field(doc, "allocation", n, m)
+    alpha = rational_field(doc, "alpha", n)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MarketFormatError(f"malformed JSON: {exc}") from exc
-    try:
-        prices = tuple(parse_rational(t) for t in doc["prices"])
-        allocation = tuple(tuple(parse_rational(t) for t in row) for row in doc["allocation"])
-        returned = tuple(parse_rational(t) for t in doc["returned"])
-        alpha = tuple(parse_rational(t) for t in doc["alpha"])
-    except KeyError as exc:
-        raise MarketFormatError(f"missing field: {exc.args[0]}") from exc
+        stats = stats_from_doc(doc.get("stats", {}))
+    except (AttributeError, TypeError, IndexError) as exc:
+        raise MarketFormatError(f"malformed stats: {exc}") from exc
     if inst is not None:
         bundle = tuple(
             sum((inst.utilities[i][j] * allocation[i][j] for j in inst.goods), Fraction(0))
@@ -294,7 +304,6 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
         alpha=alpha,
         bundle_utility=bundle,
     )
-    stats = stats_from_doc(doc.get("stats", {}))
     return eq, stats
 
 

@@ -5,8 +5,11 @@ Three separate engines cross-check the main machinery:
 * oracle_solve guesses the sign pattern of an optimum (which allocations and
   refunds are strictly positive), solves the induced square linear system in
   reciprocal prices exactly, and keeps the first guess that survives a full
-  exact optimality check.  A float pass cheaply discards hopeless guesses
-  before any exact work.  The prices fix the optimal face; when refunds can
+  exact optimality check.  A float screen cheaply discards hopeless guesses
+  before any exact work: it is plain Python, builds the same system with
+  _build_system from a float copy of the instance and solves it with the
+  same solve_linear, so each guess costs one float solve and at most one
+  exact solve.  The prices fix the optimal face; when refunds can
   split several ways, its vertices are enumerated and the one with the
   lexicographically maximal refund vector by buyer index is reported, the
   rule the solver follows too.
@@ -25,8 +28,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .costmarket import CostMarketInstance, CostSolution
 from .flownet import FlowNetwork
@@ -53,18 +54,19 @@ class OracleResult:
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact Gaussian elimination on a system with no more unknowns than
-    equations; its unique solution, or None when the columns are dependent
-    (a square system is singular) or the equations clash."""
+    """Gaussian elimination on a system with no more unknowns than equations;
+    its unique solution, or None when the columns are dependent (a square
+    system is singular) or the equations clash.
+
+    Each column pivots on its largest-magnitude entry.  With Fractions the
+    result is exact and the pivot order does not change it; with floats
+    (the oracle's screen) that order keeps the rounding small.
+    """
     n = len(rows[0]) if rows else 0
     a = [list(row) + [rhs[k]] for k, row in enumerate(rows)]
     for col in range(n):
-        piv = None
-        for r in range(col, len(a)):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
+        piv = max(range(col, len(a)), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
             return None
         a[col], a[piv] = a[piv], a[col]
         inv = a[col][col]
@@ -120,63 +122,63 @@ def _ratio_consistent(inst: MarketInstance, K) -> bool:
 
 
 def _build_system(inst: MarketInstance, K, L):
-    """Square linear system over (q_j, x_K, s_L); q_j stands for 1/p_j."""
+    """Square linear system over (q_j, x_K, s_L); q_j stands for 1/p_j.
+
+    Its entries have the instance's number type: Fractions, or floats for
+    the screen's float copy.
+    """
     m = inst.n_goods
     k, l = len(K), len(L)
     size = m + k + l
     x_index = {pair: m + idx for idx, pair in enumerate(K)}
     s_index = {i: m + k + idx for idx, i in enumerate(L)}
-    rows = [[ZERO] * size for _ in range(size)]
-    rhs = [ZERO] * size
+    zero = inst.money[0] * 0
+    one = zero + 1
+    rows = [[zero] * size for _ in range(size)]
+    rhs = [zero] * size
     for j in range(m):
         for (i, jj) in K:
             if jj == j:
-                rows[j][x_index[(i, jj)]] = ONE
-        rhs[j] = ONE
+                rows[j][x_index[(i, jj)]] = one
+        rhs[j] = one
     for r, (i, j) in enumerate(K, start=m):
         rows[r][j] = inst.utilities[i][j] * inst.money[i]
         for (ii, jj) in K:
             if ii == i:
                 rows[r][x_index[(ii, jj)]] -= inst.utilities[i][jj]
         if i in s_index:
-            rows[r][s_index[i]] -= ONE
-        rhs[r] = ZERO
+            rows[r][s_index[i]] -= one
     for r, i in enumerate(L, start=m + k):
         for (ii, jj) in K:
             if ii == i:
                 rows[r][x_index[(ii, jj)]] = inst.utilities[i][jj]
-        rows[r][s_index[i]] = ONE
+        rows[r][s_index[i]] = one
         rhs[r] = inst.money[i]
     return rows, rhs
 
 
-def _float_screen(inst: MarketInstance, K, L, rows, rhs, tol=1e-6) -> bool:
-    """Cheap approximate solve; keep only plausibly feasible patterns."""
-    a = np.array([[float(v) for v in row] for row in rows])
-    b = np.array([float(v) for v in rhs])
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
+def _float_screen(finst: MarketInstance, K, L, tol=1e-6) -> bool:
+    """Cheap float solve on the float copy finst; keep only plausibly feasible patterns."""
+    sol = solve_linear(*_build_system(finst, K, L))
+    if sol is None or not all(map(math.isfinite, sol)):
         return True  # let the exact path decide singularity
-    if not np.all(np.isfinite(sol)):
-        return True
-    m = inst.n_goods
+    m = finst.n_goods
     q = sol[:m]
-    if np.any(q < tol):
+    if any(v < tol for v in q):
         return False
     x = {pair: sol[m + idx] for idx, pair in enumerate(K)}
     s = {i: sol[m + len(K) + idx] for idx, i in enumerate(L)}
     if any(v < -tol for v in x.values()) or any(v < -tol for v in s.values()):
         return False
-    p = 1.0 / q
-    for i in inst.buyers:
-        w = sum(float(inst.utilities[i][j]) * x.get((i, j), 0.0) for j in inst.goods)
+    p = [1.0 / v for v in q]
+    for i in finst.buyers:
+        w = sum(finst.utilities[i][j] * x.get((i, j), 0.0) for j in finst.goods)
         t = w + s.get(i, 0.0)
-        mi = float(inst.money[i])
+        mi = finst.money[i]
         if t < mi - tol:  # dual ratio with lambda = 1 needs w + s >= m
             return False
-        for j in inst.goods:
-            if float(inst.utilities[i][j]) * mi > t * p[j] + tol * 100:
+        for j in finst.goods:
+            if finst.utilities[i][j] * mi > t * p[j] + tol * 100:
                 return False
     return True
 
@@ -227,6 +229,13 @@ def oracle_solve(inst: MarketInstance, size_guard: int = 4, use_screen: bool = T
     ]
     all_buyers = frozenset(inst.buyers)
     all_goods = frozenset(inst.goods)
+    try:
+        finst = MarketInstance(
+            money=tuple(map(float, inst.money)),
+            utilities=tuple(tuple(map(float, row)) for row in inst.utilities),
+        )
+    except OverflowError:  # a value beyond float range; the exact path still works
+        use_screen = False
 
     for total in range(m, len(pairs) + n + 1):
         tier: list[tuple[Equilibrium, tuple, tuple]] = []
@@ -243,15 +252,10 @@ def oracle_solve(inst: MarketInstance, size_guard: int = 4, use_screen: bool = T
                     continue
                 if not _ratio_consistent(inst, K):
                     continue
-                rows_cache = None
                 for L in itertools.combinations(sorted(all_buyers), l):
                     if not mandatory <= set(L):
                         continue
-                    rows, rhs = _build_system(inst, K, L)
-                    if use_screen and not _float_screen(inst, K, L, rows, rhs):
-                        continue
-                    sol = solve_linear(rows, rhs)
-                    if sol is None:
+                    if use_screen and not _float_screen(finst, K, L):
                         continue
                     eq = _exact_candidate(inst, K, L)
                     if eq is not None:
@@ -270,8 +274,9 @@ def oracle_solve(inst: MarketInstance, size_guard: int = 4, use_screen: bool = T
                 L = [i for i in inst.buyers if best.returned[i] > 0]
             return OracleResult(best, tuple(K), tuple(L))
     if use_screen:
-        # The screen can only produce false positives in theory, but retry
-        # exhaustively before declaring the instance unsolvable.
+        # Float rounding can make the screen reject the pattern of a true
+        # optimum (a false negative); retry without the screen before
+        # declaring the instance unsolvable.
         return oracle_solve(inst, size_guard=size_guard, use_screen=False)
     raise OracleError("no sign pattern yields a verified equilibrium")
 
@@ -374,31 +379,19 @@ def numeric_objective(inst: MarketInstance, allocation, returned) -> float:
     return total - sum(float(v) for v in returned)
 
 
-def random_feasible_point(inst: MarketInstance, rng: random.Random):
-    """A random point satisfying the program constraints (not budgets)."""
-    n, m = inst.n_buyers, inst.n_goods
-    x = np.array([[rng.random() for _ in range(m)] for _ in range(n)])
-    cols = x.sum(axis=0)
-    scale = np.array([rng.random() for _ in range(m)])
-    x = x / np.maximum(cols, 1e-12) * scale
-    s = [rng.random() * float(inst.money[i]) for i in inst.buyers]
-    return x, s
-
-
 def perturbed_feasible_point(inst: MarketInstance, eq: Equilibrium, rng: random.Random, scale: float):
     """Perturb a solution within the feasible region of the program."""
-    n, m = inst.n_buyers, inst.n_goods
-    x = np.array([[float(v) for v in row] for row in eq.allocation])
-    x = x + scale * np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(n)])
-    x = np.clip(x, 0.0, None)
-    cols = x.sum(axis=0)
-    over = cols > 1.0
-    x[:, over] = x[:, over] / cols[over]
-    s = np.array([float(v) for v in eq.returned])
-    s = np.clip(
-        s + scale * np.array([rng.uniform(-1, 1) for _ in range(n)]), 0.0, None
-    )
-    return x, list(s)
+    x = [
+        [max(float(v) + scale * rng.uniform(-1, 1), 0.0) for v in row]
+        for row in eq.allocation
+    ]
+    for j in inst.goods:
+        col = sum(row[j] for row in x)
+        if col > 1.0:
+            for row in x:
+                row[j] /= col
+    s = [max(float(v) + scale * rng.uniform(-1, 1), 0.0) for v in eq.returned]
+    return x, s
 
 
 def oracle_balanced_surplus(net: FlowNetwork, size_guard: int = 6) -> dict[int, Fraction]:

@@ -337,37 +337,13 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     raise SolverError("tight set search failed to settle")
 
 
-def _refund_probe(state: SolverState, theta: Fraction | None, i: int):
-    """Would-be refund for buyer i at theta, or at current prices: (amount, full?).
-
-    With i's left-over money zeroed, either the cut stays minimal (full
-    refund) or the maximal min cut fixes the partial amount that restores
-    it.
-    """
-    net0 = _network(state, theta=theta, zero_buyer=i)
-    f0 = max_flow(net0, state.counter)
-    leftover = state.leftover(i)
-    if f0.value == net0.total_price:
-        return leftover, True
-    cut = maximal_min_cut(net0, f0)
-    S = set(cut.goods_part())
-    T = set(cut.buyers_part())
-    if i not in T:
-        raise SolverError("returning buyer missing from the maximal min cut")
-    worth_s = sum((net0.source_caps[j] for j in S), Fraction(0))
-    worth_t = sum((state.leftover(b) for b in T if b != i), Fraction(0))
-    return leftover - (worth_s - worth_t), False
-
-
 def next_event(state: SolverState) -> Event:
-    """The earliest event as theta rises; deterministic tie-breaking.
+    """The earliest event as theta rises, ties broken by Event.sort_key.
 
     Ties at equal theta resolve by kind (refunds precede everything: prices
-    cannot rise past an unpaid buyer).  Among simultaneous money returns,
-    full refunds go first (removing a buyer is the strongest progress),
-    then larger amounts, then the highest buyer index.  This only orders
-    events: the refund split a solve reports is fixed afterwards by
-    _lex_max_refunds.
+    cannot rise past an unpaid buyer), then by the lowest buyer index, then
+    by the lowest good index.  This only orders events: the refund split a
+    solve reports is fixed afterwards by _lex_max_refunds.
     """
     candidates: list[Event] = []
     for i in sorted(state.I):
@@ -402,25 +378,7 @@ def next_event(state: SolverState) -> Event:
     if found is not None:
         theta_t, tight = found
         candidates.append(Event("tight_set", theta_t, tight_goods=tight))
-    theta_min = min(ev.theta_star for ev in candidates)
-    at_min = [ev for ev in candidates if ev.theta_star == theta_min]
-    kind = min(at_min, key=lambda ev: EVENT_PRIORITY[ev.kind]).kind
-    tied = [ev for ev in at_min if ev.kind == kind]
-    if kind == "money_return" and len(tied) > 1:
-        probes = {
-            ev.buyer: _refund_probe(state, theta_min, ev.buyer) for ev in tied
-        }
-        return max(
-            tied,
-            key=lambda ev: (
-                probes[ev.buyer][1],
-                probes[ev.buyer][0],
-                ev.buyer,
-            ),
-        )
-    if kind == "z_removal" and len(tied) > 1:
-        return max(tied, key=lambda ev: (state.leftover(ev.buyer), ev.buyer))
-    return min(tied, key=Event.sort_key)
+    return min(candidates, key=Event.sort_key)
 
 
 def _set_theta(state: SolverState, theta: Fraction) -> None:
@@ -477,13 +435,22 @@ def apply_money_return(state: SolverState, i: int) -> str:
     abar = _alpha_bar_active(state, i)
     if abar != state.theta:
         raise SolverError("money return fired away from bang-per-buck 1")
-    amount, full = _refund_probe(state, None, i)
-    if full:
+    net0 = _network(state, zero_buyer=i)
+    f0 = max_flow(net0, state.counter)
+    if f0.value == net0.total_price:
         state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
         _require_invariant(state, "full money return")
         return "II"
-    beta = state.leftover(i) - amount
+    cut = maximal_min_cut(net0, f0)
+    S = set(cut.goods_part())
+    T = set(cut.buyers_part())
+    if i not in T:
+        raise SolverError("returning buyer missing from the maximal min cut")
+    # i keeps spending what the cut's goods cost beyond the other cut buyers' money.
+    worth_s = sum((net0.source_caps[j] for j in S), Fraction(0))
+    worth_t = sum((state.leftover(b) for b in T if b != i), Fraction(0))
+    beta = worth_s - worth_t
     if not (0 < beta <= state.leftover(i)):
         raise SolverError("partial return outside the feasible range")
     new_return = state.inst.money[i] - beta

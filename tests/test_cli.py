@@ -111,6 +111,40 @@ def test_bench_phase_counts_match_trace(tmp_path):
     assert phases == trace_phases
 
 
+_INSTANCE = {"money": ["1"], "utilities": [["2"]]}
+_EQUILIBRIUM = {"prices": ["1"], "allocation": [["1"]], "returned": ["0"], "alpha": ["2"]}
+_COST_SOLUTION = {
+    "prices": ["1"],
+    "allocation": [["1"]],
+    "produced": ["1"],
+    "returned": ["0"],
+    "revenue": "1",
+    "profit": "0",
+}
+
+
+@pytest.mark.parametrize(
+    "instance,solution",
+    [
+        (_INSTANCE, []),
+        ({**_INSTANCE, "costs": ["1"]}, []),
+        (_INSTANCE, {**_EQUILIBRIUM, "allocation": [1]}),
+        (_INSTANCE, {**_EQUILIBRIUM, "prices": 5}),
+        (_INSTANCE, {**_EQUILIBRIUM, "allocation": [[]]}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": []}),
+        ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "allocation": [1]}),
+        ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "prices": 5}),
+        ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "allocation": [[]]}),
+    ],
+)
+def test_verify_malformed_solution_is_bad_input(tmp_path, capsys, instance, solution):
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(json.dumps(instance))
+    sol.write_text(json.dumps(solution))
+    assert run(["verify", "-i", inst, "--solution", sol]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing --input
@@ -139,3 +173,11 @@ def test_solve_huge_utility(tmp_path):
     instance = parse_instance(inst.read_text())
     solution, _ = parse_equilibrium(eq.read_text(), instance)
     assert verify_arctic_kkt(instance, solution).overall
+
+
+def test_oracle_huge_utility(tmp_path):
+    inst = tmp_path / "inst.json"
+    orc = tmp_path / "orc.json"
+    inst.write_text(json.dumps({"money": ["1"], "utilities": [["1" + "0" * 400]]}))
+    assert run(["oracle", "-i", inst, "-o", orc]) == 0
+    assert json.loads(orc.read_text())["prices"] == ["1"]

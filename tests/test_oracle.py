@@ -1,11 +1,16 @@
 """Sign-pattern oracle, objective evaluation, balanced-surplus oracle."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import arcticauction
 from arcticauction.flownet import FlowNetwork, build_network
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import MarketInstance, generate_random_instance
@@ -34,6 +39,10 @@ def test_linear_solver_exact():
     assert solve_linear(rows, rhs) == [F(1), F(2)]
     singular = [[F(1), F(2)], [F(2), F(4)]]
     assert solve_linear(singular, rhs) is None
+    # The float screen shares this solver: a tiny leading entry must not be
+    # taken as the pivot, or x0 comes out as 0.
+    x = solve_linear([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    assert x == [pytest.approx(1.0), pytest.approx(1.0)]
 
 
 def test_oracle_spending_instance():
@@ -71,11 +80,25 @@ def test_oracle_output_is_verified_optimum(seed):
 
 
 def test_screenless_path_agrees_with_screened():
-    for seed in range(10):
-        inst = generate_random_instance(40 + seed, 2, 2, 6)
+    cases = [generate_random_instance(40 + seed, 2, 2, 6) for seed in range(10)]
+    cases += [generate_random_instance(60 + seed, 3, 3, 6) for seed in range(6)]
+    # Criterion 01's instances with degenerate refund splits, from their seeds.
+    cases += [
+        generate_random_instance(1000 + k, n, m, 10)
+        for k, n, m in ((15, 4, 1), (29, 3, 2), (39, 3, 3), (166, 3, 2), (189, 4, 4))
+    ]
+    for inst in cases:
         a = oracle_solve(inst, use_screen=True)
         b = oracle_solve(inst, use_screen=False)
         assert a.equilibrium == b.equilibrium
+        assert (a.support_x, a.support_s) == (b.support_x, b.support_s)
+
+
+def test_package_imports_without_numpy():
+    src = str(Path(arcticauction.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, arcticauction; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_numeric_objective_values():
