@@ -123,6 +123,8 @@ def cmd_cost(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MarketFormatError, FileNotFoundError, ValueError) as exc:
+    except (MarketFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -7,10 +7,16 @@ exact; unbounded capacities are a distinct marker (None), never a big number.
 
 Every residual query (augmenting paths, the maximality check, both extreme
 min cuts, buyer-to-buyer reachability and the balanced-flow walks) goes
-through one residual graph and its one breadth-first walk.  Its neighbour
-lists are in a fixed vertex order; that order fixes which augmenting paths
-max_flow takes, hence which maximum flow it returns, hence the allocation a
-solve reports.  Changing it changes answers, not just speed.
+through one residual graph and its one breadth-first search.  That graph
+works on Python ints: each network's capacities, and the given flow's
+values, are multiplied by the LCM of their denominators, and results leave
+it only at the API boundary, as Fractions (flow values and flow value) and
+vertex tuples; cut capacities are summed from the network's own Fractions.
+Its vertices are numbered s, goods by id, buyers by id, t, and each
+adjacency list is sorted by that number; the numbering fixes which
+augmenting paths max_flow takes, hence which maximum flow it returns, hence
+the allocation a solve reports.  Changing it changes answers, not just
+speed.
 """
 
 from __future__ import annotations
@@ -18,12 +24,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .market import MarketInstance
 
 SOURCE = ("s",)
 SINK = ("t",)
-_ZERO = Fraction(0)
 
 
 def good_vertex(j: int) -> tuple:
@@ -32,13 +38,6 @@ def good_vertex(j: int) -> tuple:
 
 def buyer_vertex(i: int) -> tuple:
     return ("b", i)
-
-
-_KIND_RANK = {"s": 0, "g": 1, "b": 2, "t": 3}
-
-
-def _vertex_key(v: tuple) -> tuple:
-    return (_KIND_RANK[v[0]], v[1] if len(v) > 1 else -1)
 
 
 class FlowError(ValueError):
@@ -184,63 +183,92 @@ def build_network(
 
 
 class _Residual:
-    """Residual graph of a network under a flow.
+    """Residual graph of a network under a flow, on scaled integers.
 
-    ``cap`` maps u -> {v: capacity, None for unbounded}; ``flow`` maps
-    (u, v) -> value and is only written by max_flow, on a graph it owns.
-    The network has no antiparallel capacity edges, so each ordered pair is
-    traversed either forward against its own capacity or backward against
-    the reverse edge's flow.
+    Vertices are numbered s, goods by id, buyers by id, t.  Arc ``a`` runs
+    ``ends[a]`` with capacity ``cap[a]`` (None for unbounded) and flow
+    ``flow[a]``: the network's values times ``scale``, the LCM of every
+    capacity and flow denominator, so the ints are exact and every residual
+    keeps its sign.  ``adj[u]`` lists ``(v, arc, forward)`` for each arc at
+    u, sorted by v.  The network has no antiparallel capacity edges, so each
+    pair of vertices shares at most one arc, traversed forward against its
+    capacity or backward against its flow.  ``flow`` is only written by
+    max_flow, on a graph it owns.
     """
 
     def __init__(self, net: FlowNetwork, flow: Flow | None = None):
-        cap: dict = {SOURCE: {good_vertex(j): net.source_caps[j] for j in net.goods}, SINK: {}}
-        for j in net.goods:
-            cap[good_vertex(j)] = {}
-        for j, i in net.edges:
-            cap[good_vertex(j)][buyer_vertex(i)] = None
-        for i in net.buyers:
-            cap[buyer_vertex(i)] = {SINK: net.sink_caps[i]}
-        neighbors: dict[tuple, set] = {u: set() for u in cap}
-        for u, targets in cap.items():
-            for v in targets:
-                neighbors[u].add(v)
-                neighbors[v].add(u)
-        self.cap = cap
-        self.flow = {} if flow is None else flow.values
-        self.neighbors = {u: sorted(vs, key=_vertex_key) for u, vs in neighbors.items()}
+        goods, buyers = sorted(net.goods), sorted(net.buyers)
+        self.vertices = [SOURCE, *map(good_vertex, goods), *map(buyer_vertex, buyers), SINK]
+        self.index = {v: k for k, v in enumerate(self.vertices)}
+        good_at = {j: k for k, j in enumerate(goods, 1)}
+        buyer_at = {i: k for k, i in enumerate(buyers, len(goods) + 1)}
+        t = len(self.vertices) - 1
+        ends = [(0, good_at[j]) for j in goods]
+        ends += [(good_at[j], buyer_at[i]) for j, i in net.edges]
+        ends += [(buyer_at[i], t) for i in buyers]
+        caps = [net.source_caps[j] for j in goods] + [None] * len(net.edges)
+        caps += [net.sink_caps[i] for i in buyers]
+        if flow is None:
+            flows = [0] * len(ends)
+        else:
+            at = self.vertices
+            flows = [flow.values.get((at[u], at[v]), 0) for u, v in ends]
+        scale = lcm(*(c.denominator for c in caps if c is not None), *(f.denominator for f in flows))
+        self.scale = scale
+        self.ends = ends
+        self.cap = [None if c is None else c.numerator * (scale // c.denominator) for c in caps]
+        self.flow = [f.numerator * (scale // f.denominator) for f in flows]
+        self.adj = [[] for _ in self.vertices]
+        for a, (u, v) in enumerate(ends):
+            self.adj[u].append((v, a, True))
+            self.adj[v].append((u, a, False))
+        for entries in self.adj:
+            entries.sort()
 
-    def residual(self, u: tuple, v: tuple) -> Fraction | None:
-        """Residual capacity on arc (u, v); None means unbounded."""
-        if v in self.cap[u]:
-            c = self.cap[u][v]
-            if c is None:
-                return None
-            return c - self.flow.get((u, v), _ZERO)
-        return self.flow.get((v, u), _ZERO)
-
-    def walk(self, starts, reverse: bool = False, avoid=(), stop=None) -> dict:
+    def search(self, starts, reverse: bool = False, avoid=(), stop: int = -1) -> list:
         """Breadth-first search along residual arcs, or against them if ``reverse``.
 
-        Returns the parent map of every vertex reached (starts map to None).
+        Takes and returns vertex indices.  The result maps each vertex to
+        the arc it was reached by: -1 for the starts, None if not reached.
         Vertices in ``avoid`` are never entered; the search ends as soon as
         ``stop`` is reached.
         """
-        parent = dict.fromkeys(starts)
-        queue = deque(parent)
-        residual, neighbors = self.residual, self.neighbors
+        parent = [None] * len(self.adj)
+        for v in (*avoid, *starts):
+            parent[v] = -1
+        queue = deque(starts)
+        cap, flow, adj = self.cap, self.flow, self.adj
         while queue:
             u = queue.popleft()
-            for v in neighbors[u]:
-                if v in parent or v in avoid:
+            for v, a, forward in adj[u]:
+                if parent[v] is not None:
                     continue
-                r = residual(v, u) if reverse else residual(u, v)
-                if r is None or r > 0:
-                    parent[v] = u
-                    if v == stop:
-                        return parent
-                    queue.append(v)
+                if forward == reverse:
+                    if flow[a] <= 0:
+                        continue
+                elif cap[a] is not None and cap[a] <= flow[a]:
+                    continue
+                parent[v] = a
+                if v == stop:
+                    queue.clear()
+                    break
+                queue.append(v)
+        for v in avoid:
+            parent[v] = None
         return parent
+
+    def walk(self, starts, reverse: bool = False, avoid=()) -> dict:
+        """``search`` on vertex tuples: the parent map of every vertex reached.
+
+        Starts map to None.
+        """
+        index, at, ends = self.index, self.vertices, self.ends
+        parent = self.search([index[v] for v in starts], reverse, [index[v] for v in avoid])
+        return {
+            at[v]: None if a == -1 else at[ends[a][0] if ends[a][1] == v else ends[a][1]]
+            for v, a in enumerate(parent)
+            if a is not None
+        }
 
 
 def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
@@ -252,34 +280,38 @@ def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
     if counter is not None:
         counter.calls += 1
     g = _Residual(net)
-    cap, flow = g.cap, g.flow
-    value = Fraction(0)
+    cap, flow, ends = g.cap, g.flow, g.ends
+    sink = len(g.vertices) - 1
+    value = 0
     while True:
-        parent = g.walk([SOURCE], stop=SINK)
-        if SINK not in parent:
+        parent = g.search([0], stop=sink)
+        if parent[sink] is None:
             break
         path = []
-        v = SINK
-        while v != SOURCE:
-            u = parent[v]
-            path.append((u, v))
-            v = u
         bottleneck = None
-        for u, v in path:
-            r = g.residual(u, v)
-            if r is not None:
-                bottleneck = r if bottleneck is None else min(bottleneck, r)
+        v = sink
+        while v:
+            a = parent[v]
+            u, w = ends[a]
+            if w == v:
+                r = None if cap[a] is None else cap[a] - flow[a]
+                path.append((a, 1))
+                v = u
+            else:
+                r = flow[a]
+                path.append((a, -1))
+                v = w
+            if r is not None and (bottleneck is None or r < bottleneck):
+                bottleneck = r
         if bottleneck is None or bottleneck <= 0:
             raise FlowError("augmenting path without finite bottleneck")
-        for u, v in path:
-            if v in cap[u]:
-                flow[(u, v)] = flow.get((u, v), _ZERO) + bottleneck
-            else:
-                flow[(v, u)] = flow.get((v, u), _ZERO) - bottleneck
+        for a, sign in path:
+            flow[a] += sign * bottleneck
         value += bottleneck
 
-    flow = {e: f for e, f in flow.items() if f != 0}
-    return Flow(values=flow, value=value)
+    at, scale = g.vertices, g.scale
+    values = {(at[u], at[v]): Fraction(f, scale) for (u, v), f in zip(ends, flow) if f}
+    return Flow(values=values, value=Fraction(value, scale))
 
 
 def _maximum_residual(net: FlowNetwork, flow: Flow) -> tuple[_Residual, dict]:
@@ -316,7 +348,7 @@ def maximal_min_cut(net: FlowNetwork, flow: Flow) -> Cut:
     """The sink-nearest min cut: all vertices from which the sink is unreachable."""
     g, _ = _maximum_residual(net, flow)
     reaches_sink = g.walk([SINK], reverse=True)
-    side = frozenset(u for u in g.cap if u not in reaches_sink)
+    side = frozenset(u for u in g.vertices if u not in reaches_sink)
     return Cut(source_side=side, capacity=_cut_capacity(net, side))
 
 

@@ -155,6 +155,28 @@ def test_missing_file_exit_code(tmp_path):
     assert run(["solve", "-i", tmp_path / "nope.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "-i", "{dir}"],
+        ["solve", "-i", "{inst}", "-o", "{dir}"],
+        ["solve", "-i", "{inst}", "-o", "{out}", "--trace-file", "{dir}"],
+        ["verify", "-i", "{inst}", "--solution", "{dir}"],
+        ["bench", "--seed", "1", "--count", "-3", "--buyers", "2", "--goods", "2"],
+    ],
+    ids=["solve-input-dir", "solve-output-dir", "solve-trace-dir", "verify-solution-dir", "bench-negative-count"],
+)
+def test_directory_path_or_negative_count_is_bad_input(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_INSTANCE))
+    paths = {"dir": tmp_path, "inst": inst, "out": tmp_path / "eq.json"}
+    assert run([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_determinism_of_solve(tmp_path):
     inst = tmp_path / "inst.json"
     out1 = tmp_path / "eq1.json"

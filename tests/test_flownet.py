@@ -4,12 +4,14 @@ Cut operations are cross-checked against brute-force enumeration of every
 source-side candidate on small networks.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcticauction.flownet import (
+    SINK,
     SOURCE,
     Flow,
     FlowError,
@@ -23,6 +25,7 @@ from arcticauction.flownet import (
     maximal_min_cut,
     min_cut_source_side,
     residual_reachable,
+    _Residual,
 )
 from arcticauction.market import MarketInstance
 
@@ -259,8 +262,6 @@ small_networks = st.builds(
 
 
 def _random_network(seed: int) -> FlowNetwork:
-    import random
-
     rng = random.Random(seed)
     m = rng.randint(1, 3)
     n = rng.randint(1, 3)
@@ -272,9 +273,7 @@ def _random_network(seed: int) -> FlowNetwork:
     return net_of(prices, moneys, edges)
 
 
-@given(net=small_networks)
-@settings(max_examples=150, deadline=None)
-def test_maxflow_mincut_duality_exact(net):
+def assert_cuts_match_brute_force(net: FlowNetwork):
     f = max_flow(net)
     near = min_cut_source_side(net, f)
     far = maximal_min_cut(net, f)
@@ -293,6 +292,41 @@ def test_maxflow_mincut_duality_exact(net):
 
 
 @given(net=small_networks)
+@settings(max_examples=150, deadline=None)
+def test_maxflow_mincut_duality_exact(net):
+    assert_cuts_match_brute_force(net)
+
+
+_PRIMES_NEAR_1E6 = (999983, 999979, 999961, 999959, 999953, 999931)
+_HUGE = 10**400
+
+
+def _coprime_denominators(rng, count):
+    return [F(rng.randint(1, 10**6), p) for p in rng.sample(_PRIMES_NEAR_1E6, count)]
+
+
+def _near_huge(rng, count):
+    return [F(_HUGE + rng.randint(0, 10**6), rng.randint(1, 9)) for _ in range(count)]
+
+
+def _huge_denominators(rng, count):
+    return [F(rng.randint(1, 10**6), _HUGE + 2 * rng.randint(0, 10**3) + 1) for _ in range(count)]
+
+
+@pytest.mark.parametrize("caps", [_coprime_denominators, _near_huge, _huge_denominators])
+@pytest.mark.parametrize("seed", range(8))
+def test_scaled_capacities_match_brute_force(caps, seed):
+    # The residual graph scales every capacity by the LCM of the
+    # denominators: here a product of up to six primes near 10^6, or
+    # numerators or denominators of about 1330 bits.
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 3), rng.randint(2, 3)
+    values = caps(rng, m + n)
+    edges = {(j, i) for j in range(m) for i in range(n) if rng.random() < 0.7}
+    assert_cuts_match_brute_force(net_of(values[:m], values[m:], edges))
+
+
+@given(net=small_networks)
 @settings(max_examples=100, deadline=None)
 def test_flows_are_exact_rationals(net):
     f = max_flow(net)
@@ -307,6 +341,82 @@ def test_flows_are_exact_rationals(net):
 def test_deterministic_flow():
     net = net_of([3, 2], [4, 2], [(0, 0), (0, 1), (1, 1)])
     assert max_flow(net).values == max_flow(net).values
+
+
+def _arc(u, v):
+    def vertex(name):
+        return SOURCE if name == "s" else SINK if name == "t" else (name[0], int(name[1:]))
+
+    return (vertex(u), vertex(v))
+
+
+_TIES = net_of(
+    [1, 3, 2], [4, 3, 1], [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)]
+)
+_SPARSE_IDS = net_of(
+    [1, F(3, 2), 2, F(5, 4)],
+    [F(7, 3), 1, F(1, 2)],
+    [(0, 0), (1, 0), (1, 2), (2, 1), (3, 0), (3, 1), (3, 2)],
+).restricted((1, 3), (0, 2))
+_ZERO_SINK = net_of(
+    [2, 1, 3], [0, 3, 2], [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "net,expected",
+    [
+        # Several augmenting paths tie at every length, and one of them
+        # cancels the flow first sent on g0 -> b0.
+        (
+            _TIES,
+            {
+                ("s", "g0"): 1, ("s", "g1"): 3, ("s", "g2"): 2,
+                ("g0", "b1"): 1, ("g1", "b0"): 3, ("g2", "b0"): 1, ("g2", "b2"): 1,
+                ("b0", "t"): 4, ("b1", "t"): 1, ("b2", "t"): 1,
+            },
+        ),
+        # Goods (1, 3) and buyers (0, 2): ids are not vertex positions.
+        (
+            _SPARSE_IDS,
+            {
+                ("s", "g1"): F(3, 2), ("s", "g3"): F(5, 4),
+                ("g1", "b0"): F(3, 2), ("g3", "b0"): F(5, 6), ("g3", "b2"): F(5, 12),
+                ("b0", "t"): F(7, 3), ("b2", "t"): F(5, 12),
+            },
+        ),
+        # Buyer 0 has no sink capacity left.
+        (
+            _ZERO_SINK,
+            {
+                ("s", "g0"): 2, ("s", "g1"): 1, ("s", "g2"): 2,
+                ("g0", "b1"): 2, ("g1", "b1"): 1, ("g2", "b2"): 2,
+                ("b1", "t"): 3, ("b2", "t"): 2,
+            },
+        ),
+    ],
+    ids=["ties", "sparse-ids", "zero-sink"],
+)
+def test_flow_is_pinned(net, expected):
+    # The literal flows fix the augmenting-path order: another order gives
+    # another maximum flow, and a solve reports another allocation.
+    f = max_flow(net)
+    assert f.values == {_arc(*e): F(x) for e, x in expected.items()}
+    assert f.value == sum(f.on(SOURCE, good_vertex(j)) for j in net.goods)
+
+
+def test_residual_walk_under_flow_of_another_network():
+    # As in the balanced-flow recursion: the flow is a maximum flow of the
+    # sink-reduced network, with thirds the network itself does not have.
+    net = net_of([1, 1], [1, 2], [(0, 0), (0, 1), (1, 1)])
+    reduced = net.with_sink_caps({0: F(1, 3), 1: F(4, 3)})
+    f = max_flow(reduced)
+    assert f.on(good_vertex(0), buyer_vertex(1)) == F(2, 3)
+    seen = _Residual(net, f).walk([SOURCE], avoid=(SINK,))
+    # Buyer 0 is reached only back along the 2/3 on g0 -> b1.
+    assert set(seen) == {SOURCE, good_vertex(0), good_vertex(1), buyer_vertex(0), buyer_vertex(1)}
+    assert seen[good_vertex(0)] == buyer_vertex(1)
+    assert seen[buyer_vertex(0)] == good_vertex(0)
 
 
 def test_dump_network_format():
