@@ -4,7 +4,30 @@ The surplus vector of a balanced flow is unique even though the flow itself
 is not.  It is computed here by peeling off maximum-surplus buyer groups:
 the top surplus level solves a water-filling equation over a buyer set
 extracted from min cuts of sink-reduced networks, the pinned group is split
-off, and the remainder is solved recursively.  Everything stays rational.
+off, and the remainder is solved the same way.  Everything stays rational.
+
+The whole peel-off runs on one integer residual graph of the network, and
+its flow is kept from one max-flow to the next (the monotone case of
+Gallo-Grigoriadis-Tarjan parametric max-flow):
+
+* Warm start.  Each level restores the live buyers' sink caps; the current
+  flow is still feasible, so augmenting paths are pushed from it.
+* Trimming.  Raising the water level delta lowers each live buyer's sink
+  cap to max(c_i - delta, 0).  A buyer now over its cap gives the excess
+  back along its in-arcs, in adjacency order, taking the same amount off
+  each good's source arc; the flow stays feasible and is augmented again.
+* Cancellation.  Pinned goods and buyers join a dead set that no search or
+  augmenting path enters.  The flow on every arc of a pinned good is
+  cancelled, and the same amount comes off the sink arc of the buyer it fed,
+  which leaves a feasible flow of the remaining network.
+* Rescaling.  A water level may bring a new denominator d; every capacity,
+  every flow and the graph's scale are then multiplied by d, which is exact.
+
+The peel-off reads only max-flow values and the vertex sets reachable from
+the source, and both are the same for every maximum flow of a network.  So
+the surplus vector cannot depend on which maximum flow the warm start
+reached.  balanced_flow still returns a max-flow of the pinned network
+computed from scratch, so the flow it returns does not depend on it either.
 """
 
 from __future__ import annotations
@@ -19,8 +42,8 @@ from .flownet import (
     FlowNetwork,
     MaxflowCounter,
     buyer_vertex,
+    good_vertex,
     max_flow,
-    min_cut_source_side,
     _Residual,
 )
 
@@ -64,65 +87,87 @@ def _water_level(caps: list[Fraction], target: Fraction) -> Fraction:
     raise AssertionError("water level search failed")
 
 
-def _balanced_surplus_rec(
-    net: FlowNetwork,
-    goods: set[int],
-    buyers: set[int],
-    out: dict[int, Fraction],
-    counter: MaxflowCounter | None,
-) -> None:
-    if not buyers:
-        return
-    sub = net.restricted(goods, buyers)
-    f = max_flow(sub, counter)
-    total_caps = sub.total_money
-    if f.value == total_caps:
-        for i in buyers:
-            out[i] = Fraction(0)
-        return
-
-    # Find the top surplus level: the smallest uniform sink reduction that
-    # the network can still fully absorb.
-    delta = (total_caps - f.value) / len(buyers)
-    while True:
-        reduced = sub.with_sink_caps(
-            {i: max(sub.sink_caps[i] - delta, Fraction(0)) for i in sub.buyers}
-        )
-        f_red = max_flow(reduced, counter)
-        if f_red.value == reduced.total_money:
-            break
-        cut = min_cut_source_side(reduced, f_red)
-        starved = set(buyers) - set(cut.buyers_part())
-        if not starved:
-            raise FlowError("reduced network min cut has no starved buyers")
-        target = sum(
-            (sub.source_caps[j] for j in sub.neighborhood_of_buyers(starved)),
-            Fraction(0),
-        )
-        new_delta = _water_level([sub.sink_caps[i] for i in starved], target)
-        if new_delta <= delta:
-            raise FlowError("water level candidate did not increase")
-        delta = new_delta
-
-    # Split off the group pinned at the top level: buyers not reachable from
-    # the source in the residual graph of f_red taken with original sink caps.
-    # Paths may not run through the sink: reaching a buyer must mean more
-    # flow can be pushed into her without rerouting any other sink edge.
-    seen = _Residual(sub, f_red).walk([SOURCE], avoid=(SINK,))
-    reachable_buyers = {v[1] for v in seen if v[0] == "b"}
-    pinned = set(buyers) - reachable_buyers
-    if not pinned:
-        raise FlowError("no buyers pinned at the top surplus level")
-    for i in pinned:
-        out[i] = min(sub.sink_caps[i], delta)
-    pinned_goods = sub.neighborhood_of_buyers(pinned)
-    _balanced_surplus_rec(net, goods - pinned_goods, buyers - pinned, out, counter)
-
-
-def balanced_surplus(net: FlowNetwork, counter: MaxflowCounter | None = None) -> dict[int, Fraction]:
+def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
     """The unique surplus vector attained by every balanced flow."""
+    g = _Residual(net)
+    cap, flow, adj = g.cap, g.flow, g.adj
+    t = len(adj) - 1
+    source_arc = {v: a for a, (u, v) in enumerate(g.ends) if u == 0}
+    sink_arc = {u: a for a, (u, v) in enumerate(g.ends) if v == t}
+    money = {g.index[buyer_vertex(i)]: net.sink_caps[i] for i in net.buyers}
+    price = {g.index[good_vertex(j)]: net.source_caps[j] for j in net.goods}
+    full = {b: cap[sink_arc[b]] for b in money}
+    dead: set[int] = set()
     out: dict[int, Fraction] = {}
-    _balanced_surplus_rec(net, set(net.goods), set(net.buyers), out, counter)
+
+    def goods_of(buyers) -> set[int]:
+        return {v for b in buyers for v, _, forward in adj[b] if not forward} - dead
+
+    def lower_caps(live: list[int], delta: Fraction) -> None:
+        # Sink caps max(c_i - delta, 0), rescaled to stay integral; a buyer
+        # now over its cap gives the excess back along its in-arcs.
+        d = (delta * g.scale).denominator
+        if d > 1:
+            g.rescale(d)
+            for b in full:
+                full[b] *= d
+        level = (delta * g.scale).numerator
+        for b in live:
+            a = sink_arc[b]
+            cap[a] = max(full[b] - level, 0)
+            excess = flow[a] - cap[a]
+            for j, arc, forward in adj[b]:
+                if excess > 0 and not forward:
+                    take = min(flow[arc], excess)
+                    flow[arc] -= take
+                    flow[source_arc[j]] -= take
+                    flow[a] -= take
+                    excess -= take
+
+    while live := [b for b in money if b not in dead]:
+        lower_caps(live, Fraction(0))
+        g.augment(dead)
+        slack = sum(cap[sink_arc[b]] - flow[sink_arc[b]] for b in live)
+        if slack == 0:
+            out.update((g.vertices[b][1], Fraction(0)) for b in live)
+            break
+
+        # Find the top surplus level: the smallest uniform sink reduction that
+        # the network can still fully absorb.
+        delta = Fraction(slack, g.scale * len(live))
+        while True:
+            lower_caps(live, delta)
+            g.augment(dead)
+            if all(flow[sink_arc[b]] == cap[sink_arc[b]] for b in live):
+                break
+            reached = g.search([0], avoid=dead)
+            starved = [b for b in live if reached[b] is None]
+            if not starved:
+                raise FlowError("reduced network min cut has no starved buyers")
+            target = sum((price[j] for j in goods_of(starved)), Fraction(0))
+            new_delta = _water_level([money[b] for b in starved], target)
+            if new_delta <= delta:
+                raise FlowError("water level candidate did not increase")
+            delta = new_delta
+
+        # Split off the group pinned at the top level: buyers not reachable
+        # from the source without passing through the sink.  Reaching a buyer
+        # must mean more flow can be pushed into it without rerouting any
+        # other sink edge.
+        reached = g.search([0], avoid=dead | {t})
+        pinned = [b for b in live if reached[b] is None]
+        if not pinned:
+            raise FlowError("no buyers pinned at the top surplus level")
+        for b in pinned:
+            out[g.vertices[b][1]] = min(money[b], delta)
+        pinned_goods = goods_of(pinned)
+        for j in pinned_goods:
+            for v, a, forward in adj[j]:
+                if forward:
+                    flow[sink_arc[v]] -= flow[a]
+                flow[a] = 0
+        dead |= pinned_goods
+        dead.update(pinned)
     return out
 
 
@@ -133,7 +178,7 @@ def balanced_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Fl
     implied inflow then forces any maximum flow of the pinned network to be
     balanced in the original one.
     """
-    gamma = balanced_surplus(net, counter)
+    gamma = balanced_surplus(net)
     pinned = net.with_sink_caps({i: net.sink_caps[i] - gamma[i] for i in net.buyers})
     f = max_flow(pinned, counter)
     if f.value != pinned.total_money:

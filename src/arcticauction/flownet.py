@@ -7,7 +7,9 @@ exact; unbounded capacities are a distinct marker (None), never a big number.
 
 Every residual query (augmenting paths, the maximality check, both extreme
 min cuts, buyer-to-buyer reachability and the balanced-flow walks) goes
-through one residual graph and its one breadth-first search.  That graph
+through one residual graph and its one breadth-first search, and every
+maximum flow, from zero or warm-started, through its one augmenting loop.
+That graph
 works on Python ints: each network's capacities, and the given flow's
 values, are multiplied by the LCM of their denominators, and results leave
 it only at the API boundary, as Fractions (flow values and flow value) and
@@ -75,10 +77,6 @@ class FlowNetwork:
     @property
     def total_money(self) -> Fraction:
         return sum((self.sink_caps[i] for i in self.buyers), Fraction(0))
-
-    def neighborhood_of_buyers(self, buyers) -> set[int]:
-        buyers = set(buyers)
-        return {j for (j, i) in self.edges if i in buyers}
 
     def with_sink_caps(self, caps: dict[int, Fraction]) -> "FlowNetwork":
         return FlowNetwork(self.goods, self.buyers, self.source_caps, dict(caps), self.edges)
@@ -192,8 +190,9 @@ class _Residual:
     keeps its sign.  ``adj[u]`` lists ``(v, arc, forward)`` for each arc at
     u, sorted by v.  The network has no antiparallel capacity edges, so each
     pair of vertices shares at most one arc, traversed forward against its
-    capacity or backward against its flow.  ``flow`` is only written by
-    max_flow, on a graph it owns.
+    capacity or backward against its flow.  ``cap`` and ``flow`` are only
+    written on a graph its caller owns: by ``augment``, ``rescale`` and the
+    balanced peel-off.
     """
 
     def __init__(self, net: FlowNetwork, flow: Flow | None = None):
@@ -257,6 +256,46 @@ class _Residual:
             parent[v] = None
         return parent
 
+    def augment(self, avoid=()) -> int:
+        """Push shortest augmenting paths from the current flow until none is left.
+
+        Paths never enter ``avoid``.  Returns the scaled value pushed.
+        """
+        cap, flow, ends = self.cap, self.flow, self.ends
+        sink = len(self.adj) - 1
+        value = 0
+        while True:
+            parent = self.search([0], avoid=avoid, stop=sink)
+            if parent[sink] is None:
+                return value
+            path = []
+            bottleneck = None
+            v = sink
+            while v:
+                a = parent[v]
+                u, w = ends[a]
+                if w == v:
+                    r = None if cap[a] is None else cap[a] - flow[a]
+                    path.append((a, 1))
+                    v = u
+                else:
+                    r = flow[a]
+                    path.append((a, -1))
+                    v = w
+                if r is not None and (bottleneck is None or r < bottleneck):
+                    bottleneck = r
+            if bottleneck is None or bottleneck <= 0:
+                raise FlowError("augmenting path without finite bottleneck")
+            for a, sign in path:
+                flow[a] += sign * bottleneck
+            value += bottleneck
+
+    def rescale(self, d: int) -> None:
+        """Multiply every capacity, every flow and ``scale`` by the integer d."""
+        self.cap[:] = [None if c is None else c * d for c in self.cap]
+        self.flow[:] = [f * d for f in self.flow]
+        self.scale *= d
+
     def walk(self, starts, reverse: bool = False, avoid=()) -> dict:
         """``search`` on vertex tuples: the parent map of every vertex reached.
 
@@ -272,7 +311,7 @@ class _Residual:
 
 
 def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
-    """Exact maximum flow via shortest augmenting paths.
+    """Exact maximum flow via shortest augmenting paths from the zero flow.
 
     Deterministic: the walk expands vertices in a fixed order, so the chosen
     flow (not just its value) is reproducible.
@@ -280,37 +319,9 @@ def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
     if counter is not None:
         counter.calls += 1
     g = _Residual(net)
-    cap, flow, ends = g.cap, g.flow, g.ends
-    sink = len(g.vertices) - 1
-    value = 0
-    while True:
-        parent = g.search([0], stop=sink)
-        if parent[sink] is None:
-            break
-        path = []
-        bottleneck = None
-        v = sink
-        while v:
-            a = parent[v]
-            u, w = ends[a]
-            if w == v:
-                r = None if cap[a] is None else cap[a] - flow[a]
-                path.append((a, 1))
-                v = u
-            else:
-                r = flow[a]
-                path.append((a, -1))
-                v = w
-            if r is not None and (bottleneck is None or r < bottleneck):
-                bottleneck = r
-        if bottleneck is None or bottleneck <= 0:
-            raise FlowError("augmenting path without finite bottleneck")
-        for a, sign in path:
-            flow[a] += sign * bottleneck
-        value += bottleneck
-
+    value = g.augment()
     at, scale = g.vertices, g.scale
-    values = {(at[u], at[v]): Fraction(f, scale) for (u, v), f in zip(ends, flow) if f}
+    values = {(at[u], at[v]): Fraction(f, scale) for (u, v), f in zip(g.ends, g.flow) if f}
     return Flow(values=values, value=Fraction(value, scale))
 
 
@@ -366,18 +377,3 @@ def residual_reachable(net: FlowNetwork, flow: Flow, targets) -> set[int]:
 def check_invariant(net: FlowNetwork, counter: MaxflowCounter | None = None) -> bool:
     """True iff ({s}, everything else) is a minimum s-t cut."""
     return max_flow(net, counter).value == net.total_price
-
-
-def dump_network(net: FlowNetwork, flow: Flow | None = None) -> str:
-    """Line-oriented debug dump: tail, head, capacity, flow."""
-    lines = []
-    for j in net.goods:
-        f = flow.on(SOURCE, good_vertex(j)) if flow else Fraction(0)
-        lines.append(f"s g{j} {net.source_caps[j]} {f}")
-    for j, i in sorted(net.edges):
-        f = flow.on(good_vertex(j), buyer_vertex(i)) if flow else Fraction(0)
-        lines.append(f"g{j} b{i} inf {f}")
-    for i in net.buyers:
-        f = flow.on(buyer_vertex(i), SINK) if flow else Fraction(0)
-        lines.append(f"b{i} t {net.sink_caps[i]} {f}")
-    return "\n".join(lines) + "\n"

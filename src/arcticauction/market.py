@@ -123,7 +123,6 @@ class Equilibrium:
     allocation: tuple[tuple[Fraction, ...], ...]
     returned: tuple[Fraction, ...]
     alpha: tuple[Fraction, ...]
-    bundle_utility: tuple[Fraction, ...]
 
 
 @dataclass
@@ -290,20 +289,7 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
         stats = stats_from_doc(doc.get("stats", {}))
     except (AttributeError, TypeError, IndexError) as exc:
         raise MarketFormatError(f"malformed stats: {exc}") from exc
-    if inst is not None:
-        bundle = tuple(
-            sum((inst.utilities[i][j] * allocation[i][j] for j in inst.goods), Fraction(0))
-            for i in inst.buyers
-        )
-    else:
-        bundle = tuple(Fraction(0) for _ in allocation)
-    eq = Equilibrium(
-        prices=prices,
-        allocation=allocation,
-        returned=returned,
-        alpha=alpha,
-        bundle_utility=bundle,
-    )
+    eq = Equilibrium(prices=prices, allocation=allocation, returned=returned, alpha=alpha)
     return eq, stats
 
 
@@ -313,22 +299,12 @@ def equilibrium_for_instance(
     allocation: tuple[tuple[Fraction, ...], ...],
     returned: tuple[Fraction, ...],
 ) -> Equilibrium:
-    """Build an Equilibrium, deriving alphas and bundle utilities from inst."""
+    """Build an Equilibrium, deriving alphas from inst."""
     alpha = tuple(
         max(inst.utilities[i][j] / prices[j] for j in inst.goods)
         for i in inst.buyers
     )
-    bundle = tuple(
-        sum((inst.utilities[i][j] * allocation[i][j] for j in inst.goods), Fraction(0))
-        for i in inst.buyers
-    )
-    return Equilibrium(
-        prices=prices,
-        allocation=allocation,
-        returned=returned,
-        alpha=alpha,
-        bundle_utility=bundle,
-    )
+    return Equilibrium(prices=prices, allocation=allocation, returned=returned, alpha=alpha)
 
 
 def generate_random_instance(seed: int, n: int, m: int, max_value: int) -> MarketInstance:

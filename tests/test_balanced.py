@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from arcticauction import flownet
 from arcticauction.balanced import (
     balanced_flow,
     balanced_surplus,
@@ -194,3 +197,74 @@ def test_surplus_drop_bounds_potential_drop():
             checked += 1
             assert phi_before - phi_after >= max(drops) ** 2
     assert checked > 20
+
+
+def assert_feasible(g):
+    """Every arc within its capacity and flow conserved at every good and buyer."""
+    net_out = [0] * len(g.adj)
+    for a, (u, v) in enumerate(g.ends):
+        assert 0 <= g.flow[a] and (g.cap[a] is None or g.flow[a] <= g.cap[a])
+        net_out[u] += g.flow[a]
+        net_out[v] -= g.flow[a]
+    assert not any(net_out[1:-1])
+
+
+@pytest.fixture
+def checked_augment(monkeypatch):
+    """Check the warm-started flow is feasible before and after every augment."""
+    augment = flownet._Residual.augment
+
+    def checked(g, avoid=()):
+        assert_feasible(g)
+        value = augment(g, avoid)
+        assert_feasible(g)
+        return value
+
+    monkeypatch.setattr(flownet._Residual, "augment", checked)
+
+
+def test_rescaling_across_levels(checked_augment, monkeypatch):
+    # Three buyers with cap 1 share good 0 (price 1): surplus 2/3 each, the
+    # top level.  Two more share good 1: surplus 1/2 each, the second level.
+    # The water levels 3/5, 2/3 and 1/2 each bring a new denominator.
+    rescale = flownet._Residual.rescale
+    factors = []
+
+    def spy(g, d):
+        factors.append(d)
+        rescale(g, d)
+
+    monkeypatch.setattr(flownet._Residual, "rescale", spy)
+    net = net_of([1, 1], [1] * 5, [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)])
+    expected = {0: F(2, 3), 1: F(2, 3), 2: F(2, 3), 3: F(1, 2), 4: F(1, 2)}
+    assert balanced_surplus(net) == expected
+    assert factors == [5, 3, 2]
+    assert balanced_surplus(net) == oracle_balanced_surplus(net)
+    assert surplus(net, balanced_flow(net)) == expected
+
+
+def test_cancellation_of_pinned_good_next_to_survivor(checked_augment):
+    # Good 0 feeds buyer 0 on the first augmenting path, then is rerouted to
+    # buyer 1, which only it can feed.  Buyer 1 and good 0 are pinned at
+    # surplus 2; buyer 0 survives next to the pinned good and must be
+    # saturated by good 1 alone on the second level.
+    net = net_of([1, 2], [2, 3], [(0, 0), (0, 1), (1, 0)])
+    assert balanced_surplus(net) == {0: F(0), 1: F(2)}
+    assert balanced_surplus(net) == oracle_balanced_surplus(net)
+    f = balanced_flow(net)
+    assert surplus(net, f) == {0: F(0), 1: F(2)}
+    assert verify_property1(net, f)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_balanced_flow_on_rational_networks_beyond_the_oracle(checked_augment, seed):
+    rng = random.Random(7_000 + seed)
+    m, n = rng.randint(8, 12), rng.randint(8, 12)
+    prices = [F(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(m)]
+    moneys = [F(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(n)]
+    edges = {(j, i) for j in range(m) for i in range(n) if rng.random() < 0.25}
+    net = net_of(prices, moneys, edges)
+    f = balanced_flow(net)
+    assert f.value == max_flow(net).value
+    assert verify_property1(net, f)
+    assert surplus(net, f) == balanced_surplus(net)

@@ -19,7 +19,6 @@ from arcticauction.flownet import (
     build_network,
     buyer_vertex,
     check_invariant,
-    dump_network,
     good_vertex,
     max_flow,
     maximal_min_cut,
@@ -417,12 +416,3 @@ def test_residual_walk_under_flow_of_another_network():
     assert set(seen) == {SOURCE, good_vertex(0), good_vertex(1), buyer_vertex(0), buyer_vertex(1)}
     assert seen[good_vertex(0)] == buyer_vertex(1)
     assert seen[buyer_vertex(0)] == good_vertex(0)
-
-
-def test_dump_network_format():
-    net = net_of([1], [2], [(0, 0)])
-    f = max_flow(net)
-    dump = dump_network(net, f)
-    assert "s g0 1 1" in dump
-    assert "g0 b0 inf 1" in dump
-    assert "b0 t 2 1" in dump

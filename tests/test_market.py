@@ -109,11 +109,7 @@ def _random_equilibrium(rng_seed: int) -> tuple[MarketInstance, Equilibrium]:
     alpha = tuple(
         max(inst.utilities[i][j] / prices[j] for j in range(m)) for i in range(n)
     )
-    bundle = tuple(
-        sum((inst.utilities[i][j] * allocation[i][j] for j in range(m)), Fraction(0))
-        for i in range(n)
-    )
-    return inst, Equilibrium(prices, allocation, returned, alpha, bundle)
+    return inst, Equilibrium(prices, allocation, returned, alpha)
 
 
 @pytest.mark.parametrize("seed", range(20))

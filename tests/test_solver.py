@@ -1,6 +1,8 @@
 """The primal-dual solver: initialization, phases, events, full solves."""
 
 import ast
+import hashlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,9 +10,10 @@ import pytest
 
 import arcticauction
 
+from arcticauction import balanced, flownet, solver
 from arcticauction.flownet import build_network, check_invariant
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
-from arcticauction.market import MarketInstance, generate_random_instance
+from arcticauction.market import MarketInstance, generate_random_instance, serialize_equilibrium
 from arcticauction.oracle import oracle_solve
 from arcticauction.solver import (
     TraceRecorder,
@@ -379,3 +382,41 @@ def test_no_floats_on_solving_path(module):
             if name == "float" or name.startswith("math.log"):
                 offenders.append((node.lineno, name))
     assert not offenders, f"{module}.py: {offenders}"
+
+
+def test_answers_pinned_on_roadmap_seeds():
+    # Prices, allocations, refunds and alphas of the ROADMAP baseline
+    # instances, pinned so that a kernel change cannot move them unseen.
+    digest = hashlib.sha256()
+    for seed in range(5):
+        eq, _ = solve(generate_random_instance(seed, 12, 12, 10))
+        digest.update(serialize_equilibrium(eq).encode())
+    assert digest.hexdigest() == "98315c2b580feb3f8dfe3ee5e2d6aca027e36ce13f8f38ec5aedbf243a773bb9"
+
+
+def refund_heavy_instance(seed, n):
+    """Money U[10, 40] against utilities U[1, 10]: many buyers get money back."""
+    rng = random.Random(seed)
+    return inst_of(
+        [[rng.randint(1, 10) for _ in range(n)] for _ in range(n)],
+        [rng.randint(10, 40) for _ in range(n)],
+    )
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [generate_random_instance(seed, 8, 8, 10) for seed in range(3)] + [refund_heavy_instance(0, 8)],
+)
+def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
+    calls = 0
+    original = flownet.max_flow
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for module in (flownet, balanced, solver):
+        monkeypatch.setattr(module, "max_flow", counting)
+    _, stats = solve(inst)
+    assert stats.maxflow_calls == calls > 0
