@@ -9,11 +9,13 @@ Every residual query (augmenting paths, the maximality check, both extreme
 min cuts, buyer-to-buyer reachability and the balanced-flow walks) goes
 through one residual graph and its one breadth-first search, and every
 maximum flow, from zero or warm-started, through its one augmenting loop.
-That graph
-works on Python ints: each network's capacities, and the given flow's
-values, are multiplied by the LCM of their denominators, and results leave
-it only at the API boundary, as Fractions (flow values and flow value) and
-vertex tuples; cut capacities are summed from the network's own Fractions.
+One cut reader gives both extreme min cuts, whether the maximum flow was
+given or was just augmented on the same graph.  A flow handed to the graph
+is checked to be feasible before it is used.  That graph works on Python
+ints: each network's capacities, and the given flow's values, are multiplied
+by the LCM of their denominators, and results leave it only at the API
+boundary, as Fractions (flow values and flow value) and vertex tuples; cut
+capacities are summed from the network's own Fractions.
 Its vertices are numbered s, goods by id, buyers by id, t, and each
 adjacency list is sorted by that number; the numbering fixes which
 augmenting paths max_flow takes, hence which maximum flow it returns, hence
@@ -193,6 +195,11 @@ class _Residual:
     capacity or backward against its flow.  ``cap`` and ``flow`` are only
     written on a graph its caller owns: by ``augment``, ``rescale`` and the
     balanced peel-off.
+
+    A given flow must be feasible in the network: nonnegative, within every
+    finite capacity and conserved at every good and buyer, else FlowError.
+    Its values on pairs that are not arcs of the network are not read, so
+    flow left on a dropped arc shows up as a conservation break.
     """
 
     def __init__(self, net: FlowNetwork, flow: Flow | None = None):
@@ -217,12 +224,25 @@ class _Residual:
         self.ends = ends
         self.cap = [None if c is None else c.numerator * (scale // c.denominator) for c in caps]
         self.flow = [f.numerator * (scale // f.denominator) for f in flows]
+        if flow is not None:
+            self._check_feasible()
         self.adj = [[] for _ in self.vertices]
         for a, (u, v) in enumerate(ends):
             self.adj[u].append((v, a, True))
             self.adj[v].append((u, a, False))
         for entries in self.adj:
             entries.sort()
+
+    def _check_feasible(self) -> None:
+        at, excess = self.vertices, [0] * len(self.vertices)
+        for (u, v), c, f in zip(self.ends, self.cap, self.flow):
+            if f < 0 or (c is not None and f > c):
+                raise FlowError(f"flow on {at[u]} -> {at[v]} is negative or over capacity")
+            excess[u] -= f
+            excess[v] += f
+        for v in range(1, len(excess) - 1):
+            if excess[v]:
+                raise FlowError(f"flow is not conserved at {at[v]}")
 
     def search(self, starts, reverse: bool = False, avoid=(), stop: int = -1) -> list:
         """Breadth-first search along residual arcs, or against them if ``reverse``.
@@ -325,15 +345,6 @@ def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
     return Flow(values=values, value=Fraction(value, scale))
 
 
-def _maximum_residual(net: FlowNetwork, flow: Flow) -> tuple[_Residual, dict]:
-    """The residual graph of a maximum flow and the vertices reachable from s."""
-    g = _Residual(net, flow)
-    reached = g.walk([SOURCE])
-    if SINK in reached:
-        raise FlowError("flow is not maximum: residual path to sink exists")
-    return g, reached
-
-
 def _cut_capacity(net: FlowNetwork, source_side: frozenset) -> Fraction:
     cap = Fraction(0)
     for j in net.goods:
@@ -348,19 +359,48 @@ def _cut_capacity(net: FlowNetwork, source_side: frozenset) -> Fraction:
     return cap
 
 
+def _read_cut(g: _Residual, net: FlowNetwork, maximal: bool) -> Cut:
+    """An extreme min cut of net, read off g, the residual graph of a maximum flow.
+
+    The source-nearest min cut is what s reaches; the sink-nearest is
+    everything that does not reach t.  Both are the same for every maximum
+    flow, so neither depends on how g's flow was found.
+    """
+    reached = g.walk([SOURCE])
+    if SINK in reached:
+        raise FlowError("flow is not maximum: residual path to sink exists")
+    if maximal:
+        reaches_sink = g.walk([SINK], reverse=True)
+        side = frozenset(u for u in g.vertices if u not in reaches_sink)
+    else:
+        side = frozenset(reached)
+    return Cut(source_side=side, capacity=_cut_capacity(net, side))
+
+
 def min_cut_source_side(net: FlowNetwork, flow: Flow) -> Cut:
     """The source-nearest min cut: residual-reachable vertices from s."""
-    _, reached = _maximum_residual(net, flow)
-    side = frozenset(reached)
-    return Cut(source_side=side, capacity=_cut_capacity(net, side))
+    return _read_cut(_Residual(net, flow), net, maximal=False)
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> Cut:
     """The sink-nearest min cut: all vertices from which the sink is unreachable."""
-    g, _ = _maximum_residual(net, flow)
-    reaches_sink = g.walk([SINK], reverse=True)
-    side = frozenset(u for u in g.vertices if u not in reaches_sink)
-    return Cut(source_side=side, capacity=_cut_capacity(net, side))
+    return _read_cut(_Residual(net, flow), net, maximal=True)
+
+
+def probe_min_cut(net: FlowNetwork, start: Flow | None = None) -> tuple[bool, Cut]:
+    """Whether net's maximum flow saturates every source arc, and an extreme min cut.
+
+    Pushes augmenting paths from ``start`` (a feasible flow of net; None is
+    the zero flow) on one residual graph and reads the cut off that graph:
+    the sink-nearest min cut if the source arcs are saturated, the
+    source-nearest if not.  Neither depends on ``start``.  This is not a
+    ``max_flow`` call and is not counted as one.
+    """
+    g = _Residual(net, start)
+    g.augment()
+    k = len(net.goods)  # the source arcs come first
+    saturated = g.flow[:k] == g.cap[:k]
+    return saturated, _read_cut(g, net, maximal=saturated)
 
 
 def residual_reachable(net: FlowNetwork, flow: Flow, targets) -> set[int]:

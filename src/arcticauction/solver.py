@@ -20,6 +20,20 @@ exactly 1 many refund splits are optimal.  A solve reports the one whose
 refund vector is lexicographically maximal by buyer index at the final
 prices; a post-pass of max-flows computes it after extraction.
 
+Within an iteration, the search for the first tight goods set probes the
+invariant at a falling sequence of theta values.  Each probe is warm-started
+from the iteration's start flow, kept on the state: the balanced flow that
+began the phase or followed the last new edge.  That flow stays feasible for
+the whole iteration: the scaled goods' source caps only grow with theta, the
+sink caps are fixed, a zero-degree buyer only gains an edge or leaves
+without one, and the edges pruned at iteration start carry no flow (such
+flow would be a residual path into the active set from a buyer of lower
+surplus, which a balanced flow does not have).  A probe reads only extreme
+min cuts, which are the same for every maximum flow, so the start flow
+changes how much augmenting is done, never an answer.  ``maxflow_calls``
+counts ``max_flow`` calls, each from the zero flow; probes are not among
+them.
+
 Everything is exact rational arithmetic; every comparison is exact.
 """
 
@@ -32,13 +46,14 @@ from fractions import Fraction
 
 from .balanced import balanced_flow, potential, surplus
 from .flownet import (
+    Flow,
     FlowNetwork,
     MaxflowCounter,
     check_invariant,
     max_flow,
     maximal_min_cut,
     mbpb_edges,
-    min_cut_source_side,
+    probe_min_cut,
     residual_reachable,
 )
 from .market import (
@@ -152,6 +167,9 @@ class SolverState:
     phase_index: int = 0
     iteration_index: int = 0
     recorder: TraceRecorder | None = None
+    # The iteration's start flow, which tight-set probes augment from; None
+    # is the zero flow.
+    flow: Flow | None = None
 
     def leftover(self, i: int) -> Fraction:
         return self.inst.money[i] - self.returns[i]
@@ -263,6 +281,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     )
     net = _network(state)
     f = balanced_flow(net, state.counter)
+    state.flow = f
     gamma = surplus(net, f)
     state.phi = potential(gamma)
     if state.recorder is not None:
@@ -312,18 +331,30 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     exact tightness point of its scaled goods, which becomes the next
     candidate.  Goods sets that were already tight before this iteration and
     contain no scaled good never change worth and are ignored.
+
+    Each probe augments from the iteration's start flow, which is feasible
+    at every theta >= state.theta, and reads its cut off the same graph.
+    The cuts are extreme min cuts, the same for every maximum flow, so the
+    result does not depend on the start flow; probes make no ``max_flow``
+    call.
+
+    At most |J| + 1 probes: only the scaled goods' source caps move with
+    theta, so the source-nearest min cuts are nested as theta falls
+    (Gallo-Grigoriadis-Tarjan).  A violated probe at theta_hi gives a
+    nonempty scaled part V and the next candidate theta_v < theta_hi, at
+    which V is exactly tight; a violated probe there has scaled part inside
+    V, and equal to V only if it gives theta_v again, which is an error.
+    So each violated probe strictly shrinks V, and one more probe settles.
     """
     theta_hi = theta_cap
-    for _ in range(100000):
+    for _ in range(len(state.J) + 1):
         net = _network(state, theta=theta_hi)
-        f = max_flow(net, state.counter)
-        if f.value == net.total_price:
-            cut = maximal_min_cut(net, f)
+        saturated, cut = probe_min_cut(net, state.flow)
+        if saturated:
             tight_goods = set(cut.goods_part())
             if tight_goods & state.J:
                 return theta_hi, frozenset(tight_goods)
             return None
-        cut = min_cut_source_side(net, f)
         violated = set(cut.goods_part()) & state.J
         if not violated:
             raise SolverError("invariant violation without scaled goods")
@@ -343,31 +374,39 @@ def next_event(state: SolverState) -> Event:
     Ties at equal theta resolve by kind (refunds precede everything: prices
     cannot rise past an unpaid buyer), then by the lowest buyer index, then
     by the lowest good index.  This only orders events: the refund split a
-    solve reports is fixed afterwards by _lex_max_refunds.
+    solve reports is fixed afterwards by _lex_max_refunds.  A buyer's
+    crossing candidates all share one bang-per-buck, so only its first
+    crossing, the lowest good on ties, can win and is the only one built.
     """
+    outside = sorted(state.live_goods - state.J)
+
+    def first_crossing(i: int):
+        # Scaled ratios fall as abar / theta, so buyer i first meets the
+        # outside good of least price-to-utility ratio, the lowest on ties.
+        best = None
+        for j in outside:
+            u = state.inst.utilities[i][j]
+            if u > 0:
+                ratio = state.prices[j] / u
+                if best is None or ratio < best[0]:
+                    best = (ratio, j)
+        return best
+
     candidates: list[Event] = []
     for i in sorted(state.I):
         abar = _alpha_bar_active(state, i)
         if abar < state.theta:
             raise SolverError(f"active buyer {i} has bang-per-buck below 1")
         candidates.append(Event("money_return", abar, buyer=i))
-        for j in sorted(state.live_goods - state.J):
-            u = state.inst.utilities[i][j]
-            if u > 0:
-                candidates.append(
-                    Event("new_edge", abar * state.prices[j] / u, buyer=i, good=j)
-                )
+        if crossing := first_crossing(i):
+            candidates.append(Event("new_edge", abar * crossing[0], buyer=i, good=crossing[1]))
     for i in sorted(state.Z):
         abar = _alpha_bar_zero_degree(state, i)
         if abar < state.theta:
             raise SolverError(f"zero-degree buyer {i} has bang-per-buck below 1")
         candidates.append(Event("z_removal", abar, buyer=i))
-        for j in sorted(state.live_goods - state.J):
-            u = state.inst.utilities[i][j]
-            if u > 0:
-                candidates.append(
-                    Event("z_new_edge", abar * state.prices[j] / u, buyer=i, good=j)
-                )
+        if crossing := first_crossing(i):
+            candidates.append(Event("z_new_edge", abar * crossing[0], buyer=i, good=crossing[1]))
     if not candidates:
         raise SolverError("no candidate events in iteration")
     for ev in candidates:
@@ -402,6 +441,7 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     if new_phi > state.phi:
         raise SolverError("potential increased across a balanced-flow recompute")
     state.phi = new_phi
+    state.flow = f
     absorbed = residual_reachable(net, f, state.I)
     state.I |= absorbed
     _start_iteration(state)

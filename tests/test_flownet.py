@@ -23,6 +23,7 @@ from arcticauction.flownet import (
     max_flow,
     maximal_min_cut,
     min_cut_source_side,
+    probe_min_cut,
     residual_reachable,
     _Residual,
 )
@@ -215,6 +216,53 @@ def test_min_cut_requires_max_flow():
         min_cut_source_side(net, Flow(values={}, value=F(0)))
 
 
+def _one_pair_flow(into_good, into_buyer, into_sink):
+    return Flow(
+        values={
+            (SOURCE, good_vertex(0)): F(into_good),
+            (good_vertex(0), buyer_vertex(0)): F(into_buyer),
+            (buyer_vertex(0), SINK): F(into_sink),
+        },
+        value=F(into_good),
+    )
+
+
+@pytest.mark.parametrize(
+    "flow",
+    [
+        _one_pair_flow(F(3, 2), F(3, 2), F(3, 2)),  # over the good's price
+        _one_pair_flow(1, 1, F(1, 2)),  # not conserved at the buyer
+        _one_pair_flow(1, F(1, 2), F(1, 2)),  # not conserved at the good
+        _one_pair_flow(-1, -1, -1),  # negative
+    ],
+    ids=["over-capacity", "buyer-leak", "good-leak", "negative"],
+)
+def test_seeded_flow_must_be_feasible(flow):
+    net = net_of([1], [2], [(0, 0)])
+    with pytest.raises(FlowError):
+        _Residual(net, flow)
+    for reader in (min_cut_source_side, maximal_min_cut, probe_min_cut):
+        with pytest.raises(FlowError):
+            reader(net, flow)
+
+
+def test_seeded_flow_on_a_dropped_edge_is_not_conserved():
+    # The edge g0 -> b1 carries 1 but is not in the network.
+    net = net_of([2], [2, 1], [(0, 0)])
+    f = Flow(
+        values={
+            (SOURCE, good_vertex(0)): F(2),
+            (good_vertex(0), buyer_vertex(0)): F(1),
+            (good_vertex(0), buyer_vertex(1)): F(1),
+            (buyer_vertex(0), SINK): F(1),
+            (buyer_vertex(1), SINK): F(1),
+        },
+        value=F(2),
+    )
+    with pytest.raises(FlowError, match="not conserved"):
+        _Residual(net, f)
+
+
 def test_residual_reachable_no_shared_goods():
     net = net_of([1, 1], [1, 1], [(0, 0), (1, 1)])
     f = max_flow(net)
@@ -294,6 +342,19 @@ def assert_cuts_match_brute_force(net: FlowNetwork):
 @settings(max_examples=150, deadline=None)
 def test_maxflow_mincut_duality_exact(net):
     assert_cuts_match_brute_force(net)
+
+
+@given(net=small_networks, cut_back=st.fractions(min_value=0, max_value=1))
+@settings(max_examples=150, deadline=None)
+def test_probe_cut_does_not_depend_on_start_flow(net, cut_back):
+    # Start from a maximum flow of the network with every sink cap scaled
+    # down, which is feasible in the network itself.
+    reduced = net.with_sink_caps({i: c * cut_back for i, c in net.sink_caps.items()})
+    f = max_flow(net)
+    saturated = f.value == net.total_price
+    cold = (maximal_min_cut if saturated else min_cut_source_side)(net, f)
+    for start in (None, max_flow(reduced), f):
+        assert probe_min_cut(net, start) == (saturated, cold)
 
 
 _PRIMES_NEAR_1E6 = (999983, 999979, 999961, 999959, 999953, 999931)

@@ -150,6 +150,22 @@ def test_next_event_new_edge_crossing():
     assert inst.utilities[0][1] / state.prices[1] == F(2) / ev.theta_star
 
 
+def test_next_event_crossing_tie_goes_to_lowest_good():
+    # Active buyer 0 has ratio 2 via good 0.  Outside goods 2 and 3 both
+    # reach its scaled ratio at theta = 4/3, good 1 only at 8/3, the refund
+    # at 2.  Buyers 1-3 own the outside goods so the network stays saturated.
+    state = _crafted_state(
+        [[2, F(3, 4), F(3, 2), 3], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [5, 3, 3, 3],
+        {0: 1, 1: 1, 2: 1, 3: 2},
+        {(0, 0), (1, 1), (2, 2), (3, 3)},
+        I={0},
+        J={0},
+    )
+    ev = next_event(state)
+    assert (ev.kind, ev.buyer, ev.good, ev.theta_star) == ("new_edge", 0, 2, F(4, 3))
+
+
 def test_next_event_refund_beats_new_edge_at_equal_theta():
     # Both the crossing and the refund land at theta = 2; money returns
     # take priority over price motion.
@@ -403,10 +419,12 @@ def refund_heavy_instance(seed, n):
     )
 
 
-@pytest.mark.parametrize(
-    "inst",
-    [generate_random_instance(seed, 8, 8, 10) for seed in range(3)] + [refund_heavy_instance(0, 8)],
-)
+EIGHT_BY_EIGHT = [generate_random_instance(seed, 8, 8, 10) for seed in range(3)] + [
+    refund_heavy_instance(0, 8)
+]
+
+
+@pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
 def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
     calls = 0
     original = flownet.max_flow
@@ -420,3 +438,26 @@ def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
         monkeypatch.setattr(module, "max_flow", counting)
     _, stats = solve(inst)
     assert stats.maxflow_calls == calls > 0
+
+
+@pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
+def test_warm_and_cold_tight_set_probes_agree(monkeypatch, inst):
+    # Every tight-set search of a solve gives the same answer from the kept
+    # start flow as from the zero flow.
+    search = solver._tight_set_search
+    warm = 0
+
+    def both(state, theta_cap):
+        nonlocal warm
+        found = search(state, theta_cap)
+        kept, state.flow = state.flow, None
+        try:
+            assert search(state, theta_cap) == found
+        finally:
+            state.flow = kept
+        warm += kept is not None
+        return found
+
+    monkeypatch.setattr(solver, "_tight_set_search", both)
+    solve(inst)
+    assert warm > 0
