@@ -20,6 +20,7 @@ from .costmarket import (
     serialize_cost_solution,
     solve_cost_market,
 )
+from .flownet import FlowError
 from .kkt import verify_arctic_kkt, verify_cost_kkt
 from .market import (
     MarketFormatError,
@@ -29,7 +30,7 @@ from .market import (
     serialize_equilibrium,
     serialize_instance,
 )
-from .oracle import oracle_solve
+from .oracle import OracleError, oracle_solve
 from .solver import SolverError, TraceRecorder, prices_hash, solve
 
 
@@ -220,12 +221,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # FlowError is a ValueError, so it is caught first: a broken flow
+    # contract is a bug, not bad input.
+    except (SolverError, FlowError, OracleError) as exc:
+        print(f"internal contract violation: {exc}", file=sys.stderr)
+        return 3
     except (MarketFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
-        print(f"internal contract violation: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .market import (
     _parse_matrix,
     format_rational,
     generate_random_instance,
+    mbpb,
     parse_json_object,
     rational_field,
     validate_instance,
@@ -114,12 +115,11 @@ def solve_cost_market(inst: CostMarketInstance) -> CostSolution:
     allocation = [[ZERO] * m for _ in range(n)]
     returned = [ZERO] * n
     for i in base.buyers:
-        ratios = [base.utilities[i][j] / d[j] for j in base.goods]
-        alpha = max(ratios)
+        alpha, goods = mbpb(base, d, i)
         if alpha < 1:
             returned[i] = base.money[i]
             continue
-        best = min(j for j in base.goods if ratios[j] == alpha)
+        best = min(goods)
         allocation[i][best] = base.money[i] / d[best]
     produced = tuple(
         sum((allocation[i][j] for i in base.buyers), ZERO) for j in base.goods

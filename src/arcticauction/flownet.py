@@ -26,11 +26,11 @@ speed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .market import MarketInstance
+from .market import MarketInstance, mbpb
 
 SOURCE = ("s",)
 SINK = ("t",)
@@ -83,18 +83,6 @@ class FlowNetwork:
     def with_sink_caps(self, caps: dict[int, Fraction]) -> "FlowNetwork":
         return FlowNetwork(self.goods, self.buyers, self.source_caps, dict(caps), self.edges)
 
-    def restricted(self, goods, buyers) -> "FlowNetwork":
-        goods = tuple(sorted(goods))
-        buyers = tuple(sorted(buyers))
-        gset, bset = set(goods), set(buyers)
-        return FlowNetwork(
-            goods,
-            buyers,
-            {j: self.source_caps[j] for j in goods},
-            {i: self.sink_caps[i] for i in buyers},
-            frozenset((j, i) for (j, i) in self.edges if j in gset and i in bset),
-        )
-
 
 @dataclass
 class Flow:
@@ -129,57 +117,29 @@ class MaxflowCounter:
     calls: int = 0
 
 
-def mbpb_edges(
-    inst: MarketInstance,
-    prices: dict[int, Fraction],
-    buyers,
-    goods,
-    alphas: dict[int, Fraction] | None = None,
-) -> frozenset[tuple[int, int]]:
-    """All (good, buyer) pairs where the good attains the buyer's best ratio."""
-    goods = sorted(goods)
-    out = set()
-    for i in sorted(buyers):
-        if alphas is not None:
-            alpha = alphas[i]
-        else:
-            alpha = max(inst.utilities[i][j] / prices[j] for j in goods)
-        for j in goods:
-            if inst.utilities[i][j] > 0 and inst.utilities[i][j] == alpha * prices[j]:
-                out.add((j, i))
-    return frozenset(out)
+def build_network(inst: MarketInstance, prices, returns=None, buyers=None, goods=None) -> FlowNetwork:
+    """The money network at the given prices and returned money.
 
-
-def build_network(
-    inst: MarketInstance,
-    prices: dict[int, Fraction],
-    returns=None,
-    alphas: dict[int, Fraction] | None = None,
-    buyers=None,
-    goods=None,
-) -> FlowNetwork:
-    """Build the money network for given prices and returned-money vector."""
+    Goods (every good by default) are priced at ``prices``.  Each buyer
+    (every buyer by default) has sink capacity equal to its money less its
+    return (zero by default), and an edge to each good that attains its
+    bang-per-buck, ``market.mbpb``, among those goods.  This is the one
+    builder of a money network from prices and refunds.
+    """
     if returns is None:
         returns = {}
     buyers = tuple(sorted(buyers)) if buyers is not None else tuple(inst.buyers)
     goods = tuple(sorted(goods)) if goods is not None else tuple(inst.goods)
-    for j in goods:
-        if prices[j] <= 0:
-            raise FlowError(f"good {j}: nonpositive price")
     sink_caps = {}
     for i in buyers:
         r = returns.get(i, Fraction(0))
         if r < 0 or r > inst.money[i]:
             raise FlowError(f"buyer {i}: returned money out of range")
         sink_caps[i] = inst.money[i] - r
-    edges = mbpb_edges(inst, prices, buyers, goods, alphas)
-    return FlowNetwork(
-        goods=goods,
-        buyers=buyers,
-        source_caps={j: prices[j] for j in goods},
-        sink_caps=sink_caps,
-        edges=edges,
-    )
+    # The edgeless network rejects a nonpositive price before any ratio is taken.
+    net = FlowNetwork(goods, buyers, {j: prices[j] for j in goods}, sink_caps, frozenset())
+    edges = frozenset((j, i) for i in buyers for j in mbpb(inst, prices, i, goods)[1])
+    return replace(net, edges=edges)
 
 
 class _Residual:

@@ -293,6 +293,27 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
     return eq, stats
 
 
+def mbpb(inst: MarketInstance, prices, i: int, goods=None) -> tuple[Fraction, frozenset[int]]:
+    """Buyer i's bang-per-buck at positive prices, and the goods attaining it.
+
+    The bang-per-buck is the best utility-to-price ratio u_ij / p_j over
+    ``goods`` (every good by default); the goods returned are those of
+    positive utility that attain it.  ``prices`` is indexed by good: a dict
+    or a tuple.  (0, frozenset()) when no good in ``goods`` has positive
+    utility.  This is the one place a best ratio is computed from prices.
+    """
+    row = inst.utilities[i]
+    alpha, best = Fraction(0), []
+    for j in inst.goods if goods is None else goods:
+        if row[j] > 0:
+            ratio = row[j] / prices[j]
+            if not best or ratio > alpha:
+                alpha, best = ratio, [j]
+            elif ratio == alpha:
+                best.append(j)
+    return alpha, frozenset(best)
+
+
 def equilibrium_for_instance(
     inst: MarketInstance,
     prices: tuple[Fraction, ...],
@@ -300,10 +321,7 @@ def equilibrium_for_instance(
     returned: tuple[Fraction, ...],
 ) -> Equilibrium:
     """Build an Equilibrium, deriving alphas from inst."""
-    alpha = tuple(
-        max(inst.utilities[i][j] / prices[j] for j in inst.goods)
-        for i in inst.buyers
-    )
+    alpha = tuple(mbpb(inst, prices, i)[0] for i in inst.buyers)
     return Equilibrium(prices=prices, allocation=allocation, returned=returned, alpha=alpha)
 
 

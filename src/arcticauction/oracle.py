@@ -32,7 +32,7 @@ from fractions import Fraction
 from .costmarket import CostMarketInstance, CostSolution
 from .flownet import FlowNetwork
 from .kkt import verify_arctic_kkt, verify_cost_kkt, verify_market_clearing
-from .market import Equilibrium, MarketInstance, equilibrium_for_instance
+from .market import Equilibrium, MarketInstance, equilibrium_for_instance, mbpb
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -449,9 +449,8 @@ def oracle_cost_solve(inst: CostMarketInstance, size_guard: int = 16) -> CostSol
     # mode: (spend on good j, refund) encoded as (x_value on best good or 0, s_i)
     best_goods = []
     for i in base.buyers:
-        ratios = [base.utilities[i][j] / d[j] for j in base.goods]
-        alpha = max(ratios)
-        j_best = min(j for j in base.goods if ratios[j] == alpha)
+        alpha, goods = mbpb(base, d, i)
+        j_best = min(goods, default=0)  # a buyer with no desired good only takes a refund
         best_goods.append(j_best)
         modes = []
         if alpha >= 1:

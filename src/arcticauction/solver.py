@@ -49,10 +49,10 @@ from .flownet import (
     Flow,
     FlowNetwork,
     MaxflowCounter,
+    build_network,
     check_invariant,
     max_flow,
     maximal_min_cut,
-    mbpb_edges,
     probe_min_cut,
     residual_reachable,
 )
@@ -62,6 +62,7 @@ from .market import (
     RunStats,
     equilibrium_for_instance,
     instance_bit_bounds,
+    mbpb,
     validate_instance,
 )
 
@@ -99,9 +100,6 @@ class Event:
 @dataclass
 class PhaseOutcome:
     type: str  # "I" | "II" | "III"
-    potential_before: Fraction
-    potential_after: Fraction | None
-    detail: Event | None
     terminal: bool = False
 
 
@@ -114,10 +112,7 @@ class TraceRecorder:
 
     def record_event(self, state: "SolverState", event: Event) -> None:
         prices = dict(state.prices)
-        alphas = {
-            i: max(state.inst.utilities[i][j] / prices[j] for j in state.inst.goods)
-            for i in state.inst.buyers
-        }
+        alphas = {i: mbpb(state.inst, prices, i)[0] for i in state.inst.buyers}
         self.events.append(
             {
                 "phase": state.phase_index,
@@ -142,7 +137,7 @@ class TraceRecorder:
                 "returns": dict(state.returns),
                 "edges": frozenset(state.edges),
                 "live_buyers": frozenset(state.live_buyers),
-                "live_goods": frozenset(state.live_goods),
+                "live_goods": frozenset(state.inst.goods),
                 "phi": state.phi,
             }
         )
@@ -152,7 +147,6 @@ class TraceRecorder:
 class SolverState:
     inst: MarketInstance
     live_buyers: set[int]
-    live_goods: set[int]
     prices: dict[int, Fraction]
     returns: dict[int, Fraction]
     edges: set[tuple[int, int]]
@@ -175,16 +169,9 @@ class SolverState:
         return self.inst.money[i] - self.returns[i]
 
 
-def mbpb(inst: MarketInstance, prices: dict[int, Fraction], i: int):
-    """Best utility-to-price ratio of buyer i and the goods attaining it."""
-    ratios = {j: inst.utilities[i][j] / prices[j] for j in prices}
-    alpha = max(ratios.values())
-    return alpha, {j for j, v in ratios.items() if v == alpha}
-
-
 def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int | None = None) -> FlowNetwork:
     prices = {}
-    for j in state.live_goods:
+    for j in state.inst.goods:
         if theta is not None and j in state.J:
             prices[j] = state.base_prices[j] * theta
         else:
@@ -193,7 +180,7 @@ def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int 
     for i in state.live_buyers:
         sink_caps[i] = Fraction(0) if i == zero_buyer else state.leftover(i)
     return FlowNetwork(
-        goods=tuple(sorted(state.live_goods)),
+        goods=tuple(state.inst.goods),
         buyers=tuple(sorted(state.live_buyers)),
         source_caps=prices,
         sink_caps=sink_caps,
@@ -222,13 +209,12 @@ def initialize(inst: MarketInstance) -> SolverState:
     min_best_utility = min(max(row) for row in inst.utilities)
     p0 = min(min_money / m, min_best_utility)
     prices = {j: p0 for j in inst.goods}
-    alphas = {i: max(inst.utilities[i][j] for j in inst.goods) / p0 for i in inst.buyers}
-    edges = set(mbpb_edges(inst, prices, inst.buyers, inst.goods))
-    covered = {j for (j, _) in edges}
+    best = [mbpb(inst, prices, i) for i in inst.buyers]
+    covered = {j for _, goods in best for j in goods}
     for j in inst.goods:
         if j not in covered:
-            prices[j] = max(inst.utilities[i][j] / alphas[i] for i in inst.buyers)
-    edges = set(mbpb_edges(inst, prices, inst.buyers, inst.goods))
+            prices[j] = max(inst.utilities[i][j] / best[i][0] for i in inst.buyers)
+    edges = set(build_network(inst, prices).edges)
     if {j for (j, _) in edges} != set(inst.goods):
         raise SolverError("repricing left a good without an edge")
 
@@ -239,7 +225,6 @@ def initialize(inst: MarketInstance) -> SolverState:
     state = SolverState(
         inst=inst,
         live_buyers=set(inst.buyers),
-        live_goods=set(inst.goods),
         prices=prices,
         returns={i: Fraction(0) for i in inst.buyers},
         edges=edges,
@@ -275,11 +260,8 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     """
     state.phase_index += 1
     state.iteration_index = 0
-    prices = {j: state.prices[j] for j in state.live_goods}
-    state.edges = set(
-        mbpb_edges(state.inst, prices, state.live_buyers, state.live_goods)
-    )
-    net = _network(state)
+    net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
+    state.edges = set(net.edges)
     f = balanced_flow(net, state.counter)
     state.flow = f
     gamma = surplus(net, f)
@@ -319,9 +301,7 @@ def _alpha_bar_active(state: SolverState, i: int) -> Fraction:
 
 def _alpha_bar_zero_degree(state: SolverState, i: int) -> Fraction:
     """Bang-per-buck of a zero-degree buyer; attained inside the scaled set."""
-    return max(
-        state.inst.utilities[i][j] / state.base_prices[j] for j in state.J
-    )
+    return mbpb(state.inst, state.base_prices, i, state.J)[0]
 
 
 def _tight_set_search(state: SolverState, theta_cap: Fraction):
@@ -378,35 +358,28 @@ def next_event(state: SolverState) -> Event:
     crossing candidates all share one bang-per-buck, so only its first
     crossing, the lowest good on ties, can win and is the only one built.
     """
-    outside = sorted(state.live_goods - state.J)
-
-    def first_crossing(i: int):
-        # Scaled ratios fall as abar / theta, so buyer i first meets the
-        # outside good of least price-to-utility ratio, the lowest on ties.
-        best = None
-        for j in outside:
-            u = state.inst.utilities[i][j]
-            if u > 0:
-                ratio = state.prices[j] / u
-                if best is None or ratio < best[0]:
-                    best = (ratio, j)
-        return best
-
+    outside = [j for j in state.inst.goods if j not in state.J]
     candidates: list[Event] = []
+
+    def crossing(kind: str, i: int, abar: Fraction) -> None:
+        # Scaled ratios fall as abar / theta, so buyer i first meets the
+        # outside goods of best ratio, at theta = abar / alpha_out.
+        alpha_out, goods = mbpb(state.inst, state.prices, i, outside)
+        if goods:
+            candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
+
     for i in sorted(state.I):
         abar = _alpha_bar_active(state, i)
         if abar < state.theta:
             raise SolverError(f"active buyer {i} has bang-per-buck below 1")
         candidates.append(Event("money_return", abar, buyer=i))
-        if crossing := first_crossing(i):
-            candidates.append(Event("new_edge", abar * crossing[0], buyer=i, good=crossing[1]))
+        crossing("new_edge", i, abar)
     for i in sorted(state.Z):
         abar = _alpha_bar_zero_degree(state, i)
         if abar < state.theta:
             raise SolverError(f"zero-degree buyer {i} has bang-per-buck below 1")
         candidates.append(Event("z_removal", abar, buyer=i))
-        if crossing := first_crossing(i):
-            candidates.append(Event("z_new_edge", abar * crossing[0], buyer=i, good=crossing[1]))
+        crossing("z_new_edge", i, abar)
     if not candidates:
         raise SolverError("no candidate events in iteration")
     for ev in candidates:
@@ -460,7 +433,7 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
     worth_neighbors = sum((state.leftover(i) for i in interested), Fraction(0))
     if worth_s != worth_neighbors:
         raise SolverError("tight set is not exactly tight")
-    if S == state.live_goods and not state.Z:
+    if S == set(state.inst.goods) and not state.Z:
         return "terminal"
     return "phase_end"
 
@@ -533,7 +506,6 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
 
 def run_phase(state: SolverState) -> PhaseOutcome:
     """Run one phase to its ending event; assumes begin_phase was not terminal."""
-    phi_start = state.phi
     n_goods = state.inst.n_goods
     n_buyers = state.inst.n_buyers
     max_events = 10 * (n_buyers + 2) * (n_goods + 2)
@@ -551,13 +523,11 @@ def run_phase(state: SolverState) -> PhaseOutcome:
             _require_invariant(state, f"after {ev.kind}")
         elif ev.kind == "money_return":
             kind = apply_money_return(state, ev.buyer)
-            return PhaseOutcome(kind, phi_start, None, ev)
+            return PhaseOutcome(kind)
         elif ev.kind == "tight_set":
             _require_invariant(state, "tight set event")
             result = apply_tight_set(state, ev.tight_goods)
-            return PhaseOutcome(
-                "I", phi_start, None, ev, terminal=(result == "terminal")
-            )
+            return PhaseOutcome("I", terminal=(result == "terminal"))
     raise SolverError("event budget exceeded within a phase")
 
 
@@ -613,21 +583,16 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
     ones = [i for i in inst.buyers if eq.alpha[i] == 1]
     if len(ones) < 2:
         return eq
-    prices = dict(enumerate(eq.prices))
-    buyers = tuple(i for i in inst.buyers if eq.alpha[i] >= 1)
+    buyers = [i for i in inst.buyers if eq.alpha[i] >= 1]
     spend = {i: inst.money[i] - eq.returned[i] for i in buyers}
     caps = {i: inst.money[i] for i in buyers}
-    edges = mbpb_edges(inst, prices, buyers, inst.goods)
-
-    def network() -> FlowNetwork:
-        return FlowNetwork(tuple(inst.goods), buyers, prices, dict(caps), edges)
-
+    net = build_network(inst, eq.prices, buyers=buyers)
     total = sum(eq.prices, Fraction(0))
     moved = False
     for i in ones[:-1]:
         caps[i] = Fraction(0)
         if moved or spend[i] > 0:
-            caps[i] = total - max_flow(network(), state.counter).value
+            caps[i] = total - max_flow(net.with_sink_caps(caps), state.counter).value
             moved = moved or caps[i] != spend[i]
     if not moved:
         return eq
@@ -635,11 +600,11 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
     caps[last] = total - sum((caps[b] for b in buyers if b != last), Fraction(0))
     if not 0 <= caps[last] <= inst.money[last]:
         raise SolverError("lexicographic refund split left a spend out of range")
-    f = max_flow(network(), state.counter)
+    f = max_flow(net.with_sink_caps(caps), state.counter)
     if f.value != total:
         raise SolverError("lexicographic refund split is not feasible")
     allocation = tuple(
-        tuple(f.on(("g", j), ("b", i)) / prices[j] for j in inst.goods)
+        tuple(f.on(("g", j), ("b", i)) / eq.prices[j] for j in inst.goods)
         for i in inst.buyers
     )
     returned = tuple(inst.money[i] - caps.get(i, 0) for i in inst.buyers)
@@ -674,7 +639,7 @@ def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[
                     Event(
                         "tight_set",
                         Fraction(1),
-                        tight_goods=frozenset(state.live_goods),
+                        tight_goods=frozenset(inst.goods),
                     ),
                 )
             break

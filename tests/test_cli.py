@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from arcticauction import oracle, solver
 from arcticauction.cli import main
+from arcticauction.flownet import FlowError
 from arcticauction.kkt import verify_arctic_kkt
 from arcticauction.market import parse_equilibrium, parse_instance
 
@@ -173,6 +175,31 @@ def test_directory_path_or_negative_count_is_bad_input(tmp_path, capsys, argv):
     assert run([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def _raise_flow_error(*args, **kwargs):
+    raise FlowError("pinned network failed to saturate")
+
+
+@pytest.mark.parametrize(
+    "command,module,name,replacement",
+    [
+        ("solve", solver, "balanced_flow", _raise_flow_error),
+        ("oracle", oracle, "_exact_candidate", lambda *args: None),
+    ],
+    ids=["solve-flow-error", "oracle-error"],
+)
+def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch, command, module, name, replacement):
+    # A broken flow contract is a FlowError (a ValueError) and an oracle that
+    # verifies nothing is an OracleError (a RuntimeError); both are bugs.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"money": ["1", "2"], "utilities": [["2", "1"], ["1", "3"]]}))
+    monkeypatch.setattr(module, name, replacement)
+    assert run([command, "-i", inst]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal contract violation:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -104,13 +104,6 @@ def test_build_network_with_returns():
     assert net.sink_caps[0] == F(1, 2)
 
 
-def test_build_network_accepts_precomputed_ratios():
-    inst = inst_of([[2, 1], [1, 2]], [1, 1])
-    prices = {0: F(1), 1: F(1)}
-    alphas = {0: F(2), 1: F(2)}
-    assert build_network(inst, prices, alphas=alphas).edges == build_network(inst, prices).edges
-
-
 def test_build_network_rejects_nonpositive_price():
     inst = inst_of([[2]], [1])
     with pytest.raises(FlowError):
@@ -413,11 +406,13 @@ def _arc(u, v):
 _TIES = net_of(
     [1, 3, 2], [4, 3, 1], [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)]
 )
-_SPARSE_IDS = net_of(
-    [1, F(3, 2), 2, F(5, 4)],
-    [F(7, 3), 1, F(1, 2)],
-    [(0, 0), (1, 0), (1, 2), (2, 1), (3, 0), (3, 1), (3, 2)],
-).restricted((1, 3), (0, 2))
+_SPARSE_IDS = FlowNetwork(
+    goods=(1, 3),
+    buyers=(0, 2),
+    source_caps={1: F(3, 2), 3: F(5, 4)},
+    sink_caps={0: F(7, 3), 2: F(1, 2)},
+    edges=frozenset({(1, 0), (1, 2), (3, 0), (3, 2)}),
+)
 _ZERO_SINK = net_of(
     [2, 1, 3], [0, 3, 2], [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]
 )

@@ -39,6 +39,11 @@ def test_mbpb_strict_max():
     inst = inst_of([[2, 1]], [1])
     alpha, goods = mbpb(inst, {0: F(1), 1: F(1)}, 0)
     assert alpha == 2 and goods == {0}
+    # Prices may be a tuple indexed by good, as the cost market passes them.
+    assert mbpb(inst, (F(1), F(1)), 0) == (2, frozenset({0}))
+    # On goods the buyer does not desire there is no best ratio.
+    inst = inst_of([[2, 0, 0]], [1])
+    assert mbpb(inst, {1: F(1), 2: F(3)}, 0, goods=[1, 2]) == (0, frozenset())
 
 
 def test_mbpb_price_breaks_tie():
@@ -51,6 +56,9 @@ def test_mbpb_ratio_tie_includes_both():
     inst = inst_of([[2, 4]], [1])
     alpha, goods = mbpb(inst, {0: F(1), 1: F(2)}, 0)
     assert alpha == 2 and goods == {0, 1}
+    # A tie between rational ratios: (2/3) / (4/9) = (1/2) / (1/3) = 3/2.
+    inst = inst_of([[F(2, 3), F(1, 2), F(1, 5)]], [1])
+    assert mbpb(inst, (F(4, 9), F(1, 3), F(1, 5)), 0) == (F(3, 2), frozenset({0, 1}))
 
 
 def test_initialize_uniform_prices():
