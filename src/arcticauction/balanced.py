@@ -22,6 +22,8 @@ Gallo-Grigoriadis-Tarjan parametric max-flow):
   which leaves a feasible flow of the remaining network.
 * Rescaling.  A water level may bring a new denominator d; every capacity,
   every flow and the graph's scale are then multiplied by d, which is exact.
+  Water levels are solved on the graph's scaled ints: the buyers' full sink
+  caps and the goods' source caps.
 
 The peel-off reads only max-flow values and the vertex sets reachable from
 the source, and both are the same for every maximum flow of a network.  So
@@ -42,7 +44,6 @@ from .flownet import (
     FlowNetwork,
     MaxflowCounter,
     buyer_vertex,
-    good_vertex,
     max_flow,
     _Residual,
 )
@@ -64,39 +65,42 @@ def potential(sv: dict[int, Fraction]) -> Fraction:
     return sum((g * g for g in sv.values()), Fraction(0))
 
 
-def _water_level(caps: list[Fraction], target: Fraction) -> Fraction:
-    """Solve sum_i max(c_i - delta, 0) = target for delta >= 0.
+def _water_level(caps: list[int], target: int) -> Fraction:
+    """Solve sum_i max(c_i - delta, 0) = target for delta >= 0, on integers.
 
     Requires 0 <= target <= sum(caps); the left side is piecewise linear and
     strictly decreasing until it hits zero.
     """
     caps = sorted(caps, reverse=True)
-    total = sum(caps, Fraction(0))
+    total = sum(caps)
     if target > total or target < 0:
         raise ValueError("water level target out of range")
     if target == total:
         return Fraction(0)
-    # With the k largest caps above the level: sum(top k) - k*delta = target.
-    prefix = Fraction(0)
+    # With the k largest caps above the level: sum(top k) - k*delta = target,
+    # and caps[k] <= delta <= caps[k - 1], compared as k*delta = prefix - target.
+    prefix = 0
     for k, c in enumerate(caps, start=1):
         prefix += c
-        delta = (prefix - target) / k
-        below = caps[k] if k < len(caps) else None
-        if delta <= c and (below is None or delta >= below):
-            return delta
+        excess = prefix - target
+        if excess <= k * c and (k == len(caps) or excess >= k * caps[k]):
+            return Fraction(excess, k)
     raise AssertionError("water level search failed")
 
 
-def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
-    """The unique surplus vector attained by every balanced flow."""
-    g = _Residual(net)
+def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, Fraction]:
+    """The unique surplus vector attained by every balanced flow.
+
+    The peel-off augments from ``start``, a feasible flow of net (None is
+    the zero flow); the result does not depend on it.
+    """
+    g = _Residual(net, start)
     cap, flow, adj = g.cap, g.flow, g.adj
     t = len(adj) - 1
     source_arc = {v: a for a, (u, v) in enumerate(g.ends) if u == 0}
     sink_arc = {u: a for a, (u, v) in enumerate(g.ends) if v == t}
-    money = {g.index[buyer_vertex(i)]: net.sink_caps[i] for i in net.buyers}
-    price = {g.index[good_vertex(j)]: net.source_caps[j] for j in net.goods}
-    full = {b: cap[sink_arc[b]] for b in money}
+    # Each buyer's full sink cap, scaled along with the graph.
+    full = {b: cap[sink_arc[b]] for b in (g.index[buyer_vertex(i)] for i in net.buyers)}
     dead: set[int] = set()
     out: dict[int, Fraction] = {}
 
@@ -106,12 +110,13 @@ def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
     def lower_caps(live: list[int], delta: Fraction) -> None:
         # Sink caps max(c_i - delta, 0), rescaled to stay integral; a buyer
         # now over its cap gives the excess back along its in-arcs.
-        d = (delta * g.scale).denominator
+        scaled = delta * g.scale
+        d = scaled.denominator
         if d > 1:
             g.rescale(d)
             for b in full:
                 full[b] *= d
-        level = (delta * g.scale).numerator
+        level = scaled.numerator
         for b in live:
             a = sink_arc[b]
             cap[a] = max(full[b] - level, 0)
@@ -124,7 +129,7 @@ def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
                     flow[a] -= take
                     excess -= take
 
-    while live := [b for b in money if b not in dead]:
+    while live := [b for b in full if b not in dead]:
         lower_caps(live, Fraction(0))
         g.augment(dead)
         slack = sum(cap[sink_arc[b]] - flow[sink_arc[b]] for b in live)
@@ -144,8 +149,8 @@ def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
             starved = [b for b in live if reached[b] is None]
             if not starved:
                 raise FlowError("reduced network min cut has no starved buyers")
-            target = sum((price[j] for j in goods_of(starved)), Fraction(0))
-            new_delta = _water_level([money[b] for b in starved], target)
+            target = sum(cap[source_arc[j]] for j in goods_of(starved))
+            new_delta = _water_level([full[b] for b in starved], target) / g.scale
             if new_delta <= delta:
                 raise FlowError("water level candidate did not increase")
             delta = new_delta
@@ -159,7 +164,8 @@ def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
         if not pinned:
             raise FlowError("no buyers pinned at the top surplus level")
         for b in pinned:
-            out[g.vertices[b][1]] = min(money[b], delta)
+            i = g.vertices[b][1]
+            out[i] = min(net.sink_caps[i], delta)
         pinned_goods = goods_of(pinned)
         for j in pinned_goods:
             for v, a, forward in adj[j]:
@@ -171,14 +177,18 @@ def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
     return out
 
 
-def balanced_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
+def balanced_flow(
+    net: FlowNetwork, counter: MaxflowCounter | None = None, start: Flow | None = None
+) -> Flow:
     """A maximum flow whose surplus vector minimizes the l2 norm.
 
-    The surplus vector is computed first; pinning each sink capacity to the
-    implied inflow then forces any maximum flow of the pinned network to be
-    balanced in the original one.
+    The surplus vector is computed first, from ``start`` (a feasible flow of
+    net; None is the zero flow); pinning each sink capacity to the implied
+    inflow then forces any maximum flow of the pinned network to be balanced
+    in the original one.  That max-flow starts from zero, so the flow
+    returned does not depend on ``start``.
     """
-    gamma = balanced_surplus(net)
+    gamma = balanced_surplus(net, start)
     pinned = net.with_sink_caps({i: net.sink_caps[i] - gamma[i] for i in net.buyers})
     f = max_flow(pinned, counter)
     if f.value != pinned.total_money:

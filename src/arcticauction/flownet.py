@@ -11,7 +11,9 @@ through one residual graph and its one breadth-first search, and every
 maximum flow, from zero or warm-started, through its one augmenting loop.
 One cut reader gives both extreme min cuts, whether the maximum flow was
 given or was just augmented on the same graph.  A flow handed to the graph
-is checked to be feasible before it is used.  That graph works on Python
+is checked to be feasible before it is used; a scaled copy of a graph,
+which shares its arcs and multiplies its capacities and flows by ints, is
+not built again and needs no check.  That graph works on Python
 ints: each network's capacities, and the given flow's values, are multiplied
 by the LCM of their denominators, and results leave it only at the API
 boundary, as Fractions (flow values and flow value) and vertex tuples; cut
@@ -26,6 +28,7 @@ speed.
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -276,6 +279,27 @@ class _Residual:
         self.flow[:] = [f * d for f in self.flow]
         self.scale *= d
 
+    def scaled(self, d: int, n: int, goods) -> "_Residual":
+        """A copy with every capacity and flow times d, but the source caps of ``goods`` times n.
+
+        The copy owns its capacities and flows and shares everything else
+        with this graph: no network, LCM, sort or feasibility check.  Its
+        flow is feasible when this graph's is and n >= d.
+        """
+        g = copy(self)
+        g.cap = [None if c is None else c * d for c in self.cap]
+        for j in goods:
+            a = self.index[good_vertex(j)] - 1  # the source arcs come first, in good order
+            g.cap[a] = self.cap[a] * n
+        g.flow = [f * d for f in self.flow]
+        g.scale = self.scale * d
+        return g
+
+    def source_saturated(self) -> bool:
+        """Whether the flow fills every source arc."""
+        k = len(self.adj[0])  # the source arcs come first
+        return self.flow[:k] == self.cap[:k]
+
     def walk(self, starts, reverse: bool = False, avoid=()) -> dict:
         """``search`` on vertex tuples: the parent map of every vertex reached.
 
@@ -319,48 +343,32 @@ def _cut_capacity(net: FlowNetwork, source_side: frozenset) -> Fraction:
     return cap
 
 
-def _read_cut(g: _Residual, net: FlowNetwork, maximal: bool) -> Cut:
-    """An extreme min cut of net, read off g, the residual graph of a maximum flow.
+def _read_cut(g: _Residual, maximal: bool) -> frozenset:
+    """The source side of an extreme min cut, read off g, the residual graph of a maximum flow.
 
     The source-nearest min cut is what s reaches; the sink-nearest is
     everything that does not reach t.  Both are the same for every maximum
     flow, so neither depends on how g's flow was found.
     """
-    reached = g.walk([SOURCE])
-    if SINK in reached:
+    reached = g.search([0])
+    if reached[-1] is not None:
         raise FlowError("flow is not maximum: residual path to sink exists")
     if maximal:
-        reaches_sink = g.walk([SINK], reverse=True)
-        side = frozenset(u for u in g.vertices if u not in reaches_sink)
-    else:
-        side = frozenset(reached)
-    return Cut(source_side=side, capacity=_cut_capacity(net, side))
+        reaches_sink = g.search([len(reached) - 1], reverse=True)
+        return frozenset(v for v, a in zip(g.vertices, reaches_sink) if a is None)
+    return frozenset(v for v, a in zip(g.vertices, reached) if a is not None)
 
 
 def min_cut_source_side(net: FlowNetwork, flow: Flow) -> Cut:
     """The source-nearest min cut: residual-reachable vertices from s."""
-    return _read_cut(_Residual(net, flow), net, maximal=False)
+    side = _read_cut(_Residual(net, flow), maximal=False)
+    return Cut(source_side=side, capacity=_cut_capacity(net, side))
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> Cut:
     """The sink-nearest min cut: all vertices from which the sink is unreachable."""
-    return _read_cut(_Residual(net, flow), net, maximal=True)
-
-
-def probe_min_cut(net: FlowNetwork, start: Flow | None = None) -> tuple[bool, Cut]:
-    """Whether net's maximum flow saturates every source arc, and an extreme min cut.
-
-    Pushes augmenting paths from ``start`` (a feasible flow of net; None is
-    the zero flow) on one residual graph and reads the cut off that graph:
-    the sink-nearest min cut if the source arcs are saturated, the
-    source-nearest if not.  Neither depends on ``start``.  This is not a
-    ``max_flow`` call and is not counted as one.
-    """
-    g = _Residual(net, start)
-    g.augment()
-    k = len(net.goods)  # the source arcs come first
-    saturated = g.flow[:k] == g.cap[:k]
-    return saturated, _read_cut(g, net, maximal=saturated)
+    side = _read_cut(_Residual(net, flow), maximal=True)
+    return Cut(source_side=side, capacity=_cut_capacity(net, side))
 
 
 def residual_reachable(net: FlowNetwork, flow: Flow, targets) -> set[int]:

@@ -45,6 +45,8 @@ def parse_json_object(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MarketFormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MarketFormatError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise MarketFormatError("document must be a JSON object")
     return doc
@@ -301,17 +303,23 @@ def mbpb(inst: MarketInstance, prices, i: int, goods=None) -> tuple[Fraction, fr
     positive utility that attain it.  ``prices`` is indexed by good: a dict
     or a tuple.  (0, frozenset()) when no good in ``goods`` has positive
     utility.  This is the one place a best ratio is computed from prices.
+
+    Ratios are compared as integers, num / den against the best so far by
+    cross-multiplying, and one Fraction is built for the best ratio.
     """
     row = inst.utilities[i]
-    alpha, best = Fraction(0), []
+    top, bottom, best = 0, 1, []
     for j in inst.goods if goods is None else goods:
-        if row[j] > 0:
-            ratio = row[j] / prices[j]
-            if not best or ratio > alpha:
-                alpha, best = ratio, [j]
-            elif ratio == alpha:
+        u = row[j]
+        if u.numerator > 0:
+            p = prices[j]
+            num, den = u.numerator * p.denominator, u.denominator * p.numerator
+            lhs, rhs = num * bottom, top * den
+            if lhs > rhs:
+                top, bottom, best = num, den, [j]
+            elif lhs == rhs:
                 best.append(j)
-    return alpha, frozenset(best)
+    return Fraction(top, bottom), frozenset(best)
 
 
 def equilibrium_for_instance(

@@ -30,9 +30,20 @@ without one, and the edges pruned at iteration start carry no flow (such
 flow would be a residual path into the active set from a buyer of lower
 surplus, which a balanced flow does not have).  A probe reads only extreme
 min cuts, which are the same for every maximum flow, so the start flow
-changes how much augmenting is done, never an answer.  ``maxflow_calls``
-counts ``max_flow`` calls, each from the zero flow; probes are not among
-them.
+changes how much augmenting is done, never an answer.  The next new edge
+balances from the same flow, for the same reason.
+
+The iteration keeps one integer residual graph of its network at theta = 1
+under the start flow, built when the iteration starts and again after each
+zero-degree event.  Each probe, and each invariant check inside the
+iteration (after a zero-degree event and at the tight-set event), augments a
+copy of it at theta = a/b: every capacity and flow times b and the scaled
+goods' source caps times a, on the same arcs and adjacency lists.  No
+network or residual graph is built for it.  ``maxflow_calls`` counts
+``max_flow`` calls, each from the zero flow: the invariant checks at
+initialization, at phase start and after a money return, the pinned
+max-flow of each balanced flow, the money-return cut, the extraction and the
+refund split.  Probes and in-iteration invariant checks are not among them.
 
 Everything is exact rational arithmetic; every comparison is exact.
 """
@@ -53,8 +64,9 @@ from .flownet import (
     check_invariant,
     max_flow,
     maximal_min_cut,
-    probe_min_cut,
     residual_reachable,
+    _read_cut,
+    _Residual,
 )
 from .market import (
     Equilibrium,
@@ -161,9 +173,11 @@ class SolverState:
     phase_index: int = 0
     iteration_index: int = 0
     recorder: TraceRecorder | None = None
-    # The iteration's start flow, which tight-set probes augment from; None
-    # is the zero flow.
+    # The iteration's start flow; None is the zero flow.
     flow: Flow | None = None
+    # The iteration's network at theta = 1 under the start flow, on ints;
+    # probes and in-iteration invariant checks run on scaled copies of it.
+    graph: _Residual | None = None
 
     def leftover(self, i: int) -> Fraction:
         return self.inst.money[i] - self.returns[i]
@@ -190,6 +204,24 @@ def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int 
 
 def _require_invariant(state: SolverState, where: str) -> None:
     if not check_invariant(_network(state), state.counter):
+        raise SolverError(f"price cut invariant broken at {where}")
+
+
+def _build_graph(state: SolverState) -> None:
+    state.graph = _Residual(_network(state, theta=Fraction(1)), state.flow)
+
+
+def _max_flow_at(state: SolverState, theta: Fraction) -> _Residual:
+    """A maximum flow of the iteration's network at theta >= 1, pushed on a
+    copy of the iteration graph with every value times theta's denominator
+    and the scaled goods' source caps times its numerator."""
+    g = state.graph.scaled(theta.denominator, theta.numerator, state.J)
+    g.augment()
+    return g
+
+
+def _require_iteration_invariant(state: SolverState, where: str) -> None:
+    if not _max_flow_at(state, state.theta).source_saturated():
         raise SolverError(f"price cut invariant broken at {where}")
 
 
@@ -249,6 +281,7 @@ def _start_iteration(state: SolverState) -> None:
     state.base_prices = {j: state.prices[j] for j in state.J}
     state.theta = Fraction(1)
     state.iteration_index += 1
+    _build_graph(state)
 
 
 def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
@@ -287,16 +320,13 @@ def _alpha_bar_active(state: SolverState, i: int) -> Fraction:
     All of an active buyer's edges are best-ratio ties inside the scaled
     set; anything else is a maintenance bug.
     """
-    ratios = {
-        state.inst.utilities[i][j] / state.base_prices[j]
-        for (j, b) in state.edges
-        if b == i
-    }
-    if not ratios:
+    goods = {j for (j, b) in state.edges if b == i}
+    if not goods:
         raise SolverError(f"active buyer {i} has no edges")
-    if len(ratios) != 1:
+    alpha, best = mbpb(state.inst, state.base_prices, i, goods)
+    if best != goods:
         raise SolverError(f"active buyer {i} has unequal edge ratios")
-    return next(iter(ratios))
+    return alpha
 
 
 def _alpha_bar_zero_degree(state: SolverState, i: int) -> Fraction:
@@ -312,11 +342,12 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     candidate.  Goods sets that were already tight before this iteration and
     contain no scaled good never change worth and are ignored.
 
-    Each probe augments from the iteration's start flow, which is feasible
-    at every theta >= state.theta, and reads its cut off the same graph.
-    The cuts are extreme min cuts, the same for every maximum flow, so the
-    result does not depend on the start flow; probes make no ``max_flow``
-    call.
+    Each probe augments from the iteration's start flow on a scaled copy of
+    the iteration graph (``_max_flow_at``; the flow is feasible at every
+    theta >= 1) and reads its cut off that copy.  The cuts are extreme min
+    cuts, the same for every maximum flow, so the result does not depend on
+    the start flow; probes build no network and no residual graph, and make
+    no ``max_flow`` call.
 
     At most |J| + 1 probes: only the scaled goods' source caps move with
     theta, so the source-nearest min cuts are nested as theta falls
@@ -328,14 +359,16 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     """
     theta_hi = theta_cap
     for _ in range(len(state.J) + 1):
-        net = _network(state, theta=theta_hi)
-        saturated, cut = probe_min_cut(net, state.flow)
+        g = _max_flow_at(state, theta_hi)
+        # The sink-nearest min cut if the source arcs are saturated, the
+        # source-nearest if not.
+        saturated = g.source_saturated()
+        goods = {v[1] for v in _read_cut(g, maximal=saturated) if v[0] == "g"}
         if saturated:
-            tight_goods = set(cut.goods_part())
-            if tight_goods & state.J:
-                return theta_hi, frozenset(tight_goods)
+            if goods & state.J:
+                return theta_hi, frozenset(goods)
             return None
-        violated = set(cut.goods_part()) & state.J
+        violated = goods & state.J
         if not violated:
             raise SolverError("invariant violation without scaled goods")
         interested = {i for (j, i) in state.edges if j in violated}
@@ -409,7 +442,8 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
         raise SolverError("new edge does not satisfy the bang-per-buck equality")
     state.edges.add((j, i))
     net = _network(state)
-    f = balanced_flow(net, state.counter)
+    # The start flow stays feasible: J's caps only grew, and the edge is new.
+    f = balanced_flow(net, state.counter, start=state.flow)
     new_phi = potential(surplus(net, f))
     if new_phi > state.phi:
         raise SolverError("potential increased across a balanced-flow recompute")
@@ -501,6 +535,7 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
         state.Z.discard(i)
     else:
         raise SolverError(f"not a zero-degree event: {event.kind}")
+    _build_graph(state)
     return state
 
 
@@ -520,12 +555,12 @@ def run_phase(state: SolverState) -> PhaseOutcome:
             apply_new_edge(state, ev.buyer, ev.good)
         elif ev.kind in ("z_removal", "z_new_edge"):
             apply_z_events(state, ev)
-            _require_invariant(state, f"after {ev.kind}")
+            _require_iteration_invariant(state, f"after {ev.kind}")
         elif ev.kind == "money_return":
             kind = apply_money_return(state, ev.buyer)
             return PhaseOutcome(kind)
         elif ev.kind == "tight_set":
-            _require_invariant(state, "tight set event")
+            _require_iteration_invariant(state, "tight set event")
             result = apply_tight_set(state, ev.tight_goods)
             return PhaseOutcome("I", terminal=(result == "terminal"))
     raise SolverError("event budget exceeded within a phase")

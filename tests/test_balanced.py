@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcticauction import flownet
 from arcticauction.balanced import (
+    _water_level,
     balanced_flow,
     balanced_surplus,
     potential,
@@ -197,6 +199,23 @@ def test_surplus_drop_bounds_potential_drop():
             checked += 1
             assert phi_before - phi_after >= max(drops) ** 2
     assert checked > 20
+
+
+@given(
+    caps=st.lists(st.integers(0, 10**6) | st.integers(0, 2**900), min_size=1, max_size=8),
+    share=st.fractions(min_value=0, max_value=1),
+)
+@settings(max_examples=300, deadline=None)
+def test_water_level_solves_its_equation(caps, share):
+    # The level delta >= 0 with sum_i max(c_i - delta, 0) = target, on ints.
+    target = int(sum(caps) * share)
+    delta = _water_level(caps, target)
+    assert isinstance(delta, Fraction) and delta >= 0
+    assert sum(max(c - delta, 0) for c in caps) == target
+    with pytest.raises(ValueError):
+        _water_level(caps, sum(caps) + 1)
+    with pytest.raises(ValueError):
+        _water_level(caps, -1)
 
 
 def assert_feasible(g):

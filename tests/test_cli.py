@@ -179,6 +179,27 @@ def test_directory_path_or_negative_count_is_bad_input(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "-i", "{deep}"],
+        ["verify", "-i", "{inst}", "--solution", "{deep}"],
+        ["cost", "-i", "{deep}"],
+    ],
+    ids=["solve", "verify-solution", "cost"],
+)
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys, argv):
+    # The JSON decoder gives up on this nesting with a RecursionError.
+    inst, deep = tmp_path / "inst.json", tmp_path / "deep.json"
+    inst.write_text(json.dumps(_INSTANCE))
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run([a.format(inst=inst, deep=deep) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def _raise_flow_error(*args, **kwargs):
     raise FlowError("pinned network failed to saturate")
 

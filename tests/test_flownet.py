@@ -5,6 +5,7 @@ source-side candidate on small networks.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,8 @@ from arcticauction.flownet import (
     max_flow,
     maximal_min_cut,
     min_cut_source_side,
-    probe_min_cut,
     residual_reachable,
+    _read_cut,
     _Residual,
 )
 from arcticauction.market import MarketInstance
@@ -234,7 +235,7 @@ def test_seeded_flow_must_be_feasible(flow):
     net = net_of([1], [2], [(0, 0)])
     with pytest.raises(FlowError):
         _Residual(net, flow)
-    for reader in (min_cut_source_side, maximal_min_cut, probe_min_cut):
+    for reader in (min_cut_source_side, maximal_min_cut):
         with pytest.raises(FlowError):
             reader(net, flow)
 
@@ -337,17 +338,34 @@ def test_maxflow_mincut_duality_exact(net):
     assert_cuts_match_brute_force(net)
 
 
-@given(net=small_networks, cut_back=st.fractions(min_value=0, max_value=1))
+@given(
+    net=small_networks,
+    cut_back=st.fractions(min_value=0, max_value=1),
+    theta=st.fractions(min_value=1, max_value=3, max_denominator=7),
+)
 @settings(max_examples=150, deadline=None)
-def test_probe_cut_does_not_depend_on_start_flow(net, cut_back):
-    # Start from a maximum flow of the network with every sink cap scaled
-    # down, which is feasible in the network itself.
+def test_probe_cut_does_not_depend_on_start_flow(net, cut_back, theta):
+    # A probe is a copy of a graph carrying a start flow, with the source
+    # caps of some goods raised by theta = n/d (every value times d, those
+    # caps times n), augmented and read by the one cut reader.  Start flows:
+    # zero, a maximum flow of the network with every sink cap scaled down,
+    # and a maximum flow of the network; each is feasible at theta >= 1.
+    raised = [j for j in net.goods if j % 2 == 0]
+    at_theta = replace(
+        net, source_caps={j: c * theta if j in raised else c for j, c in net.source_caps.items()}
+    )
+    f = max_flow(at_theta)
+    saturated = f.value == at_theta.total_price
+    cold = (maximal_min_cut if saturated else min_cut_source_side)(at_theta, f)
     reduced = net.with_sink_caps({i: c * cut_back for i, c in net.sink_caps.items()})
-    f = max_flow(net)
-    saturated = f.value == net.total_price
-    cold = (maximal_min_cut if saturated else min_cut_source_side)(net, f)
-    for start in (None, max_flow(reduced), f):
-        assert probe_min_cut(net, start) == (saturated, cold)
+    for start in (None, max_flow(reduced), max_flow(net)):
+        base = _Residual(net, start)
+        kept = list(base.flow)
+        g = base.scaled(theta.denominator, theta.numerator, raised)
+        g.augment()
+        assert g.source_saturated() == saturated
+        assert _read_cut(g, maximal=saturated) == cold.source_side
+        assert base.flow == kept and base.scale * theta.denominator == g.scale
 
 
 _PRIMES_NEAR_1E6 = (999983, 999979, 999961, 999959, 999953, 999931)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arcticauction.market import (
     Equilibrium,
@@ -13,6 +13,7 @@ from arcticauction.market import (
     format_rational,
     generate_random_instance,
     instance_bit_bounds,
+    mbpb,
     parse_equilibrium,
     parse_instance,
     parse_rational,
@@ -189,3 +190,50 @@ def test_validation_matches_mild_assumptions(a, b):
     rows_ok = all(any(u > 0 for u in row) for row in inst.utilities)
     cols_ok = all(any(row[j] > 0 for row in inst.utilities) for j in range(2))
     assert validate_instance(inst).ok == (rows_ok and cols_ok)
+
+
+_BIG = 2**900
+
+
+def _mbpb_by_division(inst, prices, i, goods):
+    """The best ratio by Fraction division, and the goods attaining it."""
+    row = inst.utilities[i]
+    ratios = {j: row[j] / prices[j] for j in goods if row[j] > 0}
+    if not ratios:
+        return Fraction(0), frozenset()
+    alpha = max(ratios.values())
+    return alpha, frozenset(j for j, r in ratios.items() if r == alpha)
+
+
+_small = st.fractions(min_value=Fraction(1, 9), max_value=Fraction(9), max_denominator=9)
+# About 900-bit numerators or denominators.
+_huge = st.builds(Fraction, st.integers(_BIG, 2 * _BIG), st.integers(1, 9)) | st.builds(
+    Fraction, st.integers(1, 9), st.integers(_BIG, 2 * _BIG)
+)
+
+
+@st.composite
+def _mbpb_cases(draw):
+    m = draw(st.integers(1, 6))
+    utilities = [draw(st.just(Fraction(0)) | _small | _huge) for _ in range(m)]
+    # Prices are utility / ratio with ratios drawn from a short list, so
+    # exact rational ties are common, even among 900-bit values.
+    ratios = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2)])
+    prices = [u / draw(ratios | _small) if u > 0 else draw(_small | _huge) for u in utilities]
+    if draw(st.booleans()):
+        prices = dict(enumerate(prices))
+    else:
+        prices = tuple(prices)
+    goods = draw(st.none() | st.lists(st.integers(0, m - 1), unique=True))
+    inst = MarketInstance(money=(Fraction(1),), utilities=(tuple(utilities),))
+    return inst, prices, goods
+
+
+@given(case=_mbpb_cases())
+@settings(max_examples=300, deadline=None)
+def test_mbpb_matches_fraction_division(case):
+    inst, prices, goods = case
+    alpha, best = mbpb(inst, prices, 0, goods)
+    expected = _mbpb_by_division(inst, prices, 0, inst.goods if goods is None else goods)
+    assert (alpha, best) == expected
+    assert type(alpha) is Fraction

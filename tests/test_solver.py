@@ -133,6 +133,7 @@ def _crafted_state(u, m, prices, edges, I, J):
     state.Z = set()
     state.base_prices = {j: state.prices[j] for j in J}
     state.theta = F(1)
+    solver._build_graph(state)  # the iteration graph, as _start_iteration builds it
     return state
 
 
@@ -450,22 +451,77 @@ def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
 
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
 def test_warm_and_cold_tight_set_probes_agree(monkeypatch, inst):
-    # Every tight-set search of a solve gives the same answer from the kept
-    # start flow as from the zero flow.
+    # Every tight-set search of a solve gives the same answer on the
+    # iteration graph, which carries the kept start flow, as on a graph of
+    # the same network that starts from the zero flow.
     search = solver._tight_set_search
     warm = 0
 
     def both(state, theta_cap):
         nonlocal warm
         found = search(state, theta_cap)
-        kept, state.flow = state.flow, None
+        kept, state.graph = state.graph, flownet._Residual(_network(state, theta=F(1)))
         try:
             assert search(state, theta_cap) == found
         finally:
-            state.flow = kept
-        warm += kept is not None
+            state.graph = kept
+        warm += any(kept.flow)
         return found
 
     monkeypatch.setattr(solver, "_tight_set_search", both)
     solve(inst)
     assert warm > 0
+
+
+@pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
+def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
+    # apply_new_edge balances from the iteration's start flow.  The surplus
+    # vector must equal the one from the zero flow, and so must the flow
+    # returned, on which the absorbed buyer set depends.
+    balance = solver.balanced_flow
+    warm = 0
+
+    def both(net, counter=None, start=None):
+        nonlocal warm
+        if start is not None:
+            warm += 1
+            assert balanced.balanced_surplus(net, start) == balanced.balanced_surplus(net)
+        f = balance(net, counter, start)
+        assert f == balance(net)
+        return f
+
+    monkeypatch.setattr(solver, "balanced_flow", both)
+    solve(inst)
+    assert warm > 0
+
+
+@pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
+def test_tight_set_probes_build_no_network_or_graph(monkeypatch, inst):
+    # Probes run on scaled copies of the iteration graph: no FlowNetwork and
+    # no _Residual is built inside a tight-set search.
+    builds = 0
+    searches = 0
+
+    def counted(init):
+        def wrapper(self, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            return init(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(flownet._Residual, "__init__", counted(flownet._Residual.__init__))
+    monkeypatch.setattr(flownet.FlowNetwork, "__post_init__", counted(flownet.FlowNetwork.__post_init__))
+    search = solver._tight_set_search
+
+    def watched(state, theta_cap):
+        nonlocal searches
+        before = builds
+        found = search(state, theta_cap)
+        assert builds == before
+        searches += 1
+        return found
+
+    monkeypatch.setattr(solver, "_tight_set_search", watched)
+    solve(inst)
+    assert searches > 0 and builds > 0
