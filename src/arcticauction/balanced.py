@@ -28,8 +28,16 @@ Gallo-Grigoriadis-Tarjan parametric max-flow):
 The peel-off reads only max-flow values and the vertex sets reachable from
 the source, and both are the same for every maximum flow of a network.  So
 the surplus vector cannot depend on which maximum flow the warm start
-reached.  balanced_flow still returns a max-flow of the pinned network
-computed from scratch, so the flow it returns does not depend on it either.
+reached.
+
+``balance`` works on a residual graph its caller owns and leaves it holding
+the balanced flow: after the peel-off it restores the graph's caps, pins
+each sink cap to the implied inflow and pushes a max-flow from zero on the
+same arcs.  The vertex numbering and sorted adjacency lists are those of a
+graph built afresh, so the augmenting paths, and the flow, are those of
+``max_flow`` on the pinned network: the flow does not depend on the warm
+start either.  The solver balances the graph it carries through a phase;
+``balanced_flow`` and ``balanced_surplus`` build one from a network.
 """
 
 from __future__ import annotations
@@ -42,9 +50,7 @@ from .flownet import (
     Flow,
     FlowError,
     FlowNetwork,
-    MaxflowCounter,
     buyer_vertex,
-    max_flow,
     _Residual,
 )
 
@@ -88,34 +94,37 @@ def _water_level(caps: list[int], target: int) -> Fraction:
     raise AssertionError("water level search failed")
 
 
-def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, Fraction]:
-    """The unique surplus vector attained by every balanced flow.
+def _peel(g: _Residual) -> dict[int, int]:
+    """The balanced surplus of each buyer vertex of g, times g.scale.
 
-    The peel-off augments from ``start``, a feasible flow of net (None is
-    the zero flow); the result does not depend on it.
+    The peel-off augments from g's flow, which must be feasible; the result
+    does not depend on it.  It leaves g's flow a maximum flow of g's network
+    with lowered sink caps, which are left in g.
     """
-    g = _Residual(net, start)
     cap, flow, adj = g.cap, g.flow, g.adj
     t = len(adj) - 1
     source_arc = {v: a for a, (u, v) in enumerate(g.ends) if u == 0}
     sink_arc = {u: a for a, (u, v) in enumerate(g.ends) if v == t}
-    # Each buyer's full sink cap, scaled along with the graph.
-    full = {b: cap[sink_arc[b]] for b in (g.index[buyer_vertex(i)] for i in net.buyers)}
+    # Each buyer's full sink cap, and each pinned buyer's surplus, scaled
+    # along with the graph.
+    full = {b: cap[a] for b, a in sink_arc.items()}
     dead: set[int] = set()
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
 
     def goods_of(buyers) -> set[int]:
         return {v for b in buyers for v, _, forward in adj[b] if not forward} - dead
 
-    def lower_caps(live: list[int], delta: Fraction) -> None:
+    def lower_caps(live: list[int], delta: Fraction) -> int:
         # Sink caps max(c_i - delta, 0), rescaled to stay integral; a buyer
-        # now over its cap gives the excess back along its in-arcs.
+        # now over its cap gives the excess back along its in-arcs.  Returns
+        # delta on the graph's scale.
         scaled = delta * g.scale
         d = scaled.denominator
         if d > 1:
             g.rescale(d)
-            for b in full:
-                full[b] *= d
+            for table in (full, out):
+                for b in table:
+                    table[b] *= d
         level = scaled.numerator
         for b in live:
             a = sink_arc[b]
@@ -128,20 +137,21 @@ def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, F
                     flow[source_arc[j]] -= take
                     flow[a] -= take
                     excess -= take
+        return level
 
     while live := [b for b in full if b not in dead]:
         lower_caps(live, Fraction(0))
         g.augment(dead)
         slack = sum(cap[sink_arc[b]] - flow[sink_arc[b]] for b in live)
         if slack == 0:
-            out.update((g.vertices[b][1], Fraction(0)) for b in live)
+            out.update((b, 0) for b in live)
             break
 
         # Find the top surplus level: the smallest uniform sink reduction that
         # the network can still fully absorb.
         delta = Fraction(slack, g.scale * len(live))
         while True:
-            lower_caps(live, delta)
+            level = lower_caps(live, delta)
             g.augment(dead)
             if all(flow[sink_arc[b]] == cap[sink_arc[b]] for b in live):
                 break
@@ -164,8 +174,7 @@ def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, F
         if not pinned:
             raise FlowError("no buyers pinned at the top surplus level")
         for b in pinned:
-            i = g.vertices[b][1]
-            out[i] = min(net.sink_caps[i], delta)
+            out[b] = min(full[b], level)
         pinned_goods = goods_of(pinned)
         for j in pinned_goods:
             for v, a, forward in adj[j]:
@@ -177,23 +186,47 @@ def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, F
     return out
 
 
-def balanced_flow(
-    net: FlowNetwork, counter: MaxflowCounter | None = None, start: Flow | None = None
-) -> Flow:
-    """A maximum flow whose surplus vector minimizes the l2 norm.
+def balance(g: _Residual) -> None:
+    """Replace g's flow, a feasible flow of g's network, by a balanced flow.
 
-    The surplus vector is computed first, from ``start`` (a feasible flow of
-    net; None is the zero flow); pinning each sink capacity to the implied
-    inflow then forces any maximum flow of the pinned network to be balanced
-    in the original one.  That max-flow starts from zero, so the flow
-    returned does not depend on ``start``.
+    The surplus vector is peeled off first, from g's flow.  Then, with g's
+    capacities restored, each sink cap is pinned to the implied inflow and a
+    maximum flow is pushed from zero on the same arcs; any maximum flow of
+    the pinned network is balanced in the original one, and this one is the
+    flow ``max_flow`` would return for it.  The sink caps are restored
+    afterwards, so g ends as the residual graph of its own network under the
+    balanced flow.
     """
-    gamma = balanced_surplus(net, start)
-    pinned = net.with_sink_caps({i: net.sink_caps[i] - gamma[i] for i in net.buyers})
-    f = max_flow(pinned, counter)
-    if f.value != pinned.total_money:
+    caps, scale = list(g.cap), g.scale
+    gamma = _peel(g)
+    k = g.scale // scale
+    g.cap[:] = [None if c is None else c * k for c in caps]
+    sink_arcs = {b: g.adj[b][-1][1] for b in gamma}
+    for b, a in sink_arcs.items():
+        g.cap[a] -= gamma[b]
+    g.flow[:] = [0] * len(g.flow)
+    if g.augment() != sum(g.cap[a] for a in sink_arcs.values()):
         raise FlowError("pinned network failed to saturate; surplus vector is wrong")
-    return f
+    for b, a in sink_arcs.items():
+        g.cap[a] += gamma[b]
+
+
+def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, Fraction]:
+    """The unique surplus vector attained by every balanced flow.
+
+    The peel-off augments from ``start``, a feasible flow of net (None is
+    the zero flow); the result does not depend on it.
+    """
+    g = _Residual(net, start)
+    out = _peel(g)
+    return {g.vertices[b][1]: Fraction(s, g.scale) for b, s in out.items()}
+
+
+def balanced_flow(net: FlowNetwork) -> Flow:
+    """A maximum flow whose surplus vector minimizes the l2 norm (``balance`` from zero)."""
+    g = _Residual(net)
+    balance(g)
+    return g.as_flow()
 
 
 def verify_property1(net: FlowNetwork, flow: Flow) -> bool:

@@ -13,7 +13,10 @@ One cut reader gives both extreme min cuts, whether the maximum flow was
 given or was just augmented on the same graph.  A flow handed to the graph
 is checked to be feasible before it is used; a scaled copy of a graph,
 which shares its arcs and multiplies its capacities and flows by ints, is
-not built again and needs no check.  That graph works on Python
+not built again and needs no check.  A graph can also be edited in place,
+so one graph can follow a network that changes an arc at a time: an arc
+added in sorted place, arcs without flow dropped, and every value divided
+by the common gcd.  That graph works on Python
 ints: each network's capacities, and the given flow's values, are multiplied
 by the LCM of their denominators, and results leave it only at the API
 boundary, as Fractions (flow values and flow value) and vertex tuples; cut
@@ -27,11 +30,12 @@ speed.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .market import MarketInstance, mbpb
 
@@ -155,9 +159,13 @@ class _Residual:
     keeps its sign.  ``adj[u]`` lists ``(v, arc, forward)`` for each arc at
     u, sorted by v.  The network has no antiparallel capacity edges, so each
     pair of vertices shares at most one arc, traversed forward against its
-    capacity or backward against its flow.  ``cap`` and ``flow`` are only
-    written on a graph its caller owns: by ``augment``, ``rescale`` and the
-    balanced peel-off.
+    capacity or backward against its flow.  The source arcs come first, in
+    good order, and each buyer's sink arc is the last entry of its
+    adjacency list.  ``cap`` and ``flow`` are only written on a graph its
+    caller owns: by ``augment``, ``rescale``, ``reduce``, the balanced
+    peel-off and the solver.  ``ends`` and ``adj`` may be shared with
+    scaled copies, so ``add_arc`` and ``drop_arcs`` replace them instead of
+    writing into them.
 
     A given flow must be feasible in the network: nonnegative, within every
     finite capacity and conserved at every good and buyer, else FlowError.
@@ -279,6 +287,69 @@ class _Residual:
         self.flow[:] = [f * d for f in self.flow]
         self.scale *= d
 
+    def reduce(self) -> None:
+        """Divide every capacity, every flow and ``scale`` by their gcd.
+
+        The new scale is then the LCM of the denominators of every capacity
+        and flow, the scale a graph built afresh would take.
+        """
+        d = gcd(self.scale, *(c for c in self.cap if c is not None), *self.flow)
+        if d > 1:
+            self.cap[:] = [None if c is None else c // d for c in self.cap]
+            self.flow[:] = [f // d for f in self.flow]
+            self.scale //= d
+
+    def add_arc(self, j: int, i: int) -> None:
+        """Add the unbounded, empty arc from good j to buyer i.
+
+        It is entered in sorted place in both adjacency lists, as a graph
+        built afresh with the arc would have it.
+        """
+        u, v = self.index[good_vertex(j)], self.index[buyer_vertex(i)]
+        a = len(self.ends)
+        self.ends = [*self.ends, (u, v)]
+        self.cap.append(None)
+        self.flow.append(0)
+        self.adj = list(self.adj)
+        for w, entry in ((u, (v, a, True)), (v, (u, a, False))):
+            self.adj[w] = list(self.adj[w])
+            insort(self.adj[w], entry)
+
+    def drop_arcs(self, pairs) -> None:
+        """Remove the arcs from good j to buyer i for each (j, i) in ``pairs``.
+
+        Raises FlowError if one of them carries flow.  The other arcs keep
+        their order, so the source arcs still come first.
+        """
+        index, at = self.index, self.vertices
+        gone = {(index[good_vertex(j)], index[buyer_vertex(i)]) for j, i in pairs}
+        if not gone:
+            return
+        keep = []
+        for a, (u, v) in enumerate(self.ends):
+            if (u, v) not in gone:
+                keep.append(a)
+            elif self.flow[a]:
+                raise FlowError(f"dropped arc {at[u]} -> {at[v]} carries flow")
+        renumber = {a: k for k, a in enumerate(keep)}
+        self.ends = [self.ends[a] for a in keep]
+        self.cap = [self.cap[a] for a in keep]
+        self.flow = [self.flow[a] for a in keep]
+        self.adj = [
+            [(v, renumber[a], forward) for v, a, forward in entries if a in renumber]
+            for entries in self.adj
+        ]
+
+    def sink_arc(self, i: int) -> int:
+        """The arc from buyer i to the sink."""
+        return self.adj[self.index[buyer_vertex(i)]][-1][1]
+
+    def as_flow(self) -> Flow:
+        """The graph's flow in the network's terms."""
+        at, scale, flow = self.vertices, self.scale, self.flow
+        values = {(at[u], at[v]): Fraction(f, scale) for (u, v), f in zip(self.ends, flow) if f}
+        return Flow(values=values, value=Fraction(sum(flow[: len(self.adj[0])]), scale))
+
     def scaled(self, d: int, n: int, goods) -> "_Residual":
         """A copy with every capacity and flow times d, but the source caps of ``goods`` times n.
 
@@ -313,6 +384,15 @@ class _Residual:
             if a is not None
         }
 
+    def buyers_reaching(self, targets) -> set[int]:
+        """Buyers outside ``targets`` with a residual path into ``targets``.
+
+        Paths run through goods and buyers only; the source and sink are not
+        valid interior vertices for buyer-to-buyer reachability.
+        """
+        seen = self.walk([buyer_vertex(i) for i in targets], reverse=True, avoid=(SOURCE, SINK))
+        return {v[1] for v in seen if v[0] == "b"} - set(targets)
+
 
 def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
     """Exact maximum flow via shortest augmenting paths from the zero flow.
@@ -323,10 +403,8 @@ def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
     if counter is not None:
         counter.calls += 1
     g = _Residual(net)
-    value = g.augment()
-    at, scale = g.vertices, g.scale
-    values = {(at[u], at[v]): Fraction(f, scale) for (u, v), f in zip(g.ends, g.flow) if f}
-    return Flow(values=values, value=Fraction(value, scale))
+    g.augment()
+    return g.as_flow()
 
 
 def _cut_capacity(net: FlowNetwork, source_side: frozenset) -> Fraction:
@@ -372,14 +450,8 @@ def maximal_min_cut(net: FlowNetwork, flow: Flow) -> Cut:
 
 
 def residual_reachable(net: FlowNetwork, flow: Flow, targets) -> set[int]:
-    """Buyers outside ``targets`` with a residual path into ``targets``.
-
-    Paths run through goods and buyers only; the source and sink are not
-    valid interior vertices for buyer-to-buyer reachability.
-    """
-    g = _Residual(net, flow)
-    seen = g.walk([buyer_vertex(i) for i in targets], reverse=True, avoid=(SOURCE, SINK))
-    return {v[1] for v in seen if v[0] == "b"} - set(targets)
+    """Buyers outside ``targets`` with a residual path into ``targets``; see ``buyers_reaching``."""
+    return _Residual(net, flow).buyers_reaching(targets)
 
 
 def check_invariant(net: FlowNetwork, counter: MaxflowCounter | None = None) -> bool:

@@ -22,28 +22,36 @@ prices; a post-pass of max-flows computes it after extraction.
 
 Within an iteration, the search for the first tight goods set probes the
 invariant at a falling sequence of theta values.  Each probe is warm-started
-from the iteration's start flow, kept on the state: the balanced flow that
-began the phase or followed the last new edge.  That flow stays feasible for
-the whole iteration: the scaled goods' source caps only grow with theta, the
-sink caps are fixed, a zero-degree buyer only gains an edge or leaves
-without one, and the edges pruned at iteration start carry no flow (such
-flow would be a residual path into the active set from a buyer of lower
-surplus, which a balanced flow does not have).  A probe reads only extreme
-min cuts, which are the same for every maximum flow, so the start flow
-changes how much augmenting is done, never an answer.  The next new edge
-balances from the same flow, for the same reason.
+from the iteration's start flow: the balanced flow that began the phase or
+followed the last new edge.  That flow stays feasible for the whole
+iteration: the scaled goods' source caps only grow with theta, the sink caps
+are fixed, a zero-degree buyer only gains an edge or leaves without one, and
+the edges pruned at iteration start carry no flow (such flow would be a
+residual path into the active set from a buyer of lower surplus, which a
+balanced flow does not have).  A probe reads only extreme min cuts, which
+are the same for every maximum flow, so the start flow changes how much
+augmenting is done, never an answer.  The next new edge balances from the
+same flow, for the same reason.
 
-The iteration keeps one integer residual graph of its network at theta = 1
-under the start flow, built when the iteration starts and again after each
-zero-degree event.  Each probe, and each invariant check inside the
-iteration (after a zero-degree event and at the tight-set event), augments a
-copy of it at theta = a/b: every capacity and flow times b and the scaled
-goods' source caps times a, on the same arcs and adjacency lists.  No
-network or residual graph is built for it.  ``maxflow_calls`` counts
-``max_flow`` calls, each from the zero flow: the invariant checks at
-initialization, at phase start and after a money return, the pinned
-max-flow of each balanced flow, the money-return cut, the extraction and the
-refund split.  Probes and in-iteration invariant checks are not among them.
+A phase keeps one integer residual graph, built once by begin_phase and
+carried through every step.  At each iteration start it is the iteration's
+network at theta = 1 under the start flow: the pruned arcs are dropped
+(checked to carry no flow), and every value is divided by the common gcd,
+so its ints are those of a fresh build and cannot grow from one iteration to
+the next; then its flow is checked to be feasible.  A zero-degree event
+edits it in place: a new edge is an arc added in sorted place, a removal
+sets the buyer's sink cap to zero and leaves an isolated vertex.  Each
+probe, and each invariant check inside the iteration (after a zero-degree
+event and at the tight-set event), augments a copy of it at theta = a/b:
+every capacity and flow times b and the scaled goods' source caps times a,
+on the same arcs and adjacency lists.  A new edge takes the same copy at the
+event's theta, adds its arc, balances it in place and reads the absorbed
+buyers off it; that copy is the next iteration's graph.  A balanced flow's
+pinned max-flow is pushed from zero on the same arcs, and the phase-start
+invariant is checked by augmenting a copy from the balanced flow, so neither
+builds a network or a graph.  ``maxflow_calls`` counts ``max_flow`` calls,
+each from the zero flow: the invariant checks at initialization and after a
+money return, the money-return cut, the extraction and the refund split.
 
 Everything is exact rational arithmetic; every comparison is exact.
 """
@@ -55,16 +63,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .balanced import balanced_flow, potential, surplus
+from .balanced import balance
 from .flownet import (
-    Flow,
     FlowNetwork,
     MaxflowCounter,
     build_network,
     check_invariant,
     max_flow,
     maximal_min_cut,
-    residual_reachable,
     _read_cut,
     _Residual,
 )
@@ -173,10 +179,9 @@ class SolverState:
     phase_index: int = 0
     iteration_index: int = 0
     recorder: TraceRecorder | None = None
-    # The iteration's start flow; None is the zero flow.
-    flow: Flow | None = None
-    # The iteration's network at theta = 1 under the start flow, on ints;
-    # probes and in-iteration invariant checks run on scaled copies of it.
+    # The phase's integer residual graph: at iteration start, the
+    # iteration's network at theta = 1 under its start flow.  Probes and
+    # in-iteration invariant checks run on scaled copies of it.
     graph: _Residual | None = None
 
     def leftover(self, i: int) -> Fraction:
@@ -207,10 +212,6 @@ def _require_invariant(state: SolverState, where: str) -> None:
         raise SolverError(f"price cut invariant broken at {where}")
 
 
-def _build_graph(state: SolverState) -> None:
-    state.graph = _Residual(_network(state, theta=Fraction(1)), state.flow)
-
-
 def _max_flow_at(state: SolverState, theta: Fraction) -> _Residual:
     """A maximum flow of the iteration's network at theta >= 1, pushed on a
     copy of the iteration graph with every value times theta's denominator
@@ -223,6 +224,17 @@ def _max_flow_at(state: SolverState, theta: Fraction) -> _Residual:
 def _require_iteration_invariant(state: SolverState, where: str) -> None:
     if not _max_flow_at(state, state.theta).source_saturated():
         raise SolverError(f"price cut invariant broken at {where}")
+
+
+def _balance(state: SolverState, g: _Residual) -> tuple[dict[int, int], Fraction]:
+    """Balance g's flow in place.  Returns each live buyer's surplus times
+    g.scale, and the potential: the sum of the squared surpluses."""
+    balance(g)
+    gamma = {}
+    for i in state.live_buyers:
+        a = g.sink_arc(i)
+        gamma[i] = g.cap[a] - g.flow[a]
+    return gamma, Fraction(sum(x * x for x in gamma.values()), g.scale * g.scale)
 
 
 def initialize(inst: MarketInstance) -> SolverState:
@@ -271,37 +283,48 @@ def _neighborhood(state: SolverState, buyers: set[int]) -> set[int]:
 
 
 def _start_iteration(state: SolverState) -> None:
-    """Recompute the active goods, prune inactive edges, refresh Z and bases."""
+    """Recompute the active goods, prune inactive edges, refresh Z and bases.
+
+    The pruned edges leave the graph too, which raises FlowError if one
+    carries flow; the graph is then reduced to a fresh build's scale and
+    checked to carry a feasible flow.
+    """
     state.J = _neighborhood(state, state.I)
-    state.edges = {
-        (j, i) for (j, i) in state.edges if j not in state.J or i in state.I
-    }
+    pruned = {(j, i) for (j, i) in state.edges if j in state.J and i not in state.I}
+    state.edges -= pruned
     with_edges = {i for (_, i) in state.edges}
     state.Z = {i for i in state.live_buyers - state.I if i not in with_edges}
     state.base_prices = {j: state.prices[j] for j in state.J}
     state.theta = Fraction(1)
     state.iteration_index += 1
-    _build_graph(state)
+    g = state.graph
+    g.drop_arcs(pruned)
+    g.reduce()
+    g._check_feasible()
 
 
 def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     """Open a phase: rebuild the network, balance flow, pick the active sets.
 
-    Returns (potential at phase start, terminal flag).  The terminal flag is
-    set when every buyer's surplus is already zero, in which case the full
-    goods set is tight and the run ends.
+    The phase's graph is built here, once, and balanced from zero.  Returns
+    (potential at phase start, terminal flag).  The terminal flag is set
+    when every buyer's surplus is already zero, in which case the full goods
+    set is tight and the run ends.
     """
     state.phase_index += 1
     state.iteration_index = 0
     net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
     state.edges = set(net.edges)
-    f = balanced_flow(net, state.counter)
-    state.flow = f
-    gamma = surplus(net, f)
-    state.phi = potential(gamma)
+    state.graph = g = _Residual(net)
+    gamma, state.phi = _balance(state, g)
     if state.recorder is not None:
         state.recorder.record_phase(state, "phase_start")
-    _require_invariant(state, f"phase {state.phase_index} start")
+    # The invariant: a maximum flow, pushed on a copy from the balanced one,
+    # fills every source arc.
+    check = g.scaled(1, 1, ())
+    check.augment()
+    if not check.source_saturated():
+        raise SolverError(f"price cut invariant broken at phase {state.phase_index} start")
     delta = max(gamma.values())
     if delta == 0:
         state.I = set()
@@ -309,7 +332,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
         state.Z = set()
         state.theta = Fraction(1)
         return state.phi, True
-    state.I = {i for i, g in gamma.items() if g == delta}
+    state.I = {i for i, x in gamma.items() if x == delta}
     _start_iteration(state)
     return state.phi, False
 
@@ -435,22 +458,27 @@ def _set_theta(state: SolverState, theta: Fraction) -> None:
 
 
 def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
-    """Add the crossing edge and absorb residually-connected buyers."""
+    """Add the crossing edge and absorb residually-connected buyers.
+
+    The network at theta is the iteration graph scaled to theta plus the
+    new arc; it is balanced from the start flow, which stays feasible (J's
+    caps only grew, and the arc is new), and becomes the next iteration's
+    graph.
+    """
     u = state.inst.utilities[i][j]
     alpha_i = _alpha_bar_active(state, i) / state.theta
     if u != alpha_i * state.prices[j]:
         raise SolverError("new edge does not satisfy the bang-per-buck equality")
     state.edges.add((j, i))
-    net = _network(state)
-    # The start flow stays feasible: J's caps only grew, and the edge is new.
-    f = balanced_flow(net, state.counter, start=state.flow)
-    new_phi = potential(surplus(net, f))
+    theta = state.theta
+    g = state.graph.scaled(theta.denominator, theta.numerator, state.J)
+    g.add_arc(j, i)
+    _, new_phi = _balance(state, g)
     if new_phi > state.phi:
         raise SolverError("potential increased across a balanced-flow recompute")
     state.phi = new_phi
-    state.flow = f
-    absorbed = residual_reachable(net, f, state.I)
-    state.I |= absorbed
+    state.I |= g.buyers_reaching(state.I)
+    state.graph = g
     _start_iteration(state)
     return state
 
@@ -525,6 +553,8 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
             raise SolverError("zero-degree removal fired away from bang-per-buck 1")
         state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
+        # The buyer has no arc, hence no flow: the vertex stays, cut off.
+        state.graph.cap[state.graph.sink_arc(i)] = 0
     elif event.kind == "z_new_edge":
         j = event.good
         u = state.inst.utilities[i][j]
@@ -533,9 +563,9 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
             raise SolverError("zero-degree crossing does not satisfy the equality")
         state.edges.add((j, i))
         state.Z.discard(i)
+        state.graph.add_arc(j, i)
     else:
         raise SolverError(f"not a zero-degree event: {event.kind}")
-    _build_graph(state)
     return state
 
 

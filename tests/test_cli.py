@@ -207,7 +207,7 @@ def _raise_flow_error(*args, **kwargs):
 @pytest.mark.parametrize(
     "command,module,name,replacement",
     [
-        ("solve", solver, "balanced_flow", _raise_flow_error),
+        ("solve", solver, "_balance", _raise_flow_error),
         ("oracle", oracle, "_exact_candidate", lambda *args: None),
     ],
     ids=["solve-flow-error", "oracle-error"],

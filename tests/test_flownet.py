@@ -368,6 +368,39 @@ def test_probe_cut_does_not_depend_on_start_flow(net, cut_back, theta):
         assert base.flow == kept and base.scale * theta.denominator == g.scale
 
 
+def _graph_view(g):
+    """g per vertex tuple: scale, each adjacency list's heads in order, each arc's cap and flow."""
+    at = g.vertices
+    return (
+        g.scale,
+        {at[u]: [at[v] for v, _, _ in entries] for u, entries in enumerate(g.adj)},
+        {(at[u], at[v]): (c, f) for (u, v), c, f in zip(g.ends, g.cap, g.flow)},
+    )
+
+
+@given(net=small_networks, d=st.integers(min_value=1, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_edited_graph_equals_a_fresh_build(net, d):
+    # Adding an arc, dropping an arc without flow and dividing by the gcd
+    # leave the graph a fresh build of the edited network would be; an arc
+    # that carries flow cannot be dropped.
+    f = max_flow(net)
+    carries = {(j, i) for j, i in net.edges if f.on(good_vertex(j), buyer_vertex(i))}
+    added = sorted({(j, i) for j in net.goods for i in net.buyers} - net.edges)[:1]
+    dropped = sorted(net.edges - carries)[:1]
+    g = _Residual(net, f)
+    g.rescale(d)
+    for j, i in added:
+        g.add_arc(j, i)
+    g.drop_arcs(dropped)
+    g.reduce()
+    edited = replace(net, edges=(net.edges | set(added)) - set(dropped))
+    assert _graph_view(g) == _graph_view(_Residual(edited, f))
+    for arc in sorted(carries)[:1]:
+        with pytest.raises(FlowError, match="carries flow"):
+            g.drop_arcs([arc])
+
+
 _PRIMES_NEAR_1E6 = (999983, 999979, 999961, 999959, 999953, 999931)
 _HUGE = 10**400
 

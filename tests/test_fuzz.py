@@ -1,0 +1,170 @@
+"""Fuzzing the input contract: parsers and CLI commands on generated documents.
+
+Every document ends in a documented exit code (0 success, 1 verification
+failed, 2 bad input, 3 contract violation) and never in a traceback; every
+exit-0 solve passes the exact KKT verifier.  Instances are at most 4x4, with
+coprime and huge denominators, tied utilities and 1xm or nx1 shapes.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import assume, given, settings, strategies as st
+
+from arcticauction.cli import main
+from arcticauction.costmarket import parse_cost_instance, parse_cost_solution
+from arcticauction.kkt import verify_arctic_kkt, verify_cost_kkt
+from arcticauction.market import MarketFormatError, parse_equilibrium, parse_instance
+
+FUZZ = settings(max_examples=25, deadline=None)
+
+# Small, pairwise coprime and huge denominators.
+DENOMINATORS = st.sampled_from([1, 2, 3, 7, 999_983, 2**61 - 1, 10**40 + 1])
+SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 4)),
+    st.tuples(st.integers(1, 4), st.just(1)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+JUNK = st.one_of(
+    st.sampled_from(["1/0", "1.5", "1e400", "-1", "0/3", "", "x", "1/-2", True, None, 1.5, [], {}]),
+    st.text(max_size=4),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def positive(draw):
+    den = draw(DENOMINATORS)
+    return Fraction(draw(st.integers(1, 10 * den)), den)
+
+
+def token(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def instance_docs(draw, costs=False, corrupt=True):
+    """An instance document; utilities come from a pool of at most three values, so ties are common."""
+    n, m = draw(SHAPES)
+    pool = [Fraction(0), *draw(st.lists(positive(), min_size=1, max_size=3))]
+    doc = {
+        "money": [token(draw(positive())) for _ in range(n)],
+        "utilities": [[token(draw(st.sampled_from(pool))) for _ in range(m)] for _ in range(n)],
+    }
+    if costs:
+        doc["costs"] = [token(draw(positive())) for _ in range(m)]
+    if corrupt:
+        doc = draw(corrupted(doc))
+    return doc
+
+
+@st.composite
+def corrupted(draw, doc):
+    """doc unchanged, or with one token, field or shape broken."""
+    doc = json.loads(json.dumps(doc))
+    key = draw(st.sampled_from(sorted(doc)))
+    how = draw(st.sampled_from(["none", "none", "token", "drop", "shape", "scalar"]))
+    if how == "drop":
+        del doc[key]
+    elif how == "scalar":
+        doc[key] = draw(JUNK)
+    elif how == "shape":
+        value = doc[key]
+        if isinstance(value, list) and value:
+            target = value[0] if isinstance(value[0], list) and draw(st.booleans()) else value
+            target.pop() if draw(st.booleans()) else target.append("1")
+    elif how == "token":
+        value = doc[key]
+        while isinstance(value, list) and value and isinstance(value[0], list):
+            value = value[draw(st.integers(0, len(value) - 1))]
+        if isinstance(value, list) and value:
+            value[draw(st.integers(0, len(value) - 1))] = draw(JUNK)
+        else:
+            doc[key] = draw(JUNK)
+    return doc
+
+
+def run(argv) -> tuple[int, str]:
+    """main(argv) with its output captured; returns the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def parses(parse, text) -> bool:
+    try:
+        parse(text)
+    except MarketFormatError:
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def files(**texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.json" for name in (*texts, "out")}
+        for name, text in texts.items():
+            paths[name].write_text(text)
+        yield paths
+
+
+@given(text=st.one_of(st.text(max_size=40), instance_docs().map(json.dumps)))
+@FUZZ
+def test_parse_instance_returns_or_raises_format_error(text):
+    parses(parse_instance, text)
+    parses(parse_cost_instance, text)
+
+
+@given(doc=instance_docs())
+@FUZZ
+def test_solve_ends_in_a_documented_exit_code(doc):
+    text = json.dumps(doc)
+    with files(inst=text) as p:
+        code, err = run(["solve", "-i", p["inst"], "-o", p["out"]])
+        assert "Traceback" not in err
+        if not parses(parse_instance, text):
+            assert code == 2 and err.startswith("error:")
+            return
+        assert code == 0, err
+        inst = parse_instance(text)
+        eq, _ = parse_equilibrium(p["out"].read_text(), inst)
+        assert verify_arctic_kkt(inst, eq).overall
+
+
+@given(doc=instance_docs(corrupt=False), data=st.data())
+@FUZZ
+def test_verify_ends_in_a_documented_exit_code(doc, data):
+    text = json.dumps(doc)
+    assume(parses(parse_instance, text))
+    with files(inst=text) as p:
+        assert run(["solve", "-i", p["inst"], "-o", p["out"]])[0] == 0
+        solution = data.draw(corrupted(json.loads(p["out"].read_text())))
+        p["out"].write_text(json.dumps(solution))
+        code, err = run(["verify", "-i", p["inst"], "--solution", p["out"]])
+    assert "Traceback" not in err
+    inst = parse_instance(text)
+    if not parses(lambda s: parse_equilibrium(s, inst), json.dumps(solution)):
+        assert code == 2
+    else:
+        assert code in (0, 1)
+
+
+@given(doc=instance_docs(costs=True))
+@FUZZ
+def test_cost_ends_in_a_documented_exit_code(doc):
+    text = json.dumps(doc)
+    with files(inst=text) as p:
+        code, err = run(["cost", "-i", p["inst"], "-o", p["out"]])
+        assert "Traceback" not in err
+        if not parses(parse_cost_instance, text):
+            assert code == 2 and err.startswith("error:")
+            return
+        assert code == 0, err
+        sol = parse_cost_solution(p["out"].read_text())
+        assert verify_cost_kkt(parse_cost_instance(text), sol).overall
+        assert run(["verify", "-i", p["inst"], "--solution", p["out"]])[0] == 0

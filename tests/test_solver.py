@@ -13,7 +13,12 @@ import arcticauction
 from arcticauction import balanced, flownet, solver
 from arcticauction.flownet import build_network, check_invariant
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
-from arcticauction.market import MarketInstance, generate_random_instance, serialize_equilibrium
+from arcticauction.market import (
+    MarketInstance,
+    generate_random_instance,
+    serialize_equilibrium,
+    validate_instance,
+)
 from arcticauction.oracle import oracle_solve
 from arcticauction.solver import (
     TraceRecorder,
@@ -133,7 +138,7 @@ def _crafted_state(u, m, prices, edges, I, J):
     state.Z = set()
     state.base_prices = {j: state.prices[j] for j in J}
     state.theta = F(1)
-    solver._build_graph(state)  # the iteration graph, as _start_iteration builds it
+    state.graph = flownet._Residual(_network(state, theta=F(1)))  # the iteration graph
     return state
 
 
@@ -444,7 +449,8 @@ def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
         return original(*args, **kwargs)
 
     for module in (flownet, balanced, solver):
-        monkeypatch.setattr(module, "max_flow", counting)
+        if hasattr(module, "max_flow"):
+            monkeypatch.setattr(module, "max_flow", counting)
     _, stats = solve(inst)
     assert stats.maxflow_calls == calls > 0
 
@@ -475,22 +481,23 @@ def test_warm_and_cold_tight_set_probes_agree(monkeypatch, inst):
 
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
 def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
-    # apply_new_edge balances from the iteration's start flow.  The surplus
-    # vector must equal the one from the zero flow, and so must the flow
-    # returned, on which the absorbed buyer set depends.
-    balance = solver.balanced_flow
+    # apply_new_edge balances the iteration graph from its start flow.  The
+    # surplus vector must equal the one from the zero flow, and so must the
+    # flow balanced, on which the absorbed buyer set depends.
+    balance = solver._balance
     warm = 0
 
-    def both(net, counter=None, start=None):
+    def both(state, g):
         nonlocal warm
-        if start is not None:
-            warm += 1
-            assert balanced.balanced_surplus(net, start) == balanced.balanced_surplus(net)
-        f = balance(net, counter, start)
-        assert f == balance(net)
-        return f
+        if state.iteration_index:  # a new edge, not a phase start
+            warm += any(g.flow)
+        gamma, phi = balance(state, g)
+        net = _network(state)
+        assert {i: F(x, g.scale) for i, x in gamma.items()} == balanced.balanced_surplus(net)
+        assert g.as_flow() == balanced.balanced_flow(net)
+        return gamma, phi
 
-    monkeypatch.setattr(solver, "balanced_flow", both)
+    monkeypatch.setattr(solver, "_balance", both)
     solve(inst)
     assert warm > 0
 
@@ -525,3 +532,109 @@ def test_tight_set_probes_build_no_network_or_graph(monkeypatch, inst):
     monkeypatch.setattr(solver, "_tight_set_search", watched)
     solve(inst)
     assert searches > 0 and builds > 0
+
+
+def rational_instance(seed, n, m):
+    """Money and utilities in (0, 10] with denominators up to 10^6, one utility in ten zero."""
+    rng = random.Random(seed)
+
+    def value(zero_chance):
+        if rng.random() < zero_chance:
+            return F(0)
+        q = rng.randint(1, 10**6)
+        return F(rng.randint(1, 10 * q), q)
+
+    money = tuple(value(0) for _ in range(n))
+    while True:
+        u = tuple(tuple(value(0.1) for _ in range(m)) for _ in range(n))
+        inst = MarketInstance(money=money, utilities=u)
+        if validate_instance(inst).ok:
+            return inst
+
+
+def _by_vertex(g, skip=()):
+    """g per vertex tuple: each adjacency list's heads in order, and each arc's cap and flow."""
+    at = g.vertices
+    heads = {
+        at[u]: [at[v] for v, _, _ in entries if at[v] not in skip]
+        for u, entries in enumerate(g.adj)
+        if at[u] not in skip
+    }
+    arcs = {(at[u], at[v]): (c, f) for (u, v), c, f in zip(g.ends, g.cap, g.flow)}
+    return heads, {e: x for e, x in arcs.items() if not set(e) & set(skip)}
+
+
+# refund_heavy_instance(7, 8) fires a z_removal and then a new edge in one phase.
+CARRIED_GRAPH_CORPUS = [*EIGHT_BY_EIGHT, rational_instance(3, 16, 4), refund_heavy_instance(7, 8)]
+
+
+@pytest.mark.parametrize("inst", CARRIED_GRAPH_CORPUS)
+def test_carried_graph_matches_fresh_build(monkeypatch, inst):
+    # The phase's graph is carried from iteration to iteration; at every
+    # iteration start it must be the graph built afresh from the network and
+    # its flow: same adjacency order, same scale, same caps and flows.  A
+    # buyer removed in the phase may stay as an isolated vertex with cap 0.
+    start = solver._start_iteration
+    checked = removed = 0
+
+    def compare(state):
+        nonlocal checked, removed
+        start(state)
+        g = state.graph
+        fresh = flownet._Residual(_network(state, theta=F(1)), g.as_flow())
+        extra = [v for v in g.vertices if v not in fresh.index]
+        for v in extra:
+            assert v[0] == "b" and v[1] not in state.live_buyers
+            assert [g.vertices[w] for w, _, _ in g.adj[g.index[v]]] == [flownet.SINK]
+            a = g.sink_arc(v[1])
+            assert g.cap[a] == g.flow[a] == 0
+        assert g.scale == fresh.scale
+        assert _by_vertex(g, extra) == _by_vertex(fresh)
+        checked += 1
+        removed += len(extra)
+
+    monkeypatch.setattr(solver, "_start_iteration", compare)
+    _, stats = solve(inst)
+    assert checked >= stats.phase_count - 1
+    if inst is CARRIED_GRAPH_CORPUS[-1]:
+        assert removed > 0
+
+
+@pytest.mark.parametrize("inst", [EIGHT_BY_EIGHT[0], refund_heavy_instance(7, 8)])
+def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
+    # begin_phase builds the phase's one residual graph; a new edge and a
+    # zero-degree event edit it and build neither a graph nor a network.
+    builds = {"graph": 0, "network": 0}
+
+    def counted(init, key):
+        def wrapper(self, *args, **kwargs):
+            builds[key] += 1
+            return init(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(flownet._Residual, "__init__", counted(flownet._Residual.__init__, "graph"))
+    monkeypatch.setattr(
+        flownet.FlowNetwork, "__post_init__", counted(flownet.FlowNetwork.__post_init__, "network")
+    )
+    steps = {}
+
+    def watched(name, expected_graphs):
+        step = getattr(solver, name)
+
+        def wrapper(*args):
+            before = dict(builds)
+            result = step(*args)
+            assert builds["graph"] - before["graph"] == expected_graphs
+            if not expected_graphs:
+                assert builds["network"] == before["network"]
+            steps[name] = steps.get(name, 0) + 1
+            return result
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    watched("begin_phase", 1)
+    watched("apply_new_edge", 0)
+    watched("apply_z_events", 0)
+    solve(inst)
+    assert set(steps) == {"begin_phase", "apply_new_edge", "apply_z_events"}
