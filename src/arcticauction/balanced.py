@@ -5,21 +5,34 @@ is not.  It is computed here by peeling off maximum-surplus buyer groups:
 the top surplus level solves a water-filling equation over a buyer set
 extracted from min cuts of sink-reduced networks, the pinned group is split
 off, and the remainder is solved the same way.  Everything stays rational.
+The levels are those of Fujishige's lexicographically optimal base.
 
 The whole peel-off runs on one integer residual graph of the network, and
 its flow is kept from one max-flow to the next (the monotone case of
 Gallo-Grigoriadis-Tarjan parametric max-flow):
 
-* Warm start.  Each level restores the live buyers' sink caps; the current
-  flow is still feasible, so augmenting paths are pushed from it.
-* Trimming.  Raising the water level delta lowers each live buyer's sink
+* Lower-bound start.  Each level starts its water-level search at
+  delta = (sum of the live buyers' full sink caps - sum of the source caps
+  of their live goods) / |live|, or 0 if that is negative: the live goods
+  can send the live buyers no more than their source caps, so the level is
+  at least this.  When every maximum flow fills every source arc, as under
+  the solver's price-cut invariant, it is exactly the slack that refilling
+  to full caps would leave, so no refill is pushed.
+* Trimming.  Setting the water level delta lowers each live buyer's sink
   cap to max(c_i - delta, 0).  A buyer now over its cap gives the excess
   back along its in-arcs, in adjacency order, taking the same amount off
-  each good's source arc; the flow stays feasible and is augmented again.
-* Cancellation.  Pinned goods and buyers join a dead set that no search or
-  augmenting path enters.  The flow on every arc of a pinned good is
-  cancelled, and the same amount comes off the sink arc of the buyer it fed,
-  which leaves a feasible flow of the remaining network.
+  each good's source arc; the flow stays feasible and is augmented.
+* One search per step.  The buyers starved below a water level, and the
+  group pinned at the top one, are those the augment's last search, which
+  found no path, did not reach.
+* Frozen groups.  Pinned buyers and every good next to one join a dead
+  set that no search or augmenting path enters, and keep their flow.  Such
+  a good feeds no buyer left live: the source reaches that buyer, so it
+  would reach the good through the reverse arc, and the pinned buyer next.
+  So the rest of the flow stays feasible for the rest of the network.
+  After the last level the flow is a maximum flow with the balanced
+  surplus vector: each pinned buyer's inflow is its full cap less its
+  surplus.
 * Rescaling.  A water level may bring a new denominator d; every capacity,
   every flow and the graph's scale are then multiplied by d, which is exact.
   Water levels are solved on the graph's scaled ints: the buyers' full sink
@@ -30,13 +43,25 @@ the source, and both are the same for every maximum flow of a network.  So
 the surplus vector cannot depend on which maximum flow the warm start
 reached.
 
+Kept components.  Max-flow value and l2 norm both separate over the
+components of a network, so a balanced flow of the whole is the union of
+balanced flows of its components.  The caller may name components whose
+flow is balanced already: their buyers and goods are frozen from the start,
+with their surpluses as they are, and only the rest is peeled.
+
 ``balance`` works on a residual graph its caller owns and leaves it holding
-the balanced flow: after the peel-off it restores the graph's caps, pins
-each sink cap to the implied inflow and pushes a max-flow from zero on the
-same arcs.  The vertex numbering and sorted adjacency lists are those of a
-graph built afresh, so the augmenting paths, and the flow, are those of
-``max_flow`` on the pinned network: the flow does not depend on the warm
-start either.  The solver balances the graph it carries through a phase;
+the peel-off's balanced flow, with the caps restored.  Which balanced flow
+that is depends on the start flow; nothing the solver reads does.  The
+surplus vector is unique.  When every maximum flow fills every source arc,
+as at a new edge, where theta is at most the first tight theta, all
+balanced flows agree on the source and sink arcs, so any two differ by
+residual cycles through goods and buyers.  Pushing flow around a residual
+cycle leaves the reversed cycle residual, so reachability through goods and
+buyers does not change: the absorbed buyers (``buyers_reaching``), the
+check that the arcs pruned at an iteration start carry no flow and every
+tight-set probe's cut are the same for every balanced flow.  The extraction
+and the refund split push ``max_flow`` from zero, so no allocation depends
+on it either.  The solver balances the graph it carries through a phase;
 ``balanced_flow`` and ``balanced_surplus`` build one from a network.
 """
 
@@ -94,22 +119,28 @@ def _water_level(caps: list[int], target: int) -> Fraction:
     raise AssertionError("water level search failed")
 
 
-def _peel(g: _Residual) -> dict[int, int]:
+def _peel(g: _Residual, keep=()) -> dict[int, int]:
     """The balanced surplus of each buyer vertex of g, times g.scale.
 
-    The peel-off augments from g's flow, which must be feasible; the result
-    does not depend on it.  It leaves g's flow a maximum flow of g's network
-    with lowered sink caps, which are left in g.
+    The buyer vertices in ``keep`` are frozen from the start, with their
+    goods, and their current surpluses are taken as final: they must make
+    up whole components of g's network (FlowError if one of their goods
+    feeds another buyer) on which g's flow is balanced already.  The rest is
+    peeled off from g's flow, which must be feasible; the result does not
+    depend on it.  Each pinned group keeps its flow, so g ends holding a
+    maximum flow of g's network with the result as its surplus vector, and
+    with each peeled buyer's sink cap lowered to its inflow.
     """
     cap, flow, adj = g.cap, g.flow, g.adj
     t = len(adj) - 1
     source_arc = {v: a for a, (u, v) in enumerate(g.ends) if u == 0}
     sink_arc = {u: a for a, (u, v) in enumerate(g.ends) if v == t}
-    # Each buyer's full sink cap, and each pinned buyer's surplus, scaled
-    # along with the graph.
+    # Each buyer's full sink cap, and each kept or pinned buyer's surplus,
+    # scaled along with the graph.
     full = {b: cap[a] for b, a in sink_arc.items()}
+    keep = set(keep)
+    out = {b: full[b] - flow[sink_arc[b]] for b in keep}
     dead: set[int] = set()
-    out: dict[int, int] = {}
 
     def goods_of(buyers) -> set[int]:
         return {v for b in buyers for v, _, forward in adj[b] if not forward} - dead
@@ -139,23 +170,21 @@ def _peel(g: _Residual) -> dict[int, int]:
                     excess -= take
         return level
 
+    kept_goods = goods_of(keep)
+    if any(forward and v not in keep for j in kept_goods for v, _, forward in adj[j]):
+        raise FlowError("a kept buyer shares a good with a buyer that is peeled")
+    dead |= kept_goods
+    dead.update(keep)
     while live := [b for b in full if b not in dead]:
-        lower_caps(live, Fraction(0))
-        g.augment(dead)
-        slack = sum(cap[sink_arc[b]] - flow[sink_arc[b]] for b in live)
-        if slack == 0:
-            out.update((b, 0) for b in live)
-            break
-
         # Find the top surplus level: the smallest uniform sink reduction that
-        # the network can still fully absorb.
-        delta = Fraction(slack, g.scale * len(live))
+        # the network can still fully absorb, searched from a lower bound.
+        bound = sum(full[b] for b in live) - sum(cap[source_arc[j]] for j in goods_of(live))
+        delta = max(Fraction(bound, g.scale * len(live)), Fraction(0))
         while True:
             level = lower_caps(live, delta)
-            g.augment(dead)
+            reached = g.augment(dead)
             if all(flow[sink_arc[b]] == cap[sink_arc[b]] for b in live):
                 break
-            reached = g.search([0], avoid=dead)
             starved = [b for b in live if reached[b] is None]
             if not starved:
                 raise FlowError("reduced network min cut has no starved buyers")
@@ -164,51 +193,37 @@ def _peel(g: _Residual) -> dict[int, int]:
             if new_delta <= delta:
                 raise FlowError("water level candidate did not increase")
             delta = new_delta
+        if level == 0:  # every live buyer is saturated at its full cap
+            out.update((b, 0) for b in live)
+            break
 
         # Split off the group pinned at the top level: buyers not reachable
-        # from the source without passing through the sink.  Reaching a buyer
-        # must mean more flow can be pushed into it without rerouting any
-        # other sink edge.
-        reached = g.search([0], avoid=dead | {t})
+        # from the source without passing through the sink, which the
+        # augment's last search did not reach.  Reaching a buyer must mean
+        # more flow can be pushed into it without rerouting any other sink
+        # edge.  The group and its goods keep their flow.
         pinned = [b for b in live if reached[b] is None]
         if not pinned:
             raise FlowError("no buyers pinned at the top surplus level")
         for b in pinned:
             out[b] = min(full[b], level)
-        pinned_goods = goods_of(pinned)
-        for j in pinned_goods:
-            for v, a, forward in adj[j]:
-                if forward:
-                    flow[sink_arc[v]] -= flow[a]
-                flow[a] = 0
-        dead |= pinned_goods
+        dead |= goods_of(pinned)
         dead.update(pinned)
     return out
 
 
-def balance(g: _Residual) -> None:
+def balance(g: _Residual, keep=()) -> None:
     """Replace g's flow, a feasible flow of g's network, by a balanced flow.
 
-    The surplus vector is peeled off first, from g's flow.  Then, with g's
-    capacities restored, each sink cap is pinned to the implied inflow and a
-    maximum flow is pushed from zero on the same arcs; any maximum flow of
-    the pinned network is balanced in the original one, and this one is the
-    flow ``max_flow`` would return for it.  The sink caps are restored
-    afterwards, so g ends as the residual graph of its own network under the
-    balanced flow.
+    The peel-off leaves g holding a balanced flow; only the sink caps it
+    lowered are restored, so g ends as the residual graph of its own network
+    under that flow.  ``keep`` is as for ``_peel``: the buyer vertices of
+    components whose flow is balanced already, which keep it.
     """
     caps, scale = list(g.cap), g.scale
-    gamma = _peel(g)
+    _peel(g, keep)
     k = g.scale // scale
     g.cap[:] = [None if c is None else c * k for c in caps]
-    sink_arcs = {b: g.adj[b][-1][1] for b in gamma}
-    for b, a in sink_arcs.items():
-        g.cap[a] -= gamma[b]
-    g.flow[:] = [0] * len(g.flow)
-    if g.augment() != sum(g.cap[a] for a in sink_arcs.values()):
-        raise FlowError("pinned network failed to saturate; surplus vector is wrong")
-    for b, a in sink_arcs.items():
-        g.cap[a] += gamma[b]
 
 
 def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, Fraction]:
@@ -223,7 +238,10 @@ def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, F
 
 
 def balanced_flow(net: FlowNetwork) -> Flow:
-    """A maximum flow whose surplus vector minimizes the l2 norm (``balance`` from zero)."""
+    """A maximum flow whose surplus vector minimizes the l2 norm: ``balance`` from zero.
+
+    It is one balanced flow among many; only its surplus vector is unique.
+    """
     g = _Residual(net)
     balance(g)
     return g.as_flow()

@@ -247,18 +247,20 @@ class _Residual:
             parent[v] = None
         return parent
 
-    def augment(self, avoid=()) -> int:
+    def augment(self, avoid=()) -> list:
         """Push shortest augmenting paths from the current flow until none is left.
 
-        Paths never enter ``avoid``.  Returns the scaled value pushed.
+        Paths never enter ``avoid``.  Returns the last search, which found no
+        path: its parent map marks the vertices reachable from the source
+        without entering ``avoid``, the source side of the source-nearest
+        min cut.
         """
         cap, flow, ends = self.cap, self.flow, self.ends
         sink = len(self.adj) - 1
-        value = 0
         while True:
             parent = self.search([0], avoid=avoid, stop=sink)
             if parent[sink] is None:
-                return value
+                return parent
             path = []
             bottleneck = None
             v = sink
@@ -279,7 +281,6 @@ class _Residual:
                 raise FlowError("augmenting path without finite bottleneck")
             for a, sign in path:
                 flow[a] += sign * bottleneck
-            value += bottleneck
 
     def rescale(self, d: int) -> None:
         """Multiply every capacity, every flow and ``scale`` by the integer d."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from arcticauction import flownet
 from arcticauction.balanced import (
     _water_level,
+    balance,
     balanced_flow,
     balanced_surplus,
     potential,
@@ -19,6 +20,7 @@ from arcticauction.flownet import (
     SINK,
     SOURCE,
     Flow,
+    FlowError,
     FlowNetwork,
     buyer_vertex,
     good_vertex,
@@ -273,6 +275,24 @@ def test_cancellation_of_pinned_good_next_to_survivor(checked_augment):
     f = balanced_flow(net)
     assert surplus(net, f) == {0: F(0), 1: F(2)}
     assert verify_property1(net, f)
+
+
+def test_balance_keeps_whole_components_it_is_given(checked_augment):
+    # Good 0 feeds buyers 0 and 1; good 1 feeds buyer 2 alone, whose
+    # component carries its balanced flow and is kept as it is while the
+    # other is peeled from zero.  Keeping buyer 0 alone would split a
+    # component, which balance refuses.
+    net = net_of([2, 1], [2, 1, 3], [(0, 0), (0, 1), (1, 2)])
+    arcs = [(SOURCE, good_vertex(1)), (good_vertex(1), buyer_vertex(2)), (buyer_vertex(2), SINK)]
+    start = Flow(values=dict.fromkeys(arcs, F(1)), value=F(1))
+    g = flownet._Residual(net, start)
+    balance(g, [g.index[buyer_vertex(2)]])
+    f = g.as_flow()
+    assert surplus(net, f) == balanced_surplus(net) == {0: F(1, 2), 1: F(1, 2), 2: F(2)}
+    assert all(f.on(*arc) == 1 for arc in arcs)
+    g = flownet._Residual(net)
+    with pytest.raises(FlowError):
+        balance(g, [g.index[buyer_vertex(0)]])
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,6 +1,8 @@
 """Command-line interface: pipelines, determinism, exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +253,20 @@ def test_oracle_huge_utility(tmp_path):
     inst.write_text(json.dumps({"money": ["1"], "utilities": [["1" + "0" * 400]]}))
     assert run(["oracle", "-i", inst, "-o", orc]) == 0
     assert json.loads(orc.read_text())["prices"] == ["1"]
+
+
+def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
+    # tools/bench_sweep.py drives `arctic bench` and writes BENCH_<tag>.json
+    # to the current directory, one row per size with every seed's solve.
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_sweep.py"
+    spec = importlib.util.spec_from_file_location("bench_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.chdir(tmp_path)
+    assert sweep.main(["--tag", "t", "--sizes", "3", "4", "--seeds", "2"]) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [row["n"] for row in doc["rows"]] == [3, 4]
+    for row in doc["rows"]:
+        assert [s["seed"] for s in row["solves"]] == [0, 1]
+        assert row["phases"] == row["type1"] + row["type2"] + row["type3"] > 0
+        assert 0 < row["median_s"] <= row["max_s"]

@@ -1,9 +1,11 @@
 """Fuzzing the input contract: parsers and CLI commands on generated documents.
 
-Every document ends in a documented exit code (0 success, 1 verification
-failed, 2 bad input, 3 contract violation) and never in a traceback; every
-exit-0 solve passes the exact KKT verifier.  Instances are at most 4x4, with
-coprime and huge denominators, tied utilities and 1xm or nx1 shapes.
+Every document or command line ends in a documented exit code (0 success, 1
+verification failed, 2 bad input, 3 contract violation) and never in a
+traceback; every exit-0 solve and oracle answer passes the exact KKT
+verifier.  Instances are at most 4x4, with coprime and huge denominators,
+tied utilities and 1xm or nx1 shapes; the oracle's are at most 3x3 or just
+past its 4x4 size guard.
 """
 
 import contextlib
@@ -29,6 +31,13 @@ SHAPES = st.one_of(
     st.tuples(st.integers(1, 4), st.just(1)),
     st.tuples(st.integers(1, 4), st.integers(1, 4)),
 )
+# The oracle enumerates sign patterns, and a tied 4x4 instance can take it
+# about 20 s: within its guard, shapes stop at 3x3.
+ORACLE_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.just(5), st.integers(1, 2)),
+    st.tuples(st.integers(1, 2), st.just(5)),
+)
 JUNK = st.one_of(
     st.sampled_from(["1/0", "1.5", "1e400", "-1", "0/3", "", "x", "1/-2", True, None, 1.5, [], {}]),
     st.text(max_size=4),
@@ -47,9 +56,9 @@ def token(x: Fraction) -> str:
 
 
 @st.composite
-def instance_docs(draw, costs=False, corrupt=True):
+def instance_docs(draw, costs=False, corrupt=True, shapes=SHAPES):
     """An instance document; utilities come from a pool of at most three values, so ties are common."""
-    n, m = draw(SHAPES)
+    n, m = draw(shapes)
     pool = [Fraction(0), *draw(st.lists(positive(), min_size=1, max_size=3))]
     doc = {
         "money": [token(draw(positive())) for _ in range(n)],
@@ -92,7 +101,10 @@ def run(argv) -> tuple[int, str]:
     """main(argv) with its output captured; returns the exit code and stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -168,3 +180,75 @@ def test_cost_ends_in_a_documented_exit_code(doc):
         sol = parse_cost_solution(p["out"].read_text())
         assert verify_cost_kkt(parse_cost_instance(text), sol).overall
         assert run(["verify", "-i", p["inst"], "--solution", p["out"]])[0] == 0
+
+
+@given(doc=instance_docs(corrupt=False, shapes=ORACLE_SHAPES))
+@FUZZ
+def test_oracle_ends_in_a_documented_exit_code(doc):
+    text = json.dumps(doc)
+    with files(inst=text) as p:
+        code, err = run(["oracle", "-i", p["inst"], "-o", p["out"]])
+        assert "Traceback" not in err
+        if not parses(parse_instance, text):
+            assert code == 2 and err.startswith("error:")
+            return
+        inst = parse_instance(text)
+        if max(inst.n_buyers, inst.n_goods) > 4:
+            assert code == 2 and "guard" in err
+            return
+        assert code == 0, err
+        eq, _ = parse_equilibrium(p["out"].read_text(), inst)
+        assert verify_arctic_kkt(inst, eq).overall
+        assert run(["verify", "-i", p["inst"], "--solution", p["out"]])[0] == 0
+
+
+@st.composite
+def bench_args(draw):
+    """bench's flags and values: all valid, or one value out of range or junk."""
+    args = {"--seed": draw(st.integers(-5, 2**64)), "--buyers": draw(st.integers(1, 4))}
+    args["--goods"] = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        args["--count"] = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        args["--max-value"] = draw(st.integers(1, 10))
+    args = {flag: str(value) for flag, value in args.items()}
+    how = draw(st.sampled_from(["none", "range", "junk"]))
+    if how != "none":
+        flag = draw(st.sampled_from(sorted(args)))
+        args[flag] = str(draw(st.integers(-3, 0))) if how == "range" else json.dumps(draw(JUNK))
+    return args
+
+
+@given(args=bench_args())
+@FUZZ
+def test_bench_ends_in_a_documented_exit_code(args):
+    with files() as p:
+        code, err = run(["bench", *(x for item in args.items() for x in item), "-o", p["out"]])
+        assert "Traceback" not in err
+        try:
+            ints = {flag: int(value) for flag, value in args.items()}
+        except ValueError:
+            assert code == 2 and "invalid int value" in err
+            return
+        count = ints.get("--count", 10)
+        sizes = [ints["--buyers"], ints["--goods"], ints.get("--max-value", 10)]
+        if count < 0 or (count > 0 and min(sizes) < 1):
+            assert code == 2 and err.startswith("error:")
+            return
+        assert code == 0, err
+        assert len(p["out"].read_text().splitlines()) == 1 + count
+
+
+@given(doc=st.one_of(instance_docs(corrupt=False), instance_docs()))
+@FUZZ
+def test_trace_ends_in_a_documented_exit_code(doc):
+    text = json.dumps(doc)
+    with files(inst=text) as p:
+        code, err = run(["trace", "-i", p["inst"], "-o", p["out"]])
+        assert "Traceback" not in err
+        if not parses(parse_instance, text):
+            assert code == 2 and err.startswith("error:")
+            return
+        assert code == 0, err
+        header, *rows = p["out"].read_text().splitlines()
+        assert header.startswith("phase,iteration,event") and rows

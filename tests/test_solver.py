@@ -482,24 +482,56 @@ def test_warm_and_cold_tight_set_probes_agree(monkeypatch, inst):
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
 def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
     # apply_new_edge balances the iteration graph from its start flow.  The
-    # surplus vector must equal the one from the zero flow, and so must the
-    # flow balanced, on which the absorbed buyer set depends.
+    # surplus vector must equal the one from the zero flow.  The flow may
+    # differ from balanced_flow's, but it must be a maximum flow with
+    # Property 1, and the absorbed buyer set read off it must be the same.
     balance = solver._balance
     warm = 0
 
-    def both(state, g):
+    def both(state, g, keep=()):
         nonlocal warm
         if state.iteration_index:  # a new edge, not a phase start
             warm += any(g.flow)
-        gamma, phi = balance(state, g)
+        gamma, phi = balance(state, g, keep)
         net = _network(state)
         assert {i: F(x, g.scale) for i, x in gamma.items()} == balanced.balanced_surplus(net)
-        assert g.as_flow() == balanced.balanced_flow(net)
+        flow = g.as_flow()
+        assert flow.value == flownet.max_flow(net).value
+        assert balanced.verify_property1(net, flow)
+        if state.iteration_index:
+            cold = flownet._Residual(net, balanced.balanced_flow(net))
+            assert g.buyers_reaching(state.I) == cold.buyers_reaching(state.I)
         return gamma, phi
 
     monkeypatch.setattr(solver, "_balance", both)
     solve(inst)
     assert warm > 0
+
+
+@pytest.mark.parametrize("inst", [*EIGHT_BY_EIGHT, *(refund_heavy_instance(s, 12) for s in range(3))])
+def test_new_edges_keep_the_flow_of_settled_components(monkeypatch, inst):
+    # A new edge peels only the components it can have moved: every other
+    # component's arcs carry the same flow before and after the balance.
+    balance = solver.balance
+    kept = 0
+
+    def watched(g, keep=()):
+        nonlocal kept
+        part = set(keep) | {v for b in keep for v, _, forward in g.adj[b] if not forward}
+
+        def flows():
+            return {
+                (u, v): F(f, g.scale) for (u, v), f in zip(g.ends, g.flow) if u in part or v in part
+            }
+
+        before = flows()
+        balance(g, keep)
+        assert flows() == before
+        kept += len(keep)
+
+    monkeypatch.setattr(solver, "balance", watched)
+    solve(inst)
+    assert kept > 0
 
 
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)

@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""The ROADMAP Baseline sweep: seeded square solves, written to BENCH_<tag>.json.
+
+Run from anywhere; the package is imported from ``src/`` of the checkout
+that holds this script:
+
+    python3 tools/bench_sweep.py --tag after
+
+For each size n it runs ``arctic bench --seed 0 --count <seeds> --buyers n
+--goods n``, that is ``generate_random_instance(seed, n, n, 10)`` for seeds
+0, 1, ..., each solve timed alone, and writes one row per size: the median
+and max solve time, the phases by type and ``maxflow_calls``, summed over the
+seeds, and each seed's own figures.  The file goes to the current directory.
+Compare two files only when they were made on one machine, side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SIZES = (5, 8, 12, 16, 24, 32, 48)
+COUNTED = ("phases", "type1", "type2", "type3", "maxflow_calls")
+
+
+def bench_rows(n: int, seeds: int) -> list[dict]:
+    """``arctic bench``'s CSV rows for seeds 0 .. seeds - 1 at n x n."""
+    from arcticauction.cli import main
+
+    out = io.StringIO()
+    argv = ["bench", "--seed", "0", "--count", str(seeds), "--buyers", str(n), "--goods", str(n)]
+    with contextlib.redirect_stdout(out):
+        if main(argv) != 0:
+            sys.exit(f"bench_sweep: arctic bench failed at n={n}")
+    return list(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+def size_row(n: int, seeds: int) -> dict:
+    solves = [
+        {"seed": int(r["seed"]), "seconds": int(r["micros"]) / 1e6, **{k: int(r[k]) for k in COUNTED}}
+        for r in bench_rows(n, seeds)
+    ]
+    times = [s["seconds"] for s in solves]
+    row = {"n": n, "m": n, "median_s": statistics.median(times), "max_s": max(times)}
+    row.update((k, sum(s[k] for s in solves)) for k in COUNTED)
+    row["solves"] = solves
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
+    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES)
+    parser.add_argument("--seeds", type=int, default=5, help="seeds 0 .. SEEDS - 1 at each size")
+    args = parser.parse_args(argv)
+    if args.seeds < 1 or min(args.sizes) < 1:
+        parser.error("--seeds and every size must be positive")
+    sys.path.insert(0, str(SRC))
+    doc = {
+        "tag": args.tag,
+        "instances": "generate_random_instance(seed, n, n, 10)",
+        "seeds": list(range(args.seeds)),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "rows": [size_row(n, args.seeds) for n in args.sizes],
+    }
+    path = Path(f"BENCH_{args.tag}.json")
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    for row in doc["rows"]:
+        print(f"n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  phases {row['phases']}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
