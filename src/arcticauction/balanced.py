@@ -60,7 +60,7 @@ cycle leaves the reversed cycle residual, so reachability through goods and
 buyers does not change: the absorbed buyers (``buyers_reaching``), the
 check that the arcs pruned at an iteration start carry no flow and every
 tight-set probe's cut are the same for every balanced flow.  The extraction
-and the refund split push ``max_flow`` from zero, so no allocation depends
+and the refund split push their flows from zero, so no allocation depends
 on it either.  The solver balances the graph it carries through a phase;
 ``balanced_flow`` and ``balanced_surplus`` build one from a network.
 """

@@ -119,11 +119,6 @@ class Cut:
         return tuple(sorted(v[1] for v in self.source_side if v[0] == "b"))
 
 
-@dataclass
-class MaxflowCounter:
-    calls: int = 0
-
-
 def build_network(inst: MarketInstance, prices, returns=None, buyers=None, goods=None) -> FlowNetwork:
     """The money network at the given prices and returned money.
 
@@ -395,14 +390,12 @@ class _Residual:
         return {v[1] for v in seen if v[0] == "b"} - set(targets)
 
 
-def max_flow(net: FlowNetwork, counter: MaxflowCounter | None = None) -> Flow:
+def max_flow(net: FlowNetwork) -> Flow:
     """Exact maximum flow via shortest augmenting paths from the zero flow.
 
     Deterministic: the walk expands vertices in a fixed order, so the chosen
     flow (not just its value) is reproducible.
     """
-    if counter is not None:
-        counter.calls += 1
     g = _Residual(net)
     g.augment()
     return g.as_flow()
@@ -422,14 +415,17 @@ def _cut_capacity(net: FlowNetwork, source_side: frozenset) -> Fraction:
     return cap
 
 
-def _read_cut(g: _Residual, maximal: bool) -> frozenset:
+def _read_cut(g: _Residual, maximal: bool, reached: list | None = None) -> frozenset:
     """The source side of an extreme min cut, read off g, the residual graph of a maximum flow.
 
     The source-nearest min cut is what s reaches; the sink-nearest is
     everything that does not reach t.  Both are the same for every maximum
-    flow, so neither depends on how g's flow was found.
+    flow, so neither depends on how g's flow was found.  ``reached`` is a
+    search from s on g as it stands, such as the last one of ``augment``;
+    without it, one is made.
     """
-    reached = g.search([0])
+    if reached is None:
+        reached = g.search([0])
     if reached[-1] is not None:
         raise FlowError("flow is not maximum: residual path to sink exists")
     if maximal:
@@ -455,6 +451,6 @@ def residual_reachable(net: FlowNetwork, flow: Flow, targets) -> set[int]:
     return _Residual(net, flow).buyers_reaching(targets)
 
 
-def check_invariant(net: FlowNetwork, counter: MaxflowCounter | None = None) -> bool:
+def check_invariant(net: FlowNetwork) -> bool:
     """True iff ({s}, everything else) is a minimum s-t cut."""
-    return max_flow(net, counter).value == net.total_price
+    return max_flow(net).value == net.total_price

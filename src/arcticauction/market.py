@@ -351,3 +351,14 @@ def generate_random_instance(seed: int, n: int, m: int, max_value: int) -> Marke
             break
     utilities = tuple(tuple(row) for row in rows)
     return MarketInstance(money=money, utilities=utilities)
+
+
+def generate_refund_heavy_instance(seed: int, n: int) -> MarketInstance:
+    """Deterministically generate an n x n instance in which many buyers get
+    money back: utilities uniform in [1, 10], drawn first, money in [10, 40]."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    rng = random.Random(seed)
+    rows = [[Fraction(rng.randint(1, 10)) for _ in range(n)] for _ in range(n)]
+    money = tuple(Fraction(rng.randint(10, 40)) for _ in range(n))
+    return MarketInstance(money=money, utilities=tuple(map(tuple, rows)))

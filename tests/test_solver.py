@@ -11,18 +11,19 @@ import pytest
 import arcticauction
 
 from arcticauction import balanced, flownet, solver
-from arcticauction.flownet import build_network, check_invariant
+from arcticauction.flownet import FlowNetwork, build_network, check_invariant, max_flow, maximal_min_cut
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import (
     MarketInstance,
     generate_random_instance,
+    generate_refund_heavy_instance,
     serialize_equilibrium,
     validate_instance,
 )
 from arcticauction.oracle import oracle_solve
 from arcticauction.solver import (
+    SolverState,
     TraceRecorder,
-    _network,
     begin_phase,
     initialize,
     mbpb,
@@ -37,6 +38,26 @@ def inst_of(u, m):
     return MarketInstance(
         money=tuple(F(x) for x in m),
         utilities=tuple(tuple(F(x) for x in row) for row in u),
+    )
+
+
+def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int | None = None) -> FlowNetwork:
+    """The network a solver state stands for, built afresh: the reference for the phase graph."""
+    prices = {}
+    for j in state.inst.goods:
+        if theta is not None and j in state.J:
+            prices[j] = state.base_prices[j] * theta
+        else:
+            prices[j] = state.prices[j]
+    sink_caps = {}
+    for i in state.live_buyers:
+        sink_caps[i] = Fraction(0) if i == zero_buyer else state.leftover(i)
+    return FlowNetwork(
+        goods=tuple(state.inst.goods),
+        buyers=tuple(sorted(state.live_buyers)),
+        source_caps=prices,
+        sink_caps=sink_caps,
+        edges=frozenset(state.edges),
     )
 
 
@@ -424,17 +445,19 @@ def test_answers_pinned_on_roadmap_seeds():
     assert digest.hexdigest() == "98315c2b580feb3f8dfe3ee5e2d6aca027e36ce13f8f38ec5aedbf243a773bb9"
 
 
-def refund_heavy_instance(seed, n):
-    """Money U[10, 40] against utilities U[1, 10]: many buyers get money back."""
-    rng = random.Random(seed)
-    return inst_of(
-        [[rng.randint(1, 10) for _ in range(n)] for _ in range(n)],
-        [rng.randint(10, 40) for _ in range(n)],
-    )
+def test_answers_pinned_on_refund_heavy_seeds():
+    # The same pin for the refund regime: each of these solves runs 7 to 14
+    # partial money returns and at least one full one.
+    digest = hashlib.sha256()
+    for n in (8, 12, 16):
+        for seed in range(3):
+            eq, _ = solve(generate_refund_heavy_instance(seed, n))
+            digest.update(serialize_equilibrium(eq).encode())
+    assert digest.hexdigest() == "c6ded4dfa233b45a28c054f0e02a3a2bd6bded5a0e19a4c2f06b1816864309c1"
 
 
 EIGHT_BY_EIGHT = [generate_random_instance(seed, 8, 8, 10) for seed in range(3)] + [
-    refund_heavy_instance(0, 8)
+    generate_refund_heavy_instance(0, 8)
 ]
 
 
@@ -452,7 +475,11 @@ def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
         if hasattr(module, "max_flow"):
             monkeypatch.setattr(module, "max_flow", counting)
     _, stats = solve(inst)
-    assert stats.maxflow_calls == calls > 0
+    assert stats.maxflow_calls == calls
+    # Only the refund split calls max_flow; of these members only the
+    # refund-heavy one needs it.
+    if inst is EIGHT_BY_EIGHT[-1]:
+        assert calls > 0
 
 
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
@@ -508,7 +535,7 @@ def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
     assert warm > 0
 
 
-@pytest.mark.parametrize("inst", [*EIGHT_BY_EIGHT, *(refund_heavy_instance(s, 12) for s in range(3))])
+@pytest.mark.parametrize("inst", [*EIGHT_BY_EIGHT, *(generate_refund_heavy_instance(s, 12) for s in range(3))])
 def test_new_edges_keep_the_flow_of_settled_components(monkeypatch, inst):
     # A new edge peels only the components it can have moved: every other
     # component's arcs carry the same flow before and after the balance.
@@ -596,8 +623,8 @@ def _by_vertex(g, skip=()):
     return heads, {e: x for e, x in arcs.items() if not set(e) & set(skip)}
 
 
-# refund_heavy_instance(7, 8) fires a z_removal and then a new edge in one phase.
-CARRIED_GRAPH_CORPUS = [*EIGHT_BY_EIGHT, rational_instance(3, 16, 4), refund_heavy_instance(7, 8)]
+# generate_refund_heavy_instance(7, 8) fires a z_removal and then a new edge in one phase.
+CARRIED_GRAPH_CORPUS = [*EIGHT_BY_EIGHT, rational_instance(3, 16, 4), generate_refund_heavy_instance(7, 8)]
 
 
 @pytest.mark.parametrize("inst", CARRIED_GRAPH_CORPUS)
@@ -632,10 +659,11 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
         assert removed > 0
 
 
-@pytest.mark.parametrize("inst", [EIGHT_BY_EIGHT[0], refund_heavy_instance(7, 8)])
+@pytest.mark.parametrize("inst", [EIGHT_BY_EIGHT[0], generate_refund_heavy_instance(7, 8)])
 def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
     # begin_phase builds the phase's one residual graph; a new edge and a
-    # zero-degree event edit it and build neither a graph nor a network.
+    # zero-degree event edit it, and a money return and the extraction push
+    # on copies of it: none of them builds a graph or a network.
     builds = {"graph": 0, "network": 0}
 
     def counted(init, key):
@@ -666,7 +694,61 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
         monkeypatch.setattr(solver, name, wrapper)
 
     watched("begin_phase", 1)
-    watched("apply_new_edge", 0)
-    watched("apply_z_events", 0)
+    for name in ("apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
+        watched(name, 0)
     solve(inst)
-    assert set(steps) == {"begin_phase", "apply_new_edge", "apply_z_events"}
+    expected = {"begin_phase", "apply_new_edge", "apply_z_events", "_extract"}
+    if inst is not EIGHT_BY_EIGHT[0]:
+        expected.add("apply_money_return")
+    assert set(steps) == expected
+
+
+# generate_random_instance(4, 8, 8, 10) has no money return, but its
+# terminal network has many maximum flows.
+@pytest.mark.parametrize(
+    "inst",
+    [
+        *(generate_refund_heavy_instance(s, n) for n in (8, 12) for s in range(3)),
+        rational_instance(3, 16, 4),
+        generate_random_instance(4, 8, 8, 10),
+    ],
+)
+def test_money_returns_and_extraction_match_fresh_networks(monkeypatch, inst):
+    # A money return and the extraction push from zero on copies of the
+    # phase graph.  They must give what max_flow and the maximal min cut
+    # give on the network built afresh: the same phase type, the same new
+    # refund and the same allocation.
+    money_return, extract = solver.apply_money_return, solver._extract
+    returns = extracted = 0
+
+    def checked_return(state, i):
+        nonlocal returns
+        net0 = _network(state, zero_buyer=i)
+        f0 = max_flow(net0)
+        if f0.value == net0.total_price:
+            expected = ("II", state.inst.money[i])
+        else:
+            cut = maximal_min_cut(net0, f0)
+            worth_s = sum((net0.source_caps[j] for j in cut.goods_part()), F(0))
+            worth_t = sum((state.leftover(b) for b in cut.buyers_part() if b != i), F(0))
+            expected = ("III", state.inst.money[i] - (worth_s - worth_t))
+        kind = money_return(state, i)
+        assert (kind, state.returns[i]) == expected
+        returns += 1
+        return kind
+
+    def checked_extract(state):
+        nonlocal extracted
+        extracted += 1
+        f = max_flow(_network(state))
+        eq = extract(state)
+        for i in state.inst.buyers:
+            for j in state.inst.goods:
+                x = f.on(("g", j), ("b", i)) / state.prices[j] if i in state.live_buyers else 0
+                assert eq.allocation[i][j] == x
+        return eq
+
+    monkeypatch.setattr(solver, "apply_money_return", checked_return)
+    monkeypatch.setattr(solver, "_extract", checked_extract)
+    _, stats = solve(inst)
+    assert extracted == 1 and returns == stats.type2 + stats.type3

@@ -10,8 +10,12 @@ For each size n it runs ``arctic bench --seed 0 --count <seeds> --buyers n
 --goods n``, that is ``generate_random_instance(seed, n, n, 10)`` for seeds
 0, 1, ..., each solve timed alone, and writes one row per size: the median
 and max solve time, the phases by type and ``maxflow_calls``, summed over the
-seeds, and each seed's own figures.  The file goes to the current directory.
-Compare two files only when they were made on one machine, side by side.
+seeds, and each seed's own figures.  ``refund_heavy_rows`` holds the same
+rows for ``generate_refund_heavy_instance(seed, n)`` at the same sizes and
+seeds, each solve timed alone as ``arctic bench`` times it: the money-return
+regime, which the Baseline instances almost never reach.  The file goes to
+the current directory.  Compare two files only when they were made on one
+machine, side by side.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import platform
 import statistics
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,11 +49,29 @@ def bench_rows(n: int, seeds: int) -> list[dict]:
     return list(csv.DictReader(io.StringIO(out.getvalue())))
 
 
-def size_row(n: int, seeds: int) -> dict:
-    solves = [
+def bench_solves(n: int, seeds: int) -> list[dict]:
+    return [
         {"seed": int(r["seed"]), "seconds": int(r["micros"]) / 1e6, **{k: int(r[k]) for k in COUNTED}}
         for r in bench_rows(n, seeds)
     ]
+
+
+def refund_heavy_solves(n: int, seeds: int) -> list[dict]:
+    from arcticauction.market import generate_refund_heavy_instance
+    from arcticauction.solver import solve
+
+    solves = []
+    for seed in range(seeds):
+        inst = generate_refund_heavy_instance(seed, n)
+        t0 = time.perf_counter()
+        _, stats = solve(inst)
+        micros = int((time.perf_counter() - t0) * 1_000_000)
+        counts = (stats.phase_count, stats.type1, stats.type2, stats.type3, stats.maxflow_calls)
+        solves.append({"seed": seed, "seconds": micros / 1e6, **dict(zip(COUNTED, counts))})
+    return solves
+
+
+def size_row(n: int, solves: list[dict]) -> dict:
     times = [s["seconds"] for s in solves]
     row = {"n": n, "m": n, "median_s": statistics.median(times), "max_s": max(times)}
     row.update((k, sum(s[k] for s in solves)) for k in COUNTED)
@@ -72,12 +95,18 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "rows": [size_row(n, args.seeds) for n in args.sizes],
+        "rows": [size_row(n, bench_solves(n, args.seeds)) for n in args.sizes],
+        "refund_heavy_instances": "generate_refund_heavy_instance(seed, n)",
+        "refund_heavy_rows": [size_row(n, refund_heavy_solves(n, args.seeds)) for n in args.sizes],
     }
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    for row in doc["rows"]:
-        print(f"n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  phases {row['phases']}")
+    for key in ("rows", "refund_heavy_rows"):
+        for row in doc[key]:
+            print(
+                f"{key:17s} n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  "
+                f"phases {row['phases']} (type2 {row['type2']}, type3 {row['type3']})"
+            )
     print(f"wrote {path}")
     return 0
 
