@@ -3,16 +3,12 @@
 Three separate engines cross-check the main machinery:
 
 * oracle_solve guesses the sign pattern of an optimum (which allocations and
-  refunds are strictly positive), solves the induced square linear system in
-  reciprocal prices exactly, and keeps the first guess that survives a full
-  exact optimality check.  A float screen cheaply discards hopeless guesses
-  before any exact work: it is plain Python, builds the same system with
-  _build_system from a float copy of the instance and solves it with the
-  same solve_linear, so each guess costs one float solve and at most one
-  exact solve.  The prices fix the optimal face; when refunds can
-  split several ways, its vertices are enumerated and the one with the
-  lexicographically maximal refund vector by buyer index is reported, the
-  rule the solver follows too.
+  refunds are strictly positive) and keeps the first guess that survives a
+  full exact optimality check.  Only forest patterns are solved, exactly by
+  peeling leaves, and most fail on their prices alone.  The prices fix the
+  optimal face; when refunds can split several ways, its vertices are
+  enumerated and the one with the lexicographically maximal refund vector
+  by buyer index is reported, the rule the solver follows too.
 * oracle_balanced_surplus minimizes the l2 norm of the surplus vector by
   brute-force maximization of the deficiency bound over buyer subsets,
   without running any max-flow.
@@ -26,8 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .costmarket import CostMarketInstance, CostSolution
 from .flownet import FlowNetwork
@@ -58,9 +56,9 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
     its unique solution, or None when the columns are dependent (a square
     system is singular) or the equations clash.
 
-    Each column pivots on its largest-magnitude entry.  With Fractions the
-    result is exact and the pivot order does not change it; with floats
-    (the oracle's screen) that order keeps the rounding small.
+    Each column pivots on its largest-magnitude entry.  Its one caller in
+    the package, _lex_max_optimum, passes Fractions, so the result is exact
+    and the pivot order does not change it.
     """
     n = len(rows[0]) if rows else 0
     a = [list(row) + [rhs[k]] for k, row in enumerate(rows)]
@@ -87,155 +85,165 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
     return out
 
 
-def _ratio_consistent(inst: MarketInstance, K) -> bool:
-    """A sign pattern forces price ratios along shared buyers; reject clashes."""
-    parent: dict[int, int] = {}
-    weight: dict[int, Fraction] = {}  # p_j / p_parent[j]
+class _Forest(NamedTuple):
+    """A forest pattern K, solved up to one money level per tree."""
 
-    def find(j):
-        if parent.get(j, j) == j:
-            parent.setdefault(j, j)
-            weight.setdefault(j, ONE)
-            return j, ONE
-        root, w = find(parent[j])
-        parent[j] = root
-        weight[j] = weight[j] * w
-        return root, weight[j]
+    tree_of_good: list  # good j costs level[tree_of_good[j]] * rel[j]
+    rel: list
+    covered: dict  # buyer i of K -> (its tree t, beta), alpha_i = beta / level[t]
+    rel_sum: list  # per tree: the sum of its rel,
+    money_level: list  # and its level with no refund buyer: its buyers' money / rel_sum
+    peel: list  # K's edges (i, j, whether i is the child), leaves first
+    # per buyer: {other tree t: max u_ij / rel[j] over t's goods}; None when
+    # a buyer strictly prefers a good of its own tree to its K goods, at any level
+    rho: list | None
 
-    by_buyer: dict[int, list[int]] = {}
+
+def _forest(inst: MarketInstance, K) -> _Forest | None:
+    """K's trees and relative prices; None when K has a cycle."""
+    if _rank(K) < len(K):
+        return None
+    u = inst.utilities
+    goods_of, buyers_of = defaultdict(list), defaultdict(list)
     for i, j in K:
-        by_buyer.setdefault(i, []).append(j)
-    for i, goods in by_buyer.items():
-        j0 = goods[0]
-        for j in goods[1:]:
-            # u_ij / p_j = u_ij0 / p_j0  =>  p_j / p_j0 = u_ij / u_ij0
-            ratio = inst.utilities[i][j] / inst.utilities[i][j0]
-            r0, w0 = find(j0)
-            r1, w1 = find(j)
-            if r0 == r1:
-                if w1 != w0 * ratio:
-                    return False
-            else:
-                parent[r1] = r0
-                weight[r1] = w0 * ratio / w1
-    return True
+        goods_of[i].append(j)
+        buyers_of[j].append(i)
+    tree_of_good, rel = [None] * inst.n_goods, [None] * inst.n_goods
+    covered, money, rel_sum, peel = {}, [], [], []
+    for root in inst.goods:
+        if tree_of_good[root] is not None:
+            continue
+        t, tree = len(money), [root]
+        tree_of_good[root], rel[root] = t, ONE
+        money.append(ZERO)
+        rel_sum.append(ONE)
+        for j in tree:  # breadth first, while the tree grows
+            for i in buyers_of[j]:
+                if i in covered:
+                    continue  # j's parent
+                beta = u[i][j] / rel[j]
+                covered[i] = (t, beta)
+                money[t] += inst.money[i]
+                peel.append((i, j, True))
+                for g in goods_of[i]:
+                    if g != j:  # u_ij / p_j = u_ig / p_g
+                        tree_of_good[g], rel[g] = t, u[i][g] / beta
+                        rel_sum[t] += rel[g]
+                        tree.append(g)
+                        peel.append((i, g, False))
+    rho = None
+    if all(
+        u[i][j] <= beta * rel[j]
+        for i, (t, beta) in covered.items()
+        for j in inst.goods
+        if tree_of_good[j] == t and j not in goods_of[i]
+    ):
+        rho = [{} for _ in inst.buyers]
+        for i in inst.buyers:
+            own = covered[i][0] if i in covered else None
+            for j in inst.goods:
+                if u[i][j] and tree_of_good[j] != own:
+                    t = tree_of_good[j]
+                    rho[i][t] = max(rho[i].get(t, ZERO), u[i][j] / rel[j])
+    money_level = [a / b for a, b in zip(money, rel_sum)]
+    return _Forest(tree_of_good, rel, covered, rel_sum, money_level, peel[::-1], rho)
 
 
-def _build_system(inst: MarketInstance, K, L):
-    """Square linear system over (q_j, x_K, s_L); q_j stands for 1/p_j.
-
-    Its entries have the instance's number type: Fractions, or floats for
-    the screen's float copy.
-    """
-    m = inst.n_goods
-    k, l = len(K), len(L)
-    size = m + k + l
-    x_index = {pair: m + idx for idx, pair in enumerate(K)}
-    s_index = {i: m + k + idx for idx, i in enumerate(L)}
-    zero = inst.money[0] * 0
-    one = zero + 1
-    rows = [[zero] * size for _ in range(size)]
-    rhs = [zero] * size
-    for j in range(m):
-        for (i, jj) in K:
-            if jj == j:
-                rows[j][x_index[(i, jj)]] = one
-        rhs[j] = one
-    for r, (i, j) in enumerate(K, start=m):
-        rows[r][j] = inst.utilities[i][j] * inst.money[i]
-        for (ii, jj) in K:
-            if ii == i:
-                rows[r][x_index[(ii, jj)]] -= inst.utilities[i][jj]
-        if i in s_index:
-            rows[r][s_index[i]] -= one
-    for r, i in enumerate(L, start=m + k):
-        for (ii, jj) in K:
-            if ii == i:
-                rows[r][x_index[(ii, jj)]] = inst.utilities[i][jj]
-        rows[r][s_index[i]] = one
-        rhs[r] = inst.money[i]
-    return rows, rhs
+def _levels(forest: _Forest, L):
+    """Each tree's level when L's buyers take refunds; None when two of them
+    share a tree or a level is not positive."""
+    level = list(forest.money_level)
+    refunded = set()
+    for i in L:
+        if i in forest.covered:
+            t, level[t] = forest.covered[i]
+            if t in refunded:
+                return None
+            refunded.add(t)
+    return level if all(v > 0 for v in level) else None
 
 
-def _float_screen(finst: MarketInstance, K, L, tol=1e-6) -> bool:
-    """Cheap float solve on the float copy finst; keep only plausibly feasible patterns."""
-    sol = solve_linear(*_build_system(finst, K, L))
-    if sol is None or not all(map(math.isfinite, sol)):
-        return True  # let the exact path decide singularity
-    m = finst.n_goods
-    q = sol[:m]
-    if any(v < tol for v in q):
-        return False
-    x = {pair: sol[m + idx] for idx, pair in enumerate(K)}
-    s = {i: sol[m + len(K) + idx] for idx, i in enumerate(L)}
-    if any(v < -tol for v in x.values()) or any(v < -tol for v in s.values()):
-        return False
-    p = [1.0 / v for v in q]
-    for i in finst.buyers:
-        w = sum(finst.utilities[i][j] * x.get((i, j), 0.0) for j in finst.goods)
-        t = w + s.get(i, 0.0)
-        mi = finst.money[i]
-        if t < mi - tol:  # dual ratio with lambda = 1 needs w + s >= m
-            return False
-        for j in finst.goods:
-            if finst.utilities[i][j] * mi > t * p[j] + tol * 100:
-                return False
-    return True
-
-
-def _exact_candidate(inst: MarketInstance, K, L):
-    rows, rhs = _build_system(inst, K, L)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    m = inst.n_goods
-    q = sol[:m]
-    if any(v <= 0 for v in q):
-        return None
-    prices = tuple(1 / v for v in q)
-    x = [[ZERO] * m for _ in inst.buyers]
-    for idx, (i, j) in enumerate(K):
-        x[i][j] = sol[m + idx]
+def _peel(inst: MarketInstance, forest: _Forest, L, level):
+    """Prices, allocation rows and refunds of the forest pattern (K, L) at
+    the given levels; each leaf edge carries what its leaf has left."""
+    prices = tuple(level[t] * r for t, r in zip(forest.tree_of_good, forest.rel))
     s = [ZERO] * inst.n_buyers
-    for idx, i in enumerate(L):
-        s[i] = sol[m + len(K) + idx]
+    for i in inst.buyers:
+        if i not in forest.covered:
+            s[i] = inst.money[i]
+        elif i in L:  # what its tree's money exceeds its goods' prices by
+            t = forest.covered[i][0]
+            s[i] = (forest.money_level[t] - level[t]) * forest.rel_sum[t]
+    to_spend = [inst.money[i] - s[i] for i in inst.buyers]
+    to_receive = list(prices)
+    x = [[ZERO] * inst.n_goods for _ in inst.buyers]
+    for i, j, buyer_is_child in forest.peel:
+        spend = to_spend[i] if buyer_is_child else to_receive[j]
+        to_spend[i] -= spend
+        to_receive[j] -= spend
+        x[i][j] = spend / prices[j]
+    return prices, x, s
+
+
+def _pattern_equilibrium(inst: MarketInstance, forest: _Forest, L) -> Equilibrium | None:
+    """The verified equilibrium of the forest pattern (K, L), or None.
+
+    Most patterns fail on their prices alone: KKT needs alpha >= 1 for every
+    buyer of K, and no buyer may strictly prefer a good to its K goods, or
+    to a refund when K does not cover it.
+    """
+    level = _levels(forest, L)
+    if level is None:
+        return None
+    for i in inst.buyers:
+        t, beta = forest.covered.get(i, (None, ONE))
+        own = ONE if t is None else level[t]
+        # alpha = beta / own, and r / level[t2] is the best ratio in tree t2
+        if beta < own or any(r * own > beta * level[t2] for t2, r in forest.rho[i].items()):
+            return None
+    prices, x, s = _peel(inst, forest, L, level)
     if any(v < 0 for row in x for v in row) or any(v < 0 for v in s):
         return None
-    eq = equilibrium_for_instance(
-        inst, prices, tuple(tuple(row) for row in x), tuple(s)
-    )
-    if not verify_arctic_kkt(inst, eq).overall:
-        return None
-    if not verify_market_clearing(inst, eq).overall:
-        return None
-    return eq
+    eq = equilibrium_for_instance(inst, prices, tuple(map(tuple, x)), tuple(s))
+    if verify_arctic_kkt(inst, eq).overall and verify_market_clearing(inst, eq).overall:
+        return eq
+    return None
 
 
-def oracle_solve(inst: MarketInstance, size_guard: int = 4, use_screen: bool = True) -> OracleResult:
+def oracle_solve(inst: MarketInstance, size_guard: int = 4) -> OracleResult:
     """Exact equilibrium by sign-pattern enumeration, smallest patterns first.
 
-    All patterns of the first successful total size are evaluated; their
-    price vectors must agree exactly (a clash would disprove optimum
-    uniqueness and is treated as a hard failure).  At those prices the
-    reported optimum is the one whose refund vector is lexicographically
-    maximal by buyer index (see _lex_max_optimum); when that moves the
-    refunds, the supports are the positive entries of the moved optimum.
+    A pattern is K, the allocations, and L, the refunds, taken strictly
+    positive.  All patterns of the first successful total size are
+    evaluated; their price vectors must agree exactly (a clash would
+    disprove optimum uniqueness and is treated as a hard failure).  At
+    those prices the reported optimum is the one whose refund vector is
+    lexicographically maximal by buyer index (see _lex_max_optimum); when
+    that moves the refunds, the supports are the positive entries of the
+    moved optimum.
+
+    Only forest patterns are solved: those whose graph as in _rank, with an
+    edge per pair of K and a ground edge per buyer of L, is a forest.  Such
+    a pattern's linear system (goods sold out, u_ij m_i / p_j = w_i + s_i
+    on K, w_i + s_i = m_i on L) has one solution, the one _levels and _peel
+    compute: on a tree, p_j' / p_j = u_ij' / u_ij fixes the prices up to one
+    level; the tree's one refund buyer fixes the level by alpha = 1, or
+    else the goods sell for the buyers' money; the refund balances the
+    tree; and each leaf edge carries what its leaf has left.  Every other
+    pattern is singular or prices a good at infinity.  Around a cycle of
+    goods and buyers, allocation can shift with every good still sold out
+    and every buyer's utility fixed: a null direction, unless the cycle's
+    utility ratios do not multiply to 1, which forces 1 / p_j = 0.  Two
+    refund buyers in one tree close a cycle through the ground: shift spend
+    along the path between them and let their refunds compensate.
     """
     n, m = inst.n_buyers, inst.n_goods
     if n > size_guard or m > size_guard:
         raise OracleSizeError(f"instance {n}x{m} exceeds the {size_guard} guard")
-    pairs = [
-        (i, j) for i in inst.buyers for j in inst.goods if inst.utilities[i][j] > 0
-    ]
+    pairs = [(i, j) for i in inst.buyers for j in inst.goods if inst.utilities[i][j] > 0]
     all_buyers = frozenset(inst.buyers)
     all_goods = frozenset(inst.goods)
-    try:
-        finst = MarketInstance(
-            money=tuple(map(float, inst.money)),
-            utilities=tuple(tuple(map(float, row)) for row in inst.utilities),
-        )
-    except OverflowError:  # a value beyond float range; the exact path still works
-        use_screen = False
+    forests: dict = {}  # K -> _Forest, or None on a cycle
 
     for total in range(m, len(pairs) + n + 1):
         tier: list[tuple[Equilibrium, tuple, tuple]] = []
@@ -244,40 +252,29 @@ def oracle_solve(inst: MarketInstance, size_guard: int = 4, use_screen: bool = T
             if not 0 <= l <= n:
                 continue
             for K in itertools.combinations(pairs, k):
-                if {j for (_, j) in K} != all_goods:
+                mandatory = all_buyers - {i for (i, _) in K}
+                if {j for (_, j) in K} != all_goods or len(mandatory) > l:
                     continue
-                covered = {i for (i, _) in K}
-                mandatory = all_buyers - covered
-                if len(mandatory) > l:
-                    continue
-                if not _ratio_consistent(inst, K):
+                if K not in forests:
+                    forests[K] = _forest(inst, K)
+                if forests[K] is None or forests[K].rho is None:
                     continue
                 for L in itertools.combinations(sorted(all_buyers), l):
-                    if not mandatory <= set(L):
-                        continue
-                    if use_screen and not _float_screen(finst, K, L):
-                        continue
-                    eq = _exact_candidate(inst, K, L)
-                    if eq is not None:
-                        tier.append((eq, K, L))
+                    if mandatory <= set(L):
+                        eq = _pattern_equilibrium(inst, forests[K], L)
+                        if eq is not None:
+                            tier.append((eq, K, L))
         if tier:
             first = tier[0]
             for other, _, _ in tier[1:]:
                 if other.prices != first[0].prices:
-                    raise OracleError(
-                        "two verified sign patterns disagree on prices"
-                    )
+                    raise OracleError("two verified sign patterns disagree on prices")
             eq, K, L = first
             best = _lex_max_optimum(inst, eq)
             if best is not eq:
                 K = [(i, j) for i in inst.buyers for j in inst.goods if best.allocation[i][j] > 0]
                 L = [i for i in inst.buyers if best.returned[i] > 0]
             return OracleResult(best, tuple(K), tuple(L))
-    if use_screen:
-        # Float rounding can make the screen reject the pattern of a true
-        # optimum (a false negative); retry without the screen before
-        # declaring the instance unsolvable.
-        return oracle_solve(inst, size_guard=size_guard, use_screen=False)
     raise OracleError("no sign pattern yields a verified equilibrium")
 
 
@@ -289,7 +286,8 @@ def _rank(columns) -> int:
     column joining its buyer to its good or to the ground.  Around any
     cycle through goods and buyers the prices cancel, so the cycle's
     columns are dependent; a set of columns is independent exactly when it
-    is a forest, and the rank is the size of a spanning forest.
+    is a forest, and the rank is the size of a spanning forest.  _forest
+    applies the same test to a sign pattern's pairs.
     """
     root: dict = {}
 

@@ -210,7 +210,7 @@ def _raise_flow_error(*args, **kwargs):
     "command,module,name,replacement",
     [
         ("solve", solver, "_balance", _raise_flow_error),
-        ("oracle", oracle, "_exact_candidate", lambda *args: None),
+        ("oracle", oracle, "_pattern_equilibrium", lambda *args: None),
     ],
     ids=["solve-flow-error", "oracle-error"],
 )
@@ -263,6 +263,9 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     monkeypatch.chdir(tmp_path)
+    # The oracle rows time criterion 01's 200 oracle calls, about 10 s; here
+    # only their bookkeeping is checked (criterion 01 runs the real oracle).
+    monkeypatch.setattr(oracle, "oracle_solve", lambda inst: None)
     assert sweep.main(["--tag", "t", "--sizes", "3", "4", "--seeds", "2"]) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [row["n"] for row in doc["rows"]] == [3, 4]
@@ -270,3 +273,8 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
         assert [s["seed"] for s in row["solves"]] == [0, 1]
         assert row["phases"] == row["type1"] + row["type2"] + row["type3"] > 0
         assert 0 < row["median_s"] <= row["max_s"]
+    shapes = [(row["n"], row["m"]) for row in doc["oracle_rows"]]
+    assert shapes == sorted(set(shapes)) and set(shapes) <= {(n, m) for n in range(1, 5) for m in range(1, 5)}
+    assert sum(row["count"] for row in doc["oracle_rows"]) == 200
+    for row in doc["oracle_rows"]:
+        assert 0 <= row["median_s"] <= row["max_s"] <= row["total_s"]

@@ -1,5 +1,8 @@
 """Sign-pattern oracle, objective evaluation, balanced-surplus oracle."""
 
+import ast
+import hashlib
+import itertools
 import math
 import os
 import random
@@ -11,11 +14,16 @@ from pathlib import Path
 import pytest
 
 import arcticauction
+from arcticauction import oracle
 from arcticauction.flownet import FlowNetwork, build_network
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
-from arcticauction.market import MarketInstance, generate_random_instance
+from arcticauction.market import MarketInstance, generate_random_instance, serialize_equilibrium
 from arcticauction.oracle import (
     OracleSizeError,
+    _forest,
+    _levels,
+    _pattern_equilibrium,
+    _peel,
     numeric_objective,
     oracle_balanced_surplus,
     oracle_solve,
@@ -39,8 +47,8 @@ def test_linear_solver_exact():
     assert solve_linear(rows, rhs) == [F(1), F(2)]
     singular = [[F(1), F(2)], [F(2), F(4)]]
     assert solve_linear(singular, rhs) is None
-    # The float screen shares this solver: a tiny leading entry must not be
-    # taken as the pivot, or x0 comes out as 0.
+    # Each column pivots on its largest entry: with floats, a tiny leading
+    # entry taken as the pivot would make x0 come out as 0.
     x = solve_linear([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
     assert x == [pytest.approx(1.0), pytest.approx(1.0)]
 
@@ -79,19 +87,132 @@ def test_oracle_output_is_verified_optimum(seed):
     assert verify_market_clearing(inst, r.equilibrium).overall
 
 
-def test_screenless_path_agrees_with_screened():
-    cases = [generate_random_instance(40 + seed, 2, 2, 6) for seed in range(10)]
-    cases += [generate_random_instance(60 + seed, 3, 3, 6) for seed in range(6)]
-    # Criterion 01's instances with degenerate refund splits, from their seeds.
-    cases += [
-        generate_random_instance(1000 + k, n, m, 10)
-        for k, n, m in ((15, 4, 1), (29, 3, 2), (39, 3, 3), (166, 3, 2), (189, 4, 4))
-    ]
-    for inst in cases:
-        a = oracle_solve(inst, use_screen=True)
-        b = oracle_solve(inst, use_screen=False)
-        assert a.equilibrium == b.equilibrium
-        assert (a.support_x, a.support_s) == (b.support_x, b.support_s)
+# Instances with many ties, and criterion 01's instances with degenerate
+# refund splits, from their seeds.
+PIN_CASES = (
+    [(40 + seed, 2, 2, 6) for seed in range(10)]
+    + [(60 + seed, 3, 3, 6) for seed in range(6)]
+    + [(1000 + k, n, m, 10) for k, n, m in ((15, 4, 1), (29, 3, 2), (39, 3, 3), (166, 3, 2), (189, 4, 4))]
+)
+
+
+def _build_system(inst: MarketInstance, K, L):
+    """Square linear system over (q_j, x_K, s_L); q_j stands for 1/p_j.
+
+    The reference for the oracle's leaf peeling: solve_linear on it gives
+    a sign pattern's unique solution, or None when it has none.
+    """
+    m = inst.n_goods
+    k, l = len(K), len(L)
+    size = m + k + l
+    x_index = {pair: m + idx for idx, pair in enumerate(K)}
+    s_index = {i: m + k + idx for idx, i in enumerate(L)}
+    zero = inst.money[0] * 0
+    one = zero + 1
+    rows = [[zero] * size for _ in range(size)]
+    rhs = [zero] * size
+    for j in range(m):
+        for (i, jj) in K:
+            if jj == j:
+                rows[j][x_index[(i, jj)]] = one
+        rhs[j] = one
+    for r, (i, j) in enumerate(K, start=m):
+        rows[r][j] = inst.utilities[i][j] * inst.money[i]
+        for (ii, jj) in K:
+            if ii == i:
+                rows[r][x_index[(ii, jj)]] -= inst.utilities[i][jj]
+        if i in s_index:
+            rows[r][s_index[i]] -= one
+    for r, i in enumerate(L, start=m + k):
+        for (ii, jj) in K:
+            if ii == i:
+                rows[r][x_index[(ii, jj)]] = inst.utilities[i][jj]
+        rows[r][s_index[i]] = one
+        rhs[r] = inst.money[i]
+    return rows, rhs
+
+
+def _patterns(inst: MarketInstance):
+    """The sign patterns (K, L) oracle_solve looks at, in its order, up to
+    the first total size with a verified pattern."""
+    n, m = inst.n_buyers, inst.n_goods
+    pairs = [(i, j) for i in inst.buyers for j in inst.goods if inst.utilities[i][j] > 0]
+    for total in range(m, len(pairs) + n + 1):
+        found = False
+        for k in range(m, min(len(pairs), total) + 1):
+            for K in itertools.combinations(pairs, k):
+                mandatory = set(inst.buyers) - {i for (i, _) in K}
+                if {j for (_, j) in K} != set(inst.goods) or len(mandatory) > total - k:
+                    continue
+                for L in itertools.combinations(inst.buyers, total - k):
+                    if mandatory <= set(L):
+                        forest = _forest(inst, K)
+                        if forest is not None and forest.rho is not None:
+                            found = found or _pattern_equilibrium(inst, forest, L) is not None
+                        yield K, L
+        if found:
+            return
+
+
+@pytest.mark.parametrize("case", PIN_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_leaf_peel_is_the_gaussian_solution(case):
+    # On a forest pattern the leaf peel is the system's one solution; any
+    # other pattern is singular or, on a cycle whose utility ratios do not
+    # multiply to 1, forces some q_j = 1/p_j to 0, so it never has an
+    # equilibrium.
+    inst = generate_random_instance(*case)
+    m = inst.n_goods
+    forests = 0
+    for K, L in _patterns(inst):
+        sol = solve_linear(*_build_system(inst, K, L))
+        forest = _forest(inst, K)
+        level = None if forest is None else _levels(forest, L)
+        if level is None:
+            assert sol is None or min(sol[:m]) <= 0
+            continue
+        forests += 1
+        prices, x, s = _peel(inst, forest, L, level)
+        assert sol is not None
+        assert sol[:m] == [1 / p for p in prices]
+        assert sol[m:m + len(K)] == [x[i][j] for i, j in K]
+        assert sol[m + len(K):] == [s[i] for i in L]
+        assert all(s[i] == 0 for i in inst.buyers if i not in L)
+        assert all(x[i][j] == 0 for i in inst.buyers for j in inst.goods if (i, j) not in K)
+    assert forests > 0
+
+
+def test_oracle_answers_pinned():
+    digest = hashlib.sha256()
+    for case in PIN_CASES:
+        r = oracle_solve(generate_random_instance(*case))
+        digest.update(serialize_equilibrium(r.equilibrium).encode())
+        digest.update(repr((r.support_x, r.support_s)).encode())
+    assert digest.hexdigest() == "8163c6f978032c2a3f523e5ca05e80b2b7a07bf886fcda5f892ae330f660e0a1"
+
+
+def test_oracle_search_is_exact_end_to_end():
+    # oracle_solve and every function of its module that it reaches,
+    # _lex_max_optimum included, use no float(), no float literal and no
+    # math call.  The floating objective serves local-optimality probes only.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    defs = {d.name: d for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo, offenders = set(), ["oracle_solve"], []
+    while todo:
+        name = todo.pop()
+        if name in reached or name in ("numeric_objective", "perturbed_feasible_point"):
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                offenders.append((name, node.lineno, repr(node.value)))
+            elif (isinstance(node, ast.Name) and node.id == "float") or (
+                isinstance(node, ast.Attribute) and ast.unparse(node.value) == "math"
+            ):
+                offenders.append((name, node.lineno, ast.unparse(node)))
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+    assert not offenders, offenders
+    assert {"_forest", "_pattern_equilibrium", "_lex_max_optimum", "solve_linear"} <= reached
 
 
 def test_package_imports_without_numpy():

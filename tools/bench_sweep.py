@@ -13,9 +13,12 @@ and max solve time, the phases by type and ``maxflow_calls``, summed over the
 seeds, and each seed's own figures.  ``refund_heavy_rows`` holds the same
 rows for ``generate_refund_heavy_instance(seed, n)`` at the same sizes and
 seeds, each solve timed alone as ``arctic bench`` times it: the money-return
-regime, which the Baseline instances almost never reach.  The file goes to
-the current directory.  Compare two files only when they were made on one
-machine, side by side.
+regime, which the Baseline instances almost never reach.  ``oracle_rows``
+holds ``oracle_solve``'s time per shape over criterion 01's corpus,
+``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199 with the
+sizes drawn from ``random.Random(424242)``, each call timed alone: count,
+median, max and total.  The file goes to the current directory.  Compare two
+files only when they were made on one machine, side by side.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -71,6 +75,24 @@ def refund_heavy_solves(n: int, seeds: int) -> list[dict]:
     return solves
 
 
+def oracle_rows() -> list[dict]:
+    from arcticauction.market import generate_random_instance
+    from arcticauction.oracle import oracle_solve
+
+    rng = random.Random(424242)
+    sizes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(200)]
+    times: dict[tuple[int, int], list[float]] = {}
+    for k, (n, m) in enumerate(sizes):
+        inst = generate_random_instance(1000 + k, n, m, 10)
+        t0 = time.perf_counter()
+        oracle_solve(inst)
+        times.setdefault((n, m), []).append(time.perf_counter() - t0)
+    return [
+        {"n": n, "m": m, "count": len(ts), "median_s": statistics.median(ts), "max_s": max(ts), "total_s": sum(ts)}
+        for (n, m), ts in sorted(times.items())
+    ]
+
+
 def size_row(n: int, solves: list[dict]) -> dict:
     times = [s["seconds"] for s in solves]
     row = {"n": n, "m": n, "median_s": statistics.median(times), "max_s": max(times)}
@@ -98,6 +120,8 @@ def main(argv=None) -> int:
         "rows": [size_row(n, bench_solves(n, args.seeds)) for n in args.sizes],
         "refund_heavy_instances": "generate_refund_heavy_instance(seed, n)",
         "refund_heavy_rows": [size_row(n, refund_heavy_solves(n, args.seeds)) for n in args.sizes],
+        "oracle_instances": "criterion 01: generate_random_instance(1000 + k, n, m, 10)",
+        "oracle_rows": oracle_rows(),
     }
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -107,6 +131,12 @@ def main(argv=None) -> int:
                 f"{key:17s} n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  "
                 f"phases {row['phases']} (type2 {row['type2']}, type3 {row['type3']})"
             )
+    for row in doc["oracle_rows"]:
+        print(
+            f"oracle_rows       {row['n']}x{row['m']}  {row['count']:3d} solves  median {row['median_s']:.4f} s  "
+            f"max {row['max_s']:.3f} s  total {row['total_s']:.2f} s"
+        )
+    print(f"oracle total {sum(row['total_s'] for row in doc['oracle_rows']):.2f} s")
     print(f"wrote {path}")
     return 0
 
