@@ -87,9 +87,6 @@ class FlowNetwork:
     def total_money(self) -> Fraction:
         return sum((self.sink_caps[i] for i in self.buyers), Fraction(0))
 
-    def with_sink_caps(self, caps: dict[int, Fraction]) -> "FlowNetwork":
-        return FlowNetwork(self.goods, self.buyers, self.source_caps, dict(caps), self.edges)
-
 
 @dataclass
 class Flow:
@@ -362,10 +359,10 @@ class _Residual:
         g.scale = self.scale * d
         return g
 
-    def source_saturated(self) -> bool:
-        """Whether the flow fills every source arc."""
+    def deficit(self) -> int:
+        """How much the flow leaves unfilled on the source arcs, times ``scale``."""
         k = len(self.adj[0])  # the source arcs come first
-        return self.flow[:k] == self.cap[:k]
+        return sum(self.cap[:k]) - sum(self.flow[:k])
 
     def walk(self, starts, reverse: bool = False, avoid=()) -> dict:
         """``search`` on vertex tuples: the parent map of every vertex reached.

@@ -166,11 +166,19 @@ def _dual_conditions(inst, x, s, p, w, lam, total_s) -> list[ConditionResult]:
 
 
 def _equilibrium_facts(inst, eq, w) -> list[ConditionResult]:
-    """The three per-buyer facts every equilibrium satisfies."""
+    """The four per-buyer facts every equilibrium satisfies."""
     x, s, p = eq.allocation, eq.returned, eq.prices
     out = []
     for i in inst.buyers:
         alpha = eq.alpha[i]
+        # alpha_i is the best ratio: u_ij <= alpha_i p_j for all j, with equality
+        # at some u_ij > 0.  Compared as ints, never divided: a price may be 0.
+        row, a, b = inst.utilities[i], alpha.numerator, alpha.denominator
+        gap = [
+            u.numerator * b * q.denominator - a * q.numerator * u.denominator for u, q in zip(row, p)
+        ]
+        ok = max(gap) <= 0 and 0 in (g for g, u in zip(gap, row) if u > 0)
+        out.append(ConditionResult(f"fact_alpha_best_ratio_{i}", ok, ZERO if ok else -ONE))
         bought = [j for j in inst.goods if x[i][j] > 0]
         if bought:
             ok = all(

@@ -274,10 +274,9 @@ def serialize_equilibrium(eq: Equilibrium, stats: RunStats | None = None) -> str
 def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Equilibrium, RunStats]:
     """Parse an equilibrium document; inverse of serialize_equilibrium.
 
-    Bundle utilities are not part of the wire format; pass the instance to
-    have them recomputed, otherwise they are left as zeros.  Raises
-    MarketFormatError on a malformed document, or on one whose shape does
-    not match the instance.
+    The instance, if given, is only used to check the dimensions: nothing
+    is recomputed from it.  Raises MarketFormatError on a malformed
+    document, or on one whose shape does not match the instance.
     """
     doc = parse_json_object(text)
     prices = rational_field(doc, "prices", None)

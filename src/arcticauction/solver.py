@@ -18,7 +18,7 @@ buyers until an event fires:
 The prices are unique, but when two or more buyers end at bang-per-buck
 exactly 1 many refund splits are optimal.  A solve reports the one whose
 refund vector is lexicographically maximal by buyer index at the final
-prices; a post-pass of max-flows computes it after extraction.
+prices; a post-pass of max-flows on one graph computes it after extraction.
 
 Within an iteration, the search for the first tight goods set probes the
 invariant at a falling sequence of theta values.  Each probe is warm-started
@@ -58,8 +58,9 @@ which finds the flow ``max_flow`` finds on the network built afresh.  At
 phase start the balanced flow itself must fill every source arc.  No other
 check is needed: phase 1's begin_phase checks the initial network before
 anything changes, and a full return's flow is already a maximum flow of the
-network without the buyer.  ``maxflow_calls`` counts the refund split's
-``max_flow`` calls, the only ones a solve makes.
+network without the buyer.  Every refund, in a money return and in the
+refund split, is a max-flow deficit (``_least_spend``).  A solve calls no
+``max_flow``: ``maxflow_calls`` reads 0, and stays for perfbench's check.
 
 Everything is exact rational arithmetic; every comparison is exact.
 """
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balanced import balance
-from .flownet import build_network, buyer_vertex, good_vertex, max_flow, _read_cut, _Residual
+from .flownet import build_network, buyer_vertex, good_vertex, _read_cut, _Residual
 from .market import (
     Equilibrium,
     MarketInstance,
@@ -210,8 +211,34 @@ def _empty_at_theta(state: SolverState) -> _Residual:
     return g
 
 
+def _least_spend(g: _Residual, i: int) -> int:
+    """Buyer i's least spend over the maximum flows of g's network, times g.scale.
+
+    It is the deficit P - v of a maximum flow of value v pushed from zero
+    with i's sink cap at 0, P the total price: the other buyers take at most
+    v, and augmenting with i's cap raised adds flow only into i.  g keeps
+    that flow and cap.  The spend is an int at g's scale: no rescale.
+    """
+    g.flow = [0] * len(g.flow)
+    g.cap[g.sink_arc(i)] = 0
+    g.augment()
+    return g.deficit()
+
+
+def _equilibrium_of(inst: MarketInstance, g: _Residual, prices) -> Equilibrium:
+    """The equilibrium at ``prices`` of g's flow, which fills every sink arc:
+    x_ij is the flow j -> i over p_j, and the refund is money less inflow."""
+    f = g.as_flow()
+    allocation = tuple(
+        tuple(f.on(("g", j), ("b", i)) / prices[j] for j in inst.goods) for i in inst.buyers
+    )
+    returned = tuple(inst.money[i] - f.into_buyer(i) for i in inst.buyers)
+    prices = tuple(prices[j] for j in inst.goods)
+    return equilibrium_for_instance(inst, prices, allocation, returned)
+
+
 def _require_iteration_invariant(state: SolverState, where: str) -> None:
-    if not _max_flow_at(state, state.theta)[0].source_saturated():
+    if _max_flow_at(state, state.theta)[0].deficit():
         raise SolverError(f"price cut invariant broken at {where}")
 
 
@@ -333,7 +360,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
         state.recorder.record_phase(state, "phase_start")
     # The invariant: the balanced flow, a feasible flow, fills every source
     # arc, so ({s}, rest) is a minimum cut.
-    if not g.source_saturated():
+    if g.deficit():
         raise SolverError(f"price cut invariant broken at phase {state.phase_index} start")
     delta = max(gamma.values())
     if delta == 0:
@@ -395,7 +422,7 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
         g, reached = _max_flow_at(state, theta_hi)
         # The sink-nearest min cut if the source arcs are saturated, the
         # source-nearest if not.
-        saturated = g.source_saturated()
+        saturated = not g.deficit()
         goods = {v[1] for v in _read_cut(g, saturated, reached) if v[0] == "g"}
         if saturated:
             if goods & state.J:
@@ -514,44 +541,32 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
 def apply_money_return(state: SolverState, i: int) -> str:
     """Return money to buyer i whose bang-per-buck reached exactly 1.
 
-    A maximum flow is pushed from zero on ``_empty_at_theta``'s copy with
-    i's sink cap at 0.  If it fills every source arc, the return is full and
-    removes the buyer.  Otherwise its maximal min cut gives the partial
-    refund that makes the cut minimal again, leaving its goods side tight,
-    and the copy, augmented again with i's cap raised to what she keeps
-    spending, checks the invariant.
+    She keeps spending beta, her least spend on ``_empty_at_theta``'s copy;
+    beta = 0 is a full return, which removes her.  By duality beta is
+    p(S) less the other T buyers' money, (S, T) the goods and buyers on the
+    source side of the maximal min cut with her cap at 0, so it leaves S
+    tight.  The copy, augmented again with her cap at beta, must fill every
+    source arc.  That also checks that i is in T: else the cut would stay
+    minimal, below the total price, with her cap at beta.
     """
     abar = _alpha_bar_active(state, i)
     if abar != state.theta:
         raise SolverError("money return fired away from bang-per-buck 1")
     g = _empty_at_theta(state)
-    a = g.sink_arc(i)
-    g.cap[a] = 0
-    reached = g.augment()
-    if g.source_saturated():
+    spend = _least_spend(g, i)
+    if not spend:
         state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
         return "II"
-    side = _read_cut(g, True, reached)
-    S = {v[1] for v in side if v[0] == "g"}
-    T = {v[1] for v in side if v[0] == "b"}
-    if i not in T:
-        raise SolverError("returning buyer missing from the maximal min cut")
-    # i keeps spending what the cut's goods cost beyond the other cut buyers'
-    # money (a buyer removed in the phase has none left).
-    worth_s = sum((state.prices[j] for j in S), Fraction(0))
-    worth_t = sum((state.leftover(b) for b in T if b != i), Fraction(0))
-    beta = worth_s - worth_t
-    if not (0 < beta <= state.leftover(i)):
+    beta = Fraction(spend, g.scale)
+    if beta > state.leftover(i):
         raise SolverError("partial return outside the feasible range")
     new_return = state.inst.money[i] - beta
     if new_return < state.returns[i]:
         raise SolverError("returned money would decrease")
-    cap = beta * g.scale
-    g.rescale(cap.denominator)
-    g.cap[a] = cap.numerator
+    g.cap[g.sink_arc(i)] = spend
     g.augment()
-    if not g.source_saturated():
+    if g.deficit():
         raise SolverError("price cut invariant broken at partial money return")
     state.returns[i] = new_return
     return "III"
@@ -638,22 +653,9 @@ def _extract(state: SolverState) -> Equilibrium:
     g = _empty_at_theta(state)
     g.augment()
     sinks = [g.sink_arc(i) for i in state.live_buyers]
-    if not g.source_saturated() or any(g.flow[a] != g.cap[a] for a in sinks):
+    if g.deficit() or any(g.flow[a] != g.cap[a] for a in sinks):
         raise SolverError("terminal network is not saturated on both sides")
-    f = g.as_flow()
-    inst = state.inst
-    allocation = []
-    for i in inst.buyers:
-        row = []
-        for j in inst.goods:
-            if i in state.live_buyers:
-                row.append(f.on(("g", j), ("b", i)) / state.prices[j])
-            else:
-                row.append(Fraction(0))
-        allocation.append(tuple(row))
-    prices = tuple(state.prices[j] for j in inst.goods)
-    returned = tuple(state.returns[i] for i in inst.buyers)
-    return equilibrium_for_instance(inst, prices, tuple(allocation), returned)
+    return _equilibrium_of(state.inst, g, state.prices)
 
 
 def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
@@ -662,50 +664,41 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
     Refunds of buyers whose bang-per-buck is not exactly 1 are forced; the
     buyers at exactly 1 (removed ones included) may split the rest in many
     ways.  Maximizing their refunds in buyer order means minimizing their
-    spends in that order.  Each spend in turn is the total price less one
-    max-flow over every best-ratio edge, with that buyer's cap at zero,
-    earlier buyers' caps at their minimal spends and everyone else's at her
-    money: augmenting paths never lower a buyer's spend, so that value is
-    reached with the capped buyers kept where they are.  The last spend is
-    what remains, and one more max-flow realizes the split.  While no spend
-    has moved, the extracted flow is a feasible split, so a buyer it gives
-    no goods needs no max-flow.
+    spends in that order, on one graph over every best-ratio edge with each
+    cap at the buyer's money.  Each spend in turn is her least spend, the
+    deficit of a maximum flow with her cap at 0 (``_least_spend``), with
+    the earlier buyers' caps set to theirs: augmenting paths never lower a
+    buyer's spend, so it is reached with them kept where they are.  The
+    last spend is what remains, and one more push from zero, which must
+    fill every source arc, realizes the split.  While no spend has moved,
+    the extracted flow is a feasible split, so a buyer it gives no goods
+    needs no push.
     """
     inst = state.inst
     ones = [i for i in inst.buyers if eq.alpha[i] == 1]
     if len(ones) < 2:
         return eq
     buyers = [i for i in inst.buyers if eq.alpha[i] >= 1]
-    spend = {i: inst.money[i] - eq.returned[i] for i in buyers}
-    caps = {i: inst.money[i] for i in buyers}
-    net = build_network(inst, eq.prices, buyers=buyers)
-    total = sum(eq.prices, Fraction(0))
-
-    def flow(caps):
-        state.stats.maxflow_calls += 1
-        return max_flow(net.with_sink_caps(caps))
-
+    g = _Residual(build_network(inst, eq.prices, buyers=buyers))
     moved = False
     for i in ones[:-1]:
-        caps[i] = Fraction(0)
-        if moved or spend[i] > 0:
-            caps[i] = total - flow(caps).value
-            moved = moved or caps[i] != spend[i]
+        spend = (inst.money[i] - eq.returned[i]) * g.scale
+        least = _least_spend(g, i) if moved or spend else 0
+        moved = moved or least != spend
+        g.cap[g.sink_arc(i)] = least
     if not moved:
         return eq
     last = ones[-1]
-    caps[last] = total - sum((caps[b] for b in buyers if b != last), Fraction(0))
-    if not 0 <= caps[last] <= inst.money[last]:
+    total = sum(g.cap[: inst.n_goods])  # the source arcs come first
+    rest = sum(g.cap[g.sink_arc(b)] for b in buyers if b != last)
+    g.cap[g.sink_arc(last)] = cap = total - rest
+    if not 0 <= cap <= inst.money[last] * g.scale:
         raise SolverError("lexicographic refund split left a spend out of range")
-    f = flow(caps)
-    if f.value != total:
+    g.flow = [0] * len(g.flow)
+    g.augment()
+    if g.deficit():
         raise SolverError("lexicographic refund split is not feasible")
-    allocation = tuple(
-        tuple(f.on(("g", j), ("b", i)) / eq.prices[j] for j in inst.goods)
-        for i in inst.buyers
-    )
-    returned = tuple(inst.money[i] - caps.get(i, 0) for i in inst.buyers)
-    return equilibrium_for_instance(inst, eq.prices, allocation, returned)
+    return _equilibrium_of(inst, g, eq.prices)
 
 
 def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[Equilibrium, RunStats]:

@@ -48,6 +48,25 @@ def test_verify_rejects_tampered_solution(tmp_path):
     assert run(["verify", "-i", inst, "--solution", eq]) == 1
 
 
+@pytest.mark.parametrize(
+    "forged",
+    [{"alpha": ["1", "1"]}, {"alpha": ["1", "1"], "prices": ["0"]}, {"prices": ["-5"]}],
+    ids=["alpha", "alpha-zero-price", "negative-price"],
+)
+def test_verify_rejects_forged_alpha_or_price(tmp_path, capsys, forged):
+    # Buyer 1's best ratio is 1/5; a document that claims 1 for it, or a
+    # price that is not positive, fails verification and raises nothing.
+    inst = tmp_path / "inst.json"
+    eq = tmp_path / "eq.json"
+    inst.write_text('{"money": ["10", "1"], "utilities": [["5"], ["1"]]}')
+    assert run(["solve", "-i", inst, "-o", eq]) == 0
+    doc = json.loads(eq.read_text())
+    assert (doc["prices"], doc["alpha"], doc["returned"]) == (["5"], ["1", "1/5"], ["5", "1"])
+    eq.write_text(json.dumps({**doc, **forged}))
+    assert run(["verify", "-i", inst, "--solution", eq]) == 1
+    assert json.loads(capsys.readouterr().out)["overall"] is False
+
+
 def test_solve_and_oracle_agree_on_prices(tmp_path):
     inst = tmp_path / "inst.json"
     eq = tmp_path / "eq.json"

@@ -357,13 +357,13 @@ def test_probe_cut_does_not_depend_on_start_flow(net, cut_back, theta):
     f = max_flow(at_theta)
     saturated = f.value == at_theta.total_price
     cold = (maximal_min_cut if saturated else min_cut_source_side)(at_theta, f)
-    reduced = net.with_sink_caps({i: c * cut_back for i, c in net.sink_caps.items()})
+    reduced = replace(net, sink_caps={i: c * cut_back for i, c in net.sink_caps.items()})
     for start in (None, max_flow(reduced), max_flow(net)):
         base = _Residual(net, start)
         kept = list(base.flow)
         g = base.scaled(theta.denominator, theta.numerator, raised)
         g.augment()
-        assert g.source_saturated() == saturated
+        assert (not g.deficit()) == saturated
         assert _read_cut(g, maximal=saturated) == cold.source_side
         assert base.flow == kept and base.scale * theta.denominator == g.scale
 
@@ -515,7 +515,7 @@ def test_residual_walk_under_flow_of_another_network():
     # As in the balanced-flow recursion: the flow is a maximum flow of the
     # sink-reduced network, with thirds the network itself does not have.
     net = net_of([1, 1], [1, 2], [(0, 0), (0, 1), (1, 1)])
-    reduced = net.with_sink_caps({0: F(1, 3), 1: F(4, 3)})
+    reduced = replace(net, sink_caps={0: F(1, 3), 1: F(4, 3)})
     f = max_flow(reduced)
     assert f.on(good_vertex(0), buyer_vertex(1)) == F(2, 3)
     seen = _Residual(net, f).walk([SOURCE], avoid=(SINK,))

@@ -1,5 +1,6 @@
 """Exact optimality verification: pass on true optima, catch perturbations."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 from arcticauction.costmarket import CostMarketInstance, CostSolution
@@ -90,6 +91,32 @@ def test_every_single_condition_perturbation_is_caught():
         assert not report.overall
         # Failing conditions carry a nonzero residual naming the violation.
         assert any(c.residual != 0 for c in report.failures())
+
+
+def test_forged_alpha_fails_best_ratio():
+    # Buyer 1's best ratio at price 5 is 1/5.  Claiming 1 for it made every
+    # other condition pass: she buys nothing, her price ceiling 1 is below
+    # the price, and her refund is all her money.
+    inst = inst_of([[5], [1]], [10, 1])
+    eq = eq_of(inst, [5], [[1], [0]], [5, 1])
+    assert eq.alpha == (1, F(1, 5))
+    assert verify_arctic_kkt(inst, eq).overall
+    # (forged alpha, the buyer whose alpha is off)
+    for alpha, i in (((1, 1), 1), ((1, F(1, 10)), 1), ((2, F(1, 5)), 0)):
+        report = verify_arctic_kkt(inst, replace(eq, alpha=tuple(map(F, alpha))))
+        failed = {c.name: c for c in report.failures()}
+        assert failed[f"fact_alpha_best_ratio_{i}"].residual != 0
+
+
+def test_nonpositive_price_fails_without_error():
+    # The best-ratio check multiplies, so a price of 0 or below in a forged
+    # document fails it instead of dividing by zero.
+    inst = inst_of([[5], [1]], [10, 1])
+    for price in (0, -5):
+        eq = eq_of(inst, [5], [[1], [0]], [5, 1])
+        report = verify_arctic_kkt(inst, replace(eq, prices=(F(price),)))
+        assert not report.overall
+        assert not next(c for c in report.condition_results if c.name == "fact_alpha_best_ratio_0").passed
 
 
 def test_clearing_checks():

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from arcticauction.flownet import FlowNetwork, build_network, check_invariant, m
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import (
     MarketInstance,
+    equilibrium_for_instance,
     generate_random_instance,
     generate_refund_heavy_instance,
     serialize_equilibrium,
@@ -475,11 +477,9 @@ def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
         if hasattr(module, "max_flow"):
             monkeypatch.setattr(module, "max_flow", counting)
     _, stats = solve(inst)
-    assert stats.maxflow_calls == calls
-    # Only the refund split calls max_flow; of these members only the
-    # refund-heavy one needs it.
-    if inst is EIGHT_BY_EIGHT[-1]:
-        assert calls > 0
+    # Every step of a solve, the refund split included, pushes on a residual
+    # graph it already holds: no max_flow call is made, and none is counted.
+    assert stats.maxflow_calls == calls == 0
 
 
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
@@ -663,7 +663,8 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
 def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
     # begin_phase builds the phase's one residual graph; a new edge and a
     # zero-degree event edit it, and a money return and the extraction push
-    # on copies of it: none of them builds a graph or a network.
+    # on copies of it: none of them builds a graph or a network.  The
+    # refund split builds at most one graph, of the final network.
     builds = {"graph": 0, "network": 0}
 
     def counted(init, key):
@@ -679,15 +680,17 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
     )
     steps = {}
 
-    def watched(name, expected_graphs):
+    def watched(name, graphs, at_most=False):
         step = getattr(solver, name)
 
         def wrapper(*args):
             before = dict(builds)
             result = step(*args)
-            assert builds["graph"] - before["graph"] == expected_graphs
-            if not expected_graphs:
-                assert builds["network"] == before["network"]
+            built = builds["graph"] - before["graph"]
+            assert built <= graphs if at_most else built == graphs
+            # Each graph is of one network, which counts twice: build_network
+            # checks the prices on an edgeless network before adding edges.
+            assert builds["network"] - before["network"] <= 2 * graphs
             steps[name] = steps.get(name, 0) + 1
             return result
 
@@ -696,8 +699,10 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
     watched("begin_phase", 1)
     for name in ("apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
         watched(name, 0)
+    # The refund split pushes on one graph of the final network, if any.
+    watched("_lex_max_refunds", 1, at_most=True)
     solve(inst)
-    expected = {"begin_phase", "apply_new_edge", "apply_z_events", "_extract"}
+    expected = {"begin_phase", "apply_new_edge", "apply_z_events", "_extract", "_lex_max_refunds"}
     if inst is not EIGHT_BY_EIGHT[0]:
         expected.add("apply_money_return")
     assert set(steps) == expected
@@ -752,3 +757,55 @@ def test_money_returns_and_extraction_match_fresh_networks(monkeypatch, inst):
     monkeypatch.setattr(solver, "_extract", checked_extract)
     _, stats = solve(inst)
     assert extracted == 1 and returns == stats.type2 + stats.type3
+
+
+def _fresh_lex_max_refunds(inst, eq):
+    """The refund split on networks built afresh, the reference for the one
+    graph the solver pushes on: each spend is the total price less the
+    max_flow value with that buyer's cap at 0, the earlier buyers' caps at
+    their spends and the rest at their money; if a spend moved, the last
+    max_flow, with the last buyer's cap at what remains, is the split."""
+    ones = [i for i in inst.buyers if eq.alpha[i] == 1]
+    if len(ones) < 2:
+        return eq
+    buyers = [i for i in inst.buyers if eq.alpha[i] >= 1]
+    net = build_network(inst, eq.prices, buyers=buyers)
+    total = net.total_price
+    caps = {i: inst.money[i] for i in buyers}
+    for i in ones[:-1]:
+        caps[i] = F(0)
+        caps[i] = total - max_flow(replace(net, sink_caps=dict(caps))).value
+    if all(caps[i] == inst.money[i] - eq.returned[i] for i in ones[:-1]):
+        return eq
+    last = ones[-1]
+    caps[last] = total - sum(caps[b] for b in buyers if b != last)
+    f = max_flow(replace(net, sink_caps=dict(caps)))
+    assert f.value == total
+    allocation = tuple(
+        tuple(f.on(("g", j), ("b", i)) / eq.prices[j] for j in inst.goods) for i in inst.buyers
+    )
+    returned = tuple(inst.money[i] - caps.get(i, 0) for i in inst.buyers)
+    return equilibrium_for_instance(inst, eq.prices, allocation, returned)
+
+
+# The split moves on each of these refund-heavy members but the first.
+SPLIT_CASES = [(8, 0), (8, 2), (12, 0), (12, 1), (12, 2), (16, 1)]
+
+
+@pytest.mark.parametrize("n, seed", SPLIT_CASES)
+def test_refund_split_matches_fresh_networks(monkeypatch, n, seed):
+    # _lex_max_refunds pushes from zero on one graph with its sink caps
+    # edited in place; its spends and its allocation must be max_flow's on
+    # the networks built afresh.
+    split = solver._lex_max_refunds
+    moved = []
+
+    def checked(state, eq):
+        out = split(state, eq)
+        assert out == _fresh_lex_max_refunds(state.inst, eq)
+        moved.append(out != eq)
+        return out
+
+    monkeypatch.setattr(solver, "_lex_max_refunds", checked)
+    solve(generate_refund_heavy_instance(seed, n))
+    assert moved == [(n, seed) != SPLIT_CASES[0]]
