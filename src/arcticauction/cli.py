@@ -219,6 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An exact answer may need ints longer than the interpreter's int <-> str
+    # limit (4,300 digits by default); lift it for this command only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     # FlowError is a ValueError, so it is caught first: a broken flow
@@ -229,6 +234,9 @@ def main(argv=None) -> int:
     except (MarketFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -74,27 +74,14 @@ def _buyer_aggregates(inst: MarketInstance, allocation):
     return bundle
 
 
-def verify_arctic_kkt(inst: MarketInstance, eq: Equilibrium) -> KktReport:
-    """Exact check of the auction program's KKT system plus equilibrium facts.
-
-    The dual scalar is not an input: it is 1 whenever any money is returned
-    (forced by complementarity) and is chosen as 1, the largest admissible
-    value, when no money is returned.
-    """
+def _primal(inst: MarketInstance, sol, good_condition) -> list[ConditionResult]:
+    """The primal conditions both programs share: good_condition(j, col) on
+    each good's column sum, then nonnegative allocations and refunds."""
     n, m = inst.n_buyers, inst.n_goods
-    if len(eq.prices) != m or len(eq.allocation) != n or len(eq.returned) != n:
+    x, s = sol.allocation, sol.returned
+    if len(sol.prices) != m or len(x) != n or len(s) != n:
         raise ValueError("dimension mismatch between instance and solution")
-    lam = ONE
-    x, s, p = eq.allocation, eq.returned, eq.prices
-    w = _buyer_aggregates(inst, x)
-    total_s = sum(s, ZERO)
-    out: list[ConditionResult] = []
-
-    for j in inst.goods:
-        col = sum((x[i][j] for i in inst.buyers), ZERO)
-        out.append(
-            ConditionResult(f"primal_supply_good_{j}", col <= 1, col - 1)
-        )
+    out = [good_condition(j, sum((x[i][j] for i in inst.buyers), ZERO)) for j in inst.goods]
     neg_x = [(i, j) for i in inst.buyers for j in inst.goods if x[i][j] < 0]
     out.append(
         ConditionResult(
@@ -105,13 +92,22 @@ def verify_arctic_kkt(inst: MarketInstance, eq: Equilibrium) -> KktReport:
         )
     )
     neg_s = [i for i in inst.buyers if s[i] < 0]
-    out.append(
-        ConditionResult(
-            "primal_nonneg_refund",
-            not neg_s,
-            min((s[i] for i in neg_s), default=ZERO),
-        )
-    )
+    out.append(ConditionResult("primal_nonneg_refund", not neg_s, min((s[i] for i in neg_s), default=ZERO)))
+    return out
+
+
+def verify_arctic_kkt(inst: MarketInstance, eq: Equilibrium) -> KktReport:
+    """Exact check of the auction program's KKT system plus equilibrium facts.
+
+    The dual scalar is not an input: it is 1 whenever any money is returned
+    (forced by complementarity) and is chosen as 1, the largest admissible
+    value, when no money is returned.
+    """
+    lam = ONE
+    x, s, p = eq.allocation, eq.returned, eq.prices
+    out = _primal(inst, eq, lambda j, col: ConditionResult(f"primal_supply_good_{j}", col <= 1, col - 1))
+    w = _buyer_aggregates(inst, x)
+    total_s = sum(s, ZERO)
 
     for j in inst.goods:
         out.append(_ge(f"kkt1_price_nonneg_{j}", p[j], ZERO))
@@ -253,32 +249,11 @@ def verify_cost_kkt(inst, sol) -> KktReport:
     """
     base: MarketInstance = inst.base
     d = inst.unit_costs
-    n, m = base.n_buyers, base.n_goods
-    if len(sol.prices) != m or len(sol.allocation) != n or len(sol.returned) != n:
-        raise ValueError("dimension mismatch between instance and solution")
     lam = ONE
     x, s, p, y = sol.allocation, sol.returned, sol.prices, sol.produced
+    out = _primal(base, sol, lambda j, col: _eq(f"primal_production_balance_{j}", col, y[j]))
     w = _buyer_aggregates(base, x)
     total_s = sum(s, ZERO)
-    out: list[ConditionResult] = []
-
-    for j in base.goods:
-        col = sum((x[i][j] for i in base.buyers), ZERO)
-        out.append(_eq(f"primal_production_balance_{j}", col, y[j]))
-    neg = [(i, j) for i in base.buyers for j in base.goods if x[i][j] < 0]
-    out.append(
-        ConditionResult(
-            "primal_nonneg_allocation", not neg,
-            min((x[i][j] for i, j in neg), default=ZERO),
-        )
-    )
-    neg_s = [i for i in base.buyers if s[i] < 0]
-    out.append(
-        ConditionResult(
-            "primal_nonneg_refund", not neg_s,
-            min((s[i] for i in neg_s), default=ZERO),
-        )
-    )
 
     for j in base.goods:
         out.append(_ge(f"kkt1_cost_covers_price_{j}", d[j] - p[j], ZERO))

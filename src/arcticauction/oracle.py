@@ -6,9 +6,10 @@ Three separate engines cross-check the main machinery:
   refunds are strictly positive) and keeps the first guess that survives a
   full exact optimality check.  Only forest patterns are solved, exactly by
   peeling leaves, and most fail on their prices alone.  The prices fix the
-  optimal face; when refunds can split several ways, its vertices are
-  enumerated and the one with the lexicographically maximal refund vector
-  by buyer index is reported, the rule the solver follows too.
+  optimal face; when refunds can split several ways, its vertices, forests
+  too, are enumerated and leaf-peeled the same way, and the one with the
+  lexicographically maximal refund vector by buyer index is reported, the
+  rule the solver follows too.
 * oracle_balanced_surplus minimizes the l2 norm of the surplus vector by
   brute-force maximization of the deficiency bound over buyer subsets,
   without running any max-flow.
@@ -56,9 +57,11 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
     its unique solution, or None when the columns are dependent (a square
     system is singular) or the equations clash.
 
-    Each column pivots on its largest-magnitude entry.  Its one caller in
-    the package, _lex_max_optimum, passes Fractions, so the result is exact
-    and the pivot order does not change it.
+    Each column pivots on its largest-magnitude entry, so with Fractions the
+    result is exact and the pivot order does not change it.  No function of
+    the package calls it: it stays as the Gaussian reference that the tests
+    hold the leaf peel to, and as the oracle's linear-algebra layer that
+    the benchmark's tracer spans by name.
     """
     n = len(rows[0]) if rows else 0
     a = [list(row) + [rhs[k]] for k, row in enumerate(rows)]
@@ -316,46 +319,41 @@ def _lex_max_optimum(inst: MarketInstance, eq: Equilibrium) -> Equilibrium:
     at alpha == 1 every refund is forced and eq is returned as it is.
     Otherwise every vertex is enumerated as a basis of the face's columns
     (allocations, and refunds of the alpha == 1 buyers) with a nonnegative
-    exact solution, and the first with the largest refund vector by buyer
-    index is kept; eq itself when its refunds are already those.
+    solution, and the first with the largest refund vector by buyer index
+    is kept; eq itself when its refunds are already those.
+
+    Each basis is solved by the search's leaf peel, on K, its allocation
+    columns, and L, the buyers of its refund columns; the peel's prices are
+    eq's.  A basis that passes the rank filter is a spanning forest of the
+    face graph, so every face buyer lies on one of its columns.  A K-tree
+    that reaches the ground does so through exactly one refund buyer (two
+    would close a cycle), so _levels fixes that tree at alpha = 1, which is
+    eq's level.  A K-tree that does not reach the ground is a whole face
+    component with no alpha == 1 buyer: its buyers spend all their money on
+    its goods and nobody else buys them, so its money level is eq's level
+    too.  The peel therefore solves exactly the basis's linear system.
     """
     p, alpha = eq.prices, eq.alpha
     ones = [i for i in inst.buyers if alpha[i] == 1]
     if len(ones) < 2:
         return eq
-    buyers = [i for i in inst.buyers if alpha[i] >= 1]
     columns = [
-        (i, j) for i in buyers for j in inst.goods
+        (i, j) for i in inst.buyers if alpha[i] >= 1 for j in inst.goods
         if inst.utilities[i][j] == alpha[i] * p[j]
     ] + [(i, None) for i in ones]
-    rows = [("g", j) for j in inst.goods] + [("b", i) for i in buyers]
-    rhs = [ONE] * inst.n_goods + [inst.money[i] for i in buyers]
-
-    def entry(row, col):
-        # Goods rows sum allocations; budget rows sum spends and the refund.
-        i, j = col
-        if row == ("g", j):
-            return ONE
-        if row == ("b", i):
-            return ONE if j is None else p[j]
-        return ZERO
-
     best = None
     rank = _rank(columns)
     for support in itertools.combinations(columns, rank):
         if _rank(support) < rank:
             continue
-        sol = solve_linear([[entry(r, c) for c in support] for r in rows], rhs)
-        if sol is None or any(v < 0 for v in sol):
+        K = [(i, j) for i, j in support if j is not None]
+        L = [i for i, j in support if j is None]
+        forest = _forest(inst, K)
+        _, x, s = _peel(inst, forest, L, _levels(forest, L))
+        if any(v < 0 for row in x for v in row) or any(v < 0 for v in s):
             continue
-        value = dict(zip(support, sol))
-        x = [[value.get((i, j), ZERO) for j in inst.goods] for i in inst.buyers]
-        s = tuple(
-            value.get((i, None), ZERO) if alpha[i] >= 1 else inst.money[i]
-            for i in inst.buyers
-        )
-        if best is None or s > best.returned:
-            best = equilibrium_for_instance(inst, p, tuple(map(tuple, x)), s)
+        if best is None or tuple(s) > best.returned:
+            best = equilibrium_for_instance(inst, p, tuple(map(tuple, x)), tuple(s))
     if best is None:
         raise OracleError("the optimal face at the oracle's prices has no vertex")
     if not (verify_arctic_kkt(inst, best).overall and verify_market_clearing(inst, best).overall):

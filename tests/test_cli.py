@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -272,6 +274,21 @@ def test_oracle_huge_utility(tmp_path):
     inst.write_text(json.dumps({"money": ["1"], "utilities": [["1" + "0" * 400]]}))
     assert run(["oracle", "-i", inst, "-o", orc]) == 0
     assert json.loads(orc.read_text())["prices"] == ["1"]
+
+
+def test_answer_past_the_int_digit_limit(tmp_path):
+    # Every input token is short enough to parse, but the answer needs
+    # numbers of 11,999 characters, past the interpreter's default 4,300-digit
+    # int <-> str limit; the command lifts that limit and restores it after.
+    a, b, c = "7" + "3" * 2999, "1" * 3000, "9" + "2" * 2999
+    inst = tmp_path / "inst.json"
+    eq = tmp_path / "eq.json"
+    inst.write_text(json.dumps({"money": [f"{a}/{b}", f"{c}/{a}"], "utilities": [[f"{b}/{c}", "1"], [f"{a}/{c}", f"{c}/{b}"]]}))
+    limit = sys.get_int_max_str_digits()
+    assert run(["solve", "-i", inst, "-o", eq]) == 0
+    assert run(["verify", "-i", inst, "--solution", eq, "-o", tmp_path / "rep.json"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert max(map(len, re.findall(r"\d+", eq.read_text()))) > 4300
 
 
 def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):

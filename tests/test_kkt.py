@@ -168,3 +168,22 @@ def test_cost_kkt_selling_off_cost_fails():
     report = verify_cost_kkt(inst, sol)
     assert not report.overall
     assert any(c.name == "kkt2_produced_at_cost_0" for c in report.failures())
+
+
+def test_both_programs_name_negative_allocations_alike():
+    # The auction and cost reports share one primal check, so both name the
+    # negative entries of an allocation, with the same names in one order.
+    inst = inst_of([[2, 1]], [3])
+    eq = eq_of(inst, [3, 1], [[1, -1]], [1])
+    sol = cost_solution([1, 2], [[4, -1]], [4, -1], [0], [3])
+    cost_inst = CostMarketInstance(base=inst, unit_costs=(F(1), F(2)))
+    reports = (
+        (verify_arctic_kkt(inst, eq), "primal_supply_good_"),
+        (verify_cost_kkt(cost_inst, sol), "primal_production_balance_"),
+    )
+    for report, first in reports:
+        names = [c.name for c in report.condition_results]
+        assert names[:4] == [first + "0", first + "1", "primal_nonneg_allocation", "primal_nonneg_refund"]
+        alloc = report.condition_results[2]
+        assert not alloc.passed and alloc.residual == -1
+        assert alloc.detail == "negative entries: [(0, 1)]"

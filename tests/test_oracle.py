@@ -17,13 +17,23 @@ import arcticauction
 from arcticauction import oracle
 from arcticauction.flownet import FlowNetwork, build_network
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
-from arcticauction.market import MarketInstance, generate_random_instance, serialize_equilibrium
+from arcticauction.market import (
+    Equilibrium,
+    MarketInstance,
+    equilibrium_for_instance,
+    generate_random_instance,
+    serialize_equilibrium,
+)
 from arcticauction.oracle import (
+    ONE,
+    ZERO,
+    OracleError,
     OracleSizeError,
     _forest,
     _levels,
     _pattern_equilibrium,
     _peel,
+    _rank,
     numeric_objective,
     oracle_balanced_surplus,
     oracle_solve,
@@ -181,6 +191,88 @@ def test_leaf_peel_is_the_gaussian_solution(case):
     assert forests > 0
 
 
+def _gaussian_lex_max_optimum(inst: MarketInstance, eq: Equilibrium) -> Equilibrium:
+    """The reference for _lex_max_optimum's leaf peel: the same basis scan,
+    each basis solved by Gaussian elimination."""
+    p, alpha = eq.prices, eq.alpha
+    ones = [i for i in inst.buyers if alpha[i] == 1]
+    if len(ones) < 2:
+        return eq
+    buyers = [i for i in inst.buyers if alpha[i] >= 1]
+    columns = [
+        (i, j) for i in buyers for j in inst.goods
+        if inst.utilities[i][j] == alpha[i] * p[j]
+    ] + [(i, None) for i in ones]
+    rows = [("g", j) for j in inst.goods] + [("b", i) for i in buyers]
+    rhs = [ONE] * inst.n_goods + [inst.money[i] for i in buyers]
+
+    def entry(row, col):
+        # Goods rows sum allocations; budget rows sum spends and the refund.
+        i, j = col
+        if row == ("g", j):
+            return ONE
+        if row == ("b", i):
+            return ONE if j is None else p[j]
+        return ZERO
+
+    best = None
+    rank = _rank(columns)
+    for support in itertools.combinations(columns, rank):
+        if _rank(support) < rank:
+            continue
+        sol = solve_linear([[entry(r, c) for c in support] for r in rows], rhs)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        value = dict(zip(support, sol))
+        x = [[value.get((i, j), ZERO) for j in inst.goods] for i in inst.buyers]
+        s = tuple(
+            value.get((i, None), ZERO) if alpha[i] >= 1 else inst.money[i]
+            for i in inst.buyers
+        )
+        if best is None or s > best.returned:
+            best = equilibrium_for_instance(inst, p, tuple(map(tuple, x)), s)
+    if best is None:
+        raise OracleError("the optimal face at the oracle's prices has no vertex")
+    if not (verify_arctic_kkt(inst, best).overall and verify_market_clearing(inst, best).overall):
+        raise OracleError("the lexicographically maximal refund split fails verification")
+    return best if best.returned != eq.returned else eq
+
+
+def _all_ties(n, m):
+    """Every utility 5, money 10, 11, ...: every buyer ends at alpha = 1."""
+    return inst_of([[5] * m for _ in range(n)], [10 + i for i in range(n)])
+
+
+def test_lex_max_optimum_peel_is_the_gaussian_solution(monkeypatch):
+    # On the eq that oracle_solve hands it, the leaf-peeled basis scan
+    # returns the Gaussian reference's equilibrium, and the same object
+    # when nothing moves.
+    seen = []
+    lex_max = oracle._lex_max_optimum
+
+    def record(inst, eq):
+        out = lex_max(inst, eq)
+        seen.append((inst, eq, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_lex_max_optimum", record)
+    corpus = []
+    for k in range(300):
+        rng = random.Random(k)
+        n, m = rng.randint(2, 3), rng.randint(1, 3)
+        corpus.append(generate_random_instance(9000 + k, n, m, 3))
+    for inst in corpus + [_all_ties(3, 3), _all_ties(3, 2), _all_ties(2, 3)]:
+        oracle_solve(inst)
+    reached = moved = 0
+    for inst, eq, out in seen:
+        ref = _gaussian_lex_max_optimum(inst, eq)
+        assert out == ref
+        assert (out is eq) == (ref is eq)
+        reached += sum(a == 1 for a in eq.alpha) >= 2
+        moved += out is not eq
+    assert (len(seen), reached, moved) == (303, 106, 39)
+
+
 def test_oracle_answers_pinned():
     digest = hashlib.sha256()
     for case in PIN_CASES:
@@ -212,7 +304,8 @@ def test_oracle_search_is_exact_end_to_end():
             if isinstance(node, ast.Name) and node.id in defs:
                 todo.append(node.id)
     assert not offenders, offenders
-    assert {"_forest", "_pattern_equilibrium", "_lex_max_optimum", "solve_linear"} <= reached
+    assert {"_forest", "_levels", "_peel", "_pattern_equilibrium", "_lex_max_optimum"} <= reached
+    assert "solve_linear" not in reached
 
 
 def test_package_imports_without_numpy():
@@ -264,8 +357,6 @@ def test_refund_split_is_not_unique_at_degenerate_instances():
     # full exact optimality check at the same prices.  This is why the
     # solver and the oracle both report one documented corner, the
     # lexicographically maximal refund vector by buyer index (here `two`).
-    from arcticauction.market import equilibrium_for_instance
-
     inst = inst_of([[9], [1], [9]], [8, 5, 9])
     p = (F(9),)
     one = equilibrium_for_instance(inst, p, ((F(8, 9),), (F(0),), (F(1, 9),)), (F(0), F(5), F(8)))
