@@ -121,11 +121,16 @@ def solve_cost_market(inst: CostMarketInstance) -> CostSolution:
             continue
         best = min(goods)
         allocation[i][best] = base.money[i] / d[best]
+    return _cost_solution(inst, allocation, returned)
+
+
+def _cost_solution(inst: CostMarketInstance, allocation, returned) -> CostSolution:
+    """The solution at cost prices with this allocation and these refunds."""
+    base, d = inst.base, inst.unit_costs
     produced = tuple(
         sum((allocation[i][j] for i in base.buyers), ZERO) for j in base.goods
     )
-    total_s = sum(returned, ZERO)
-    revenue = sum(base.money, ZERO) - total_s
+    revenue = sum(base.money, ZERO) - sum(returned, ZERO)
     cost = sum((d[j] * produced[j] for j in base.goods), ZERO)
     return CostSolution(
         prices=tuple(d),

@@ -337,6 +337,16 @@ class _Residual:
         """The arc from buyer i to the sink."""
         return self.adj[self.index[buyer_vertex(i)]][-1][1]
 
+    def goods_of(self, i: int) -> set[int]:
+        """The goods with an arc into buyer i."""
+        at = self.vertices
+        return {at[v][1] for v, _, forward in self.adj[self.index[buyer_vertex(i)]] if not forward}
+
+    def buyers_of(self, j: int) -> set[int]:
+        """The buyers with an arc from good j."""
+        at = self.vertices
+        return {at[v][1] for v, _, forward in self.adj[self.index[good_vertex(j)]] if forward}
+
     def as_flow(self) -> Flow:
         """The graph's flow in the network's terms."""
         at, scale, flow = self.vertices, self.scale, self.flow

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .costmarket import CostMarketInstance, CostSolution
+from .costmarket import CostMarketInstance, CostSolution, _cost_solution
 from .flownet import FlowNetwork
 from .kkt import verify_arctic_kkt, verify_cost_kkt, verify_market_clearing
 from .market import Equilibrium, MarketInstance, equilibrium_for_instance, mbpb
@@ -97,15 +97,10 @@ class _Forest(NamedTuple):
     rel_sum: list  # per tree: the sum of its rel,
     money_level: list  # and its level with no refund buyer: its buyers' money / rel_sum
     peel: list  # K's edges (i, j, whether i is the child), leaves first
-    # per buyer: {other tree t: max u_ij / rel[j] over t's goods}; None when
-    # a buyer strictly prefers a good of its own tree to its K goods, at any level
-    rho: list | None
 
 
-def _forest(inst: MarketInstance, K) -> _Forest | None:
-    """K's trees and relative prices; None when K has a cycle."""
-    if _rank(K) < len(K):
-        return None
+def _forest(inst: MarketInstance, K) -> _Forest:
+    """The trees and relative prices of K, which must have no cycle (see _rank)."""
     u = inst.utilities
     goods_of, buyers_of = defaultdict(list), defaultdict(list)
     for i, j in K:
@@ -134,22 +129,30 @@ def _forest(inst: MarketInstance, K) -> _Forest | None:
                         rel_sum[t] += rel[g]
                         tree.append(g)
                         peel.append((i, g, False))
-    rho = None
-    if all(
-        u[i][j] <= beta * rel[j]
-        for i, (t, beta) in covered.items()
-        for j in inst.goods
-        if tree_of_good[j] == t and j not in goods_of[i]
-    ):
-        rho = [{} for _ in inst.buyers]
-        for i in inst.buyers:
-            own = covered[i][0] if i in covered else None
-            for j in inst.goods:
-                if u[i][j] and tree_of_good[j] != own:
-                    t = tree_of_good[j]
-                    rho[i][t] = max(rho[i].get(t, ZERO), u[i][j] / rel[j])
     money_level = [a / b for a, b in zip(money, rel_sum)]
-    return _Forest(tree_of_good, rel, covered, rel_sum, money_level, peel[::-1], rho)
+    return _Forest(tree_of_good, rel, covered, rel_sum, money_level, peel[::-1])
+
+
+def _rho(inst: MarketInstance, forest: _Forest, K) -> list | None:
+    """Per buyer: {other tree t: max u_ij / rel[j] over t's goods}; None when
+    a buyer strictly prefers a good of its own tree to its K goods, at any
+    level."""
+    u, tree_of_good, rel, pairs = inst.utilities, forest.tree_of_good, forest.rel, set(K)
+    if any(
+        u[i][j] > beta * rel[j]
+        for i, (t, beta) in forest.covered.items()
+        for j in inst.goods
+        if tree_of_good[j] == t and (i, j) not in pairs
+    ):
+        return None
+    rho = [{} for _ in inst.buyers]
+    for i in inst.buyers:
+        own = forest.covered[i][0] if i in forest.covered else None
+        for j in inst.goods:
+            if u[i][j] and tree_of_good[j] != own:
+                t = tree_of_good[j]
+                rho[i][t] = max(rho[i].get(t, ZERO), u[i][j] / rel[j])
+    return rho
 
 
 def _levels(forest: _Forest, L):
@@ -188,8 +191,9 @@ def _peel(inst: MarketInstance, forest: _Forest, L, level):
     return prices, x, s
 
 
-def _pattern_equilibrium(inst: MarketInstance, forest: _Forest, L) -> Equilibrium | None:
-    """The verified equilibrium of the forest pattern (K, L), or None.
+def _pattern_equilibrium(inst: MarketInstance, forest: _Forest, rho, L) -> Equilibrium | None:
+    """The verified equilibrium of the forest pattern (K, L), or None; rho
+    is _rho's table for K.
 
     Most patterns fail on their prices alone: KKT needs alpha >= 1 for every
     buyer of K, and no buyer may strictly prefer a good to its K goods, or
@@ -202,7 +206,7 @@ def _pattern_equilibrium(inst: MarketInstance, forest: _Forest, L) -> Equilibriu
         t, beta = forest.covered.get(i, (None, ONE))
         own = ONE if t is None else level[t]
         # alpha = beta / own, and r / level[t2] is the best ratio in tree t2
-        if beta < own or any(r * own > beta * level[t2] for t2, r in forest.rho[i].items()):
+        if beta < own or any(r * own > beta * level[t2] for t2, r in rho[i].items()):
             return None
     prices, x, s = _peel(inst, forest, L, level)
     if any(v < 0 for row in x for v in row) or any(v < 0 for v in s):
@@ -246,7 +250,7 @@ def oracle_solve(inst: MarketInstance, size_guard: int = 4) -> OracleResult:
     pairs = [(i, j) for i in inst.buyers for j in inst.goods if inst.utilities[i][j] > 0]
     all_buyers = frozenset(inst.buyers)
     all_goods = frozenset(inst.goods)
-    forests: dict = {}  # K -> _Forest, or None on a cycle
+    forests: dict = {}  # K -> its _Forest and _rho table, or None on a cycle or no table
 
     for total in range(m, len(pairs) + n + 1):
         tier: list[tuple[Equilibrium, tuple, tuple]] = []
@@ -259,12 +263,18 @@ def oracle_solve(inst: MarketInstance, size_guard: int = 4) -> OracleResult:
                 if {j for (_, j) in K} != all_goods or len(mandatory) > l:
                     continue
                 if K not in forests:
-                    forests[K] = _forest(inst, K)
-                if forests[K] is None or forests[K].rho is None:
+                    forests[K] = None
+                    if _rank(K) == len(K):
+                        forest = _forest(inst, K)
+                        rho = _rho(inst, forest, K)
+                        if rho is not None:
+                            forests[K] = forest, rho
+                if forests[K] is None:
                     continue
+                forest, rho = forests[K]
                 for L in itertools.combinations(sorted(all_buyers), l):
                     if mandatory <= set(L):
-                        eq = _pattern_equilibrium(inst, forests[K], L)
+                        eq = _pattern_equilibrium(inst, forest, rho, L)
                         if eq is not None:
                             tier.append((eq, K, L))
         if tier:
@@ -289,8 +299,8 @@ def _rank(columns) -> int:
     column joining its buyer to its good or to the ground.  Around any
     cycle through goods and buyers the prices cancel, so the cycle's
     columns are dependent; a set of columns is independent exactly when it
-    is a forest, and the rank is the size of a spanning forest.  _forest
-    applies the same test to a sign pattern's pairs.
+    is a forest, and the rank is the size of a spanning forest.
+    oracle_solve applies the same test to a sign pattern's pairs.
     """
     root: dict = {}
 
@@ -462,20 +472,7 @@ def oracle_cost_solve(inst: CostMarketInstance, size_guard: int = 16) -> CostSol
         for i, (x_val, s_val) in enumerate(combo):
             allocation[i][best_goods[i]] = x_val
             returned[i] = s_val
-        produced = tuple(
-            sum((allocation[i][j] for i in base.buyers), ZERO) for j in base.goods
-        )
-        total_s = sum(returned, ZERO)
-        revenue = sum(base.money, ZERO) - total_s
-        cost = sum((d[j] * produced[j] for j in base.goods), ZERO)
-        sol = CostSolution(
-            prices=tuple(d),
-            allocation=tuple(tuple(row) for row in allocation),
-            produced=produced,
-            returned=tuple(returned),
-            revenue=revenue,
-            profit=revenue - cost,
-        )
+        sol = _cost_solution(inst, allocation, returned)
         if not verify_cost_kkt(inst, sol).overall:
             continue
         if best_solution is None or sol.revenue > best_solution.revenue:

@@ -40,27 +40,30 @@ check and the probes' cuts are the same for every balanced flow (see
 ``balanced``).
 
 A phase keeps one integer residual graph, built once by begin_phase and
-carried through every step.  At each iteration start it is the iteration's
-network at theta = 1 under the start flow: the pruned arcs are dropped
-(checked to carry no flow), and every value is divided by the common gcd,
-so its ints are those of a fresh build and cannot grow from one iteration to
-the next; then its flow is checked to be feasible.  A zero-degree event
-edits it in place: a new edge is an arc added in sorted place, a removal
-sets the buyer's sink cap to zero and leaves an isolated vertex.  Each
-probe, and each invariant check inside the iteration (after a zero-degree
-event and at the tight-set event), augments a copy of it at theta = a/b:
-every capacity and flow times b and the scaled goods' source caps times a,
-on the same arcs and adjacency lists.  A new edge takes the same copy at the
-event's theta, adds its arc, balances it in place and reads the absorbed
-buyers off it; that copy is the next iteration's graph.  A money return and
-the final extraction push from zero on the same copy with its flow zeroed,
-which finds the flow ``max_flow`` finds on the network built afresh.  At
-phase start the balanced flow itself must fill every source arc.  No other
-check is needed: phase 1's begin_phase checks the initial network before
-anything changes, and a full return's flow is already a maximum flow of the
-network without the buyer.  Every refund, in a money return and in the
-refund split, is a max-flow deficit (``_least_spend``).  A solve calls no
-``max_flow``: ``maxflow_calls`` reads 0, and stays for perfbench's check.
+carried through every step.  Its good -> buyer arcs are the equality graph:
+the solver keeps no other record of the edges, and reads a buyer's goods and
+a good's buyers off its adjacency lists.  At each iteration start it is the
+iteration's network at theta = 1 under the start flow: the pruned arcs are
+dropped (checked to carry no flow), and every value is divided by the common
+gcd, so its ints are those of a fresh build and cannot grow from one
+iteration to the next; then its flow is checked to be feasible.  A
+zero-degree event edits it in place: a new edge is an arc added in sorted
+place, a removal sets the buyer's sink cap to zero and leaves an isolated
+vertex.  Each probe, and each invariant check inside the iteration (after a
+zero-degree event and at the tight-set event), augments a copy of it at
+theta = a/b (``_at_theta``): every capacity and flow times b and the scaled
+goods' source caps times a, on the same arcs and adjacency lists.  A new
+edge takes the same copy at the event's theta, adds its arc, balances it in
+place and reads the absorbed buyers off it; that copy is the next
+iteration's graph.  A money return and the final extraction push from zero
+on the same copy with its flow zeroed, which finds the flow ``max_flow``
+finds on the network built afresh.  At phase start the balanced flow itself
+must fill every source arc.  No other check is needed: phase 1's begin_phase
+checks the initial network before anything changes, and a full return's flow
+is already a maximum flow of the network without the buyer.  Every refund,
+in a money return and in the refund split, is a max-flow deficit
+(``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
+0, and stays for perfbench's check.
 
 Everything is exact rational arithmetic; every comparison is exact.
 """
@@ -147,13 +150,14 @@ class TraceRecorder:
         )
 
     def record_phase(self, state: "SolverState", label: str) -> None:
+        g = state.graph
         self.phases.append(
             {
                 "label": label,
                 "phase": state.phase_index,
                 "prices": dict(state.prices),
                 "returns": dict(state.returns),
-                "edges": frozenset(state.edges),
+                "edges": frozenset((j, i) for j in state.inst.goods for i in g.buyers_of(j)),
                 "live_buyers": frozenset(state.live_buyers),
                 "live_goods": frozenset(state.inst.goods),
                 "phi": state.phi,
@@ -167,7 +171,6 @@ class SolverState:
     live_buyers: set[int]
     prices: dict[int, Fraction]
     returns: dict[int, Fraction]
-    edges: set[tuple[int, int]]
     I: set[int] = field(default_factory=set)
     J: set[int] = field(default_factory=set)
     Z: set[int] = field(default_factory=set)
@@ -180,7 +183,8 @@ class SolverState:
     recorder: TraceRecorder | None = None
     # The phase's integer residual graph: at iteration start, the
     # iteration's network at theta = 1 under its start flow.  Probes and
-    # in-iteration invariant checks run on scaled copies of it.
+    # in-iteration invariant checks run on scaled copies of it.  Its
+    # good -> buyer arcs are the equality graph's edges.
     graph: _Residual | None = None
     # Buyers that gained an edge in a zero-degree event since the graph was
     # last balanced: their components must be peeled again.
@@ -190,25 +194,14 @@ class SolverState:
         return self.inst.money[i] - self.returns[i]
 
 
-def _max_flow_at(state: SolverState, theta: Fraction) -> tuple[_Residual, list]:
-    """A maximum flow of the iteration's network at theta >= 1, pushed on a
-    copy of the iteration graph with every value times theta's denominator
-    and the scaled goods' source caps times its numerator, and the augment's
-    last search."""
-    g = state.graph.scaled(theta.denominator, theta.numerator, state.J)
-    return g, g.augment()
-
-
-def _empty_at_theta(state: SolverState) -> _Residual:
-    """The iteration graph's copy at the current theta, as in ``_max_flow_at``,
-    with the zero flow.  Augmenting it takes the same paths as ``max_flow``
-    on the network built afresh: the vertex order and adjacency lists are
-    the same, and a buyer removed in the phase is an isolated vertex with
-    sink cap 0, on no path."""
-    theta = state.theta
-    g = state.graph.scaled(theta.denominator, theta.numerator, state.J)
-    g.flow = [0] * len(g.flow)
-    return g
+def _at_theta(state: SolverState, theta: Fraction) -> _Residual:
+    """The iteration's network at theta >= 1 under the start flow: a copy of
+    the iteration graph with every value times theta's denominator and the
+    scaled goods' source caps times its numerator.  Augmenting it from the
+    zero flow takes the same paths as ``max_flow`` on the network built
+    afresh: the vertex order and adjacency lists are the same, and a buyer
+    removed in the phase is an isolated vertex with sink cap 0, on no path."""
+    return state.graph.scaled(theta.denominator, theta.numerator, state.J)
 
 
 def _least_spend(g: _Residual, i: int) -> int:
@@ -238,7 +231,9 @@ def _equilibrium_of(inst: MarketInstance, g: _Residual, prices) -> Equilibrium:
 
 
 def _require_iteration_invariant(state: SolverState, where: str) -> None:
-    if _max_flow_at(state, state.theta)[0].deficit():
+    g = _at_theta(state, state.theta)
+    g.augment()
+    if g.deficit():
         raise SolverError(f"price cut invariant broken at {where}")
 
 
@@ -276,7 +271,7 @@ def initialize(inst: MarketInstance) -> SolverState:
     for j in inst.goods:
         if j not in covered:
             prices[j] = max(inst.utilities[i][j] / best[i][0] for i in inst.buyers)
-    edges = set(build_network(inst, prices).edges)
+    edges = build_network(inst, prices).edges
     if {j for (j, _) in edges} != set(inst.goods):
         raise SolverError("repricing left a good without an edge")
 
@@ -289,14 +284,9 @@ def initialize(inst: MarketInstance) -> SolverState:
         live_buyers=set(inst.buyers),
         prices=prices,
         returns={i: Fraction(0) for i in inst.buyers},
-        edges=edges,
         stats=stats,
     )
     return state
-
-
-def _neighborhood(state: SolverState, buyers: set[int]) -> set[int]:
-    return {j for (j, i) in state.edges if i in buyers}
 
 
 def _settled_buyers(state: SolverState, g: _Residual, j: int) -> list[int]:
@@ -324,20 +314,17 @@ def _settled_buyers(state: SolverState, g: _Residual, j: int) -> list[int]:
 def _start_iteration(state: SolverState) -> None:
     """Recompute the active goods, prune inactive edges, refresh Z and bases.
 
-    The pruned edges leave the graph too, which raises FlowError if one
-    carries flow; the graph is then reduced to a fresh build's scale and
-    checked to carry a feasible flow.
+    Dropping the pruned arcs raises FlowError if one carries flow; the graph
+    is then reduced to a fresh build's scale and checked to carry a feasible
+    flow.
     """
-    state.J = _neighborhood(state, state.I)
-    pruned = {(j, i) for (j, i) in state.edges if j in state.J and i not in state.I}
-    state.edges -= pruned
-    with_edges = {i for (_, i) in state.edges}
-    state.Z = {i for i in state.live_buyers - state.I if i not in with_edges}
+    g = state.graph
+    state.J = {j for i in state.I for j in g.goods_of(i)}
+    g.drop_arcs([(j, i) for j in state.J for i in g.buyers_of(j) if i not in state.I])
+    state.Z = {i for i in state.live_buyers - state.I if not g.goods_of(i)}
     state.base_prices = {j: state.prices[j] for j in state.J}
     state.theta = Fraction(1)
     state.iteration_index += 1
-    g = state.graph
-    g.drop_arcs(pruned)
     g.reduce()
     g._check_feasible()
 
@@ -353,7 +340,6 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     state.phase_index += 1
     state.iteration_index = 0
     net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
-    state.edges = set(net.edges)
     state.graph = g = _Residual(net)
     gamma, state.phi = _balance(state, g)
     if state.recorder is not None:
@@ -380,7 +366,7 @@ def _alpha_bar_active(state: SolverState, i: int) -> Fraction:
     All of an active buyer's edges are best-ratio ties inside the scaled
     set; anything else is a maintenance bug.
     """
-    goods = {j for (j, b) in state.edges if b == i}
+    goods = state.graph.goods_of(i)
     if not goods:
         raise SolverError(f"active buyer {i} has no edges")
     alpha, best = mbpb(state.inst, state.base_prices, i, goods)
@@ -403,7 +389,7 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     contain no scaled good never change worth and are ignored.
 
     Each probe augments from the iteration's start flow on a scaled copy of
-    the iteration graph (``_max_flow_at``; the flow is feasible at every
+    the iteration graph (``_at_theta``; the flow is feasible at every
     theta >= 1) and reads its cut off that copy.  The cuts are extreme min
     cuts, the same for every maximum flow, so the result does not depend on
     the start flow; probes build no network and no residual graph, and make
@@ -419,7 +405,8 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     """
     theta_hi = theta_cap
     for _ in range(len(state.J) + 1):
-        g, reached = _max_flow_at(state, theta_hi)
+        g = _at_theta(state, theta_hi)
+        reached = g.augment()
         # The sink-nearest min cut if the source arcs are saturated, the
         # source-nearest if not.
         saturated = not g.deficit()
@@ -431,7 +418,7 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
         violated = goods & state.J
         if not violated:
             raise SolverError("invariant violation without scaled goods")
-        interested = {i for (j, i) in state.edges if j in violated}
+        interested = {i for j in violated for i in g.buyers_of(j)}
         worth_buyers = sum((state.leftover(i) for i in interested), Fraction(0))
         base = sum((state.base_prices[j] for j in violated), Fraction(0))
         theta_v = worth_buyers / base
@@ -507,16 +494,13 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     alpha_i = _alpha_bar_active(state, i) / state.theta
     if u != alpha_i * state.prices[j]:
         raise SolverError("new edge does not satisfy the bang-per-buck equality")
-    state.edges.add((j, i))
-    theta = state.theta
-    g = state.graph.scaled(theta.denominator, theta.numerator, state.J)
+    state.graph = g = _at_theta(state, state.theta)
     g.add_arc(j, i)
     _, new_phi = _balance(state, g, _settled_buyers(state, g, j))
     if new_phi > state.phi:
         raise SolverError("potential increased across a balanced-flow recompute")
     state.phi = new_phi
     state.I |= g.buyers_reaching(state.I)
-    state.graph = g
     _start_iteration(state)
     return state
 
@@ -529,7 +513,7 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
     next rebuild, which reopens price slack, so the run must continue.
     """
     worth_s = sum((state.prices[j] for j in S), Fraction(0))
-    interested = {i for (j, i) in state.edges if j in S}
+    interested = {i for j in S for i in state.graph.buyers_of(j)}
     worth_neighbors = sum((state.leftover(i) for i in interested), Fraction(0))
     if worth_s != worth_neighbors:
         raise SolverError("tight set is not exactly tight")
@@ -541,7 +525,7 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
 def apply_money_return(state: SolverState, i: int) -> str:
     """Return money to buyer i whose bang-per-buck reached exactly 1.
 
-    She keeps spending beta, her least spend on ``_empty_at_theta``'s copy;
+    She keeps spending beta, her least spend on ``_at_theta``'s copy;
     beta = 0 is a full return, which removes her.  By duality beta is
     p(S) less the other T buyers' money, (S, T) the goods and buyers on the
     source side of the maximal min cut with her cap at 0, so it leaves S
@@ -552,23 +536,22 @@ def apply_money_return(state: SolverState, i: int) -> str:
     abar = _alpha_bar_active(state, i)
     if abar != state.theta:
         raise SolverError("money return fired away from bang-per-buck 1")
-    g = _empty_at_theta(state)
+    g = _at_theta(state, state.theta)
     spend = _least_spend(g, i)
     if not spend:
         state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
         return "II"
     beta = Fraction(spend, g.scale)
+    # The new return is money - beta and the old one money - leftover, so
+    # this also keeps returned money from decreasing.
     if beta > state.leftover(i):
         raise SolverError("partial return outside the feasible range")
-    new_return = state.inst.money[i] - beta
-    if new_return < state.returns[i]:
-        raise SolverError("returned money would decrease")
     g.cap[g.sink_arc(i)] = spend
     g.augment()
     if g.deficit():
         raise SolverError("price cut invariant broken at partial money return")
-    state.returns[i] = new_return
+    state.returns[i] = state.inst.money[i] - beta
     return "III"
 
 
@@ -576,7 +559,6 @@ def _remove_buyer(state: SolverState, i: int) -> None:
     state.live_buyers.discard(i)
     state.I.discard(i)
     state.Z.discard(i)
-    state.edges = {(j, b) for (j, b) in state.edges if b != i}
 
 
 def apply_z_events(state: SolverState, event: Event) -> SolverState:
@@ -597,7 +579,6 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
         alpha_i = _alpha_bar_zero_degree(state, i) / state.theta
         if u != alpha_i * state.prices[j]:
             raise SolverError("zero-degree crossing does not satisfy the equality")
-        state.edges.add((j, i))
         state.Z.discard(i)
         state.joined.add(i)
         state.graph.add_arc(j, i)
@@ -648,9 +629,10 @@ def _phase_cap(inst: MarketInstance) -> int:
 
 def _extract(state: SolverState) -> Equilibrium:
     """The equilibrium at the terminal prices: the allocation is a maximum
-    flow pushed from zero on ``_empty_at_theta``'s copy, which must fill
-    every source arc and every live buyer's sink arc."""
-    g = _empty_at_theta(state)
+    flow pushed from zero on ``_at_theta``'s copy, which must fill every
+    source arc and every live buyer's sink arc."""
+    g = _at_theta(state, state.theta)
+    g.flow = [0] * len(g.flow)
     g.augment()
     sinks = [g.sink_arc(i) for i in state.live_buyers]
     if g.deficit() or any(g.flow[a] != g.cap[a] for a in sinks):

@@ -396,6 +396,11 @@ def test_edited_graph_equals_a_fresh_build(net, d):
     g.reduce()
     edited = replace(net, edges=(net.edges | set(added)) - set(dropped))
     assert _graph_view(g) == _graph_view(_Residual(edited, f))
+    # A vertex's edges are read off the edited graph.
+    for j in net.goods:
+        assert g.buyers_of(j) == {i for jj, i in edited.edges if jj == j}
+    for i in net.buyers:
+        assert g.goods_of(i) == {j for j, ii in edited.edges if ii == i}
     for arc in sorted(carries)[:1]:
         with pytest.raises(FlowError, match="carries flow"):
             g.drop_arcs([arc])

@@ -34,6 +34,7 @@ from arcticauction.oracle import (
     _pattern_equilibrium,
     _peel,
     _rank,
+    _rho,
     numeric_objective,
     oracle_balanced_surplus,
     oracle_solve,
@@ -156,9 +157,11 @@ def _patterns(inst: MarketInstance):
                     continue
                 for L in itertools.combinations(inst.buyers, total - k):
                     if mandatory <= set(L):
-                        forest = _forest(inst, K)
-                        if forest is not None and forest.rho is not None:
-                            found = found or _pattern_equilibrium(inst, forest, L) is not None
+                        if _rank(K) == len(K):
+                            forest = _forest(inst, K)
+                            rho = _rho(inst, forest, K)
+                            if rho is not None:
+                                found = found or _pattern_equilibrium(inst, forest, rho, L) is not None
                         yield K, L
         if found:
             return
@@ -175,7 +178,7 @@ def test_leaf_peel_is_the_gaussian_solution(case):
     forests = 0
     for K, L in _patterns(inst):
         sol = solve_linear(*_build_system(inst, K, L))
-        forest = _forest(inst, K)
+        forest = _forest(inst, K) if _rank(K) == len(K) else None
         level = None if forest is None else _levels(forest, L)
         if level is None:
             assert sol is None or min(sol[:m]) <= 0

@@ -54,12 +54,14 @@ def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int 
     sink_caps = {}
     for i in state.live_buyers:
         sink_caps[i] = Fraction(0) if i == zero_buyer else state.leftover(i)
+    at = state.graph.vertices
     return FlowNetwork(
         goods=tuple(state.inst.goods),
         buyers=tuple(sorted(state.live_buyers)),
         source_caps=prices,
         sink_caps=sink_caps,
-        edges=frozenset(state.edges),
+        # The graph's good -> buyer arcs: the arcs that leave a good.
+        edges=frozenset((at[u][1], at[v][1]) for u, v in state.graph.ends if at[u][0] == "g"),
     )
 
 
@@ -103,7 +105,7 @@ def test_initialize_reprices_undemanded_good():
     state = initialize(inst)
     assert state.prices[0] == F(1, 2)
     assert state.prices[1] == F(1, 8)
-    assert (1, 0) in state.edges
+    assert (1, 0) in build_network(inst, state.prices).edges
 
 
 def test_initialize_clamps_prices_to_keep_ratios_at_least_one():
@@ -119,9 +121,9 @@ def test_initialize_clamps_prices_to_keep_ratios_at_least_one():
 def test_initialize_establishes_invariant(seed):
     inst = generate_random_instance(seed, 1 + seed % 4, 1 + (seed // 2) % 4, 10)
     state = initialize(inst)
-    net = _network(state)
+    net = build_network(inst, state.prices)
     assert check_invariant(net)
-    assert {j for (j, _) in state.edges} == set(inst.goods)
+    assert {j for (j, _) in net.edges} == set(inst.goods)
 
 
 def test_begin_phase_equal_surplus_all_active():
@@ -155,13 +157,14 @@ def test_begin_phase_prunes_into_zero_degree():
 def _crafted_state(u, m, prices, edges, I, J):
     state = initialize(inst_of(u, m))
     state.prices = {j: F(p) for j, p in prices.items()}
-    state.edges = set(edges)
     state.I = set(I)
     state.J = set(J)
     state.Z = set()
     state.base_prices = {j: state.prices[j] for j in J}
     state.theta = F(1)
-    state.graph = flownet._Residual(_network(state, theta=F(1)))  # the iteration graph
+    # The iteration graph: the network at the given prices on the given edges.
+    net = replace(build_network(state.inst, state.prices), edges=frozenset(edges))
+    state.graph = flownet._Residual(net)
     return state
 
 
@@ -273,6 +276,15 @@ def test_solve_partial_refund_two_goods():
     assert stats.type3 >= 1
 
 
+def test_money_return_rejects_a_spend_above_the_leftover(monkeypatch):
+    # A partial return's spend may not exceed the buyer's leftover money,
+    # which also keeps her returned money from decreasing.  The buyer has 3.
+    inst = inst_of([[1, 1]], [3])
+    monkeypatch.setattr(solver, "_least_spend", lambda g, i: 4 * g.scale)
+    with pytest.raises(solver.SolverError, match="feasible range"):
+        solve(inst)
+
+
 def test_solve_full_refund_removal():
     # The second buyer's demand covers the good entirely once the first
     # buyer's ratio reaches 1, so the first exits with a full refund.
@@ -355,7 +367,8 @@ def test_solve_random_small_instances(seed):
     eq, stats = solve(inst, recorder=recorder)
     assert verify_arctic_kkt(inst, eq).overall
     assert verify_market_clearing(inst, eq).overall
-    # Invariant at every recorded phase boundary.
+    # Invariant at every recorded phase boundary; a phase starts on the
+    # equality graph of a network built afresh.
     for snap in recorder.phases:
         net = build_network(
             inst,
@@ -365,6 +378,8 @@ def test_solve_random_small_instances(seed):
             goods=snap["live_goods"],
         )
         assert check_invariant(net)
+        if snap["label"] == "phase_start":
+            assert snap["edges"] == net.edges
 
 
 def test_monotone_prices_and_ratios():
