@@ -69,15 +69,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .flownet import (
-    SINK,
-    SOURCE,
-    Flow,
-    FlowError,
-    FlowNetwork,
-    buyer_vertex,
-    _Residual,
-)
+from .flownet import Flow, FlowError, FlowNetwork, _Residual
 
 
 def surplus(net: FlowNetwork, flow: Flow) -> dict[int, Fraction]:
@@ -226,13 +218,9 @@ def balance(g: _Residual, keep=()) -> None:
     g.cap[:] = [None if c is None else c * k for c in caps]
 
 
-def balanced_surplus(net: FlowNetwork, start: Flow | None = None) -> dict[int, Fraction]:
-    """The unique surplus vector attained by every balanced flow.
-
-    The peel-off augments from ``start``, a feasible flow of net (None is
-    the zero flow); the result does not depend on it.
-    """
-    g = _Residual(net, start)
+def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
+    """The unique surplus vector attained by every balanced flow."""
+    g = _Residual(net)
     out = _peel(g)
     return {g.vertices[b][1]: Fraction(s, g.scale) for b, s in out.items()}
 
@@ -255,9 +243,4 @@ def verify_property1(net: FlowNetwork, flow: Flow) -> bool:
     """
     gamma = surplus(net, flow)
     g = _Residual(net, flow)
-    for i in net.buyers:
-        seen = g.walk([buyer_vertex(i)], avoid=(SOURCE, SINK))
-        for v in seen:
-            if v[0] == "b" and gamma[i] < gamma[v[1]]:
-                return False
-    return True
+    return not any(gamma[k] < gamma[i] for i in net.buyers for k in g.buyers_reaching([i]))

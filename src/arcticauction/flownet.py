@@ -116,19 +116,18 @@ class Cut:
         return tuple(sorted(v[1] for v in self.source_side if v[0] == "b"))
 
 
-def build_network(inst: MarketInstance, prices, returns=None, buyers=None, goods=None) -> FlowNetwork:
+def build_network(inst: MarketInstance, prices, returns=None, buyers=None) -> FlowNetwork:
     """The money network at the given prices and returned money.
 
-    Goods (every good by default) are priced at ``prices``.  Each buyer
-    (every buyer by default) has sink capacity equal to its money less its
-    return (zero by default), and an edge to each good that attains its
-    bang-per-buck, ``market.mbpb``, among those goods.  This is the one
-    builder of a money network from prices and refunds.
+    Every good is priced at ``prices``.  Each buyer (every buyer by default)
+    has sink capacity equal to its money less its return (zero by default),
+    and an edge to each good that attains its bang-per-buck, ``market.mbpb``.
+    This is the one builder of a money network from prices and refunds.
     """
     if returns is None:
         returns = {}
     buyers = tuple(sorted(buyers)) if buyers is not None else tuple(inst.buyers)
-    goods = tuple(sorted(goods)) if goods is not None else tuple(inst.goods)
+    goods = tuple(inst.goods)
     sink_caps = {}
     for i in buyers:
         r = returns.get(i, Fraction(0))
@@ -137,7 +136,7 @@ def build_network(inst: MarketInstance, prices, returns=None, buyers=None, goods
         sink_caps[i] = inst.money[i] - r
     # The edgeless network rejects a nonpositive price before any ratio is taken.
     net = FlowNetwork(goods, buyers, {j: prices[j] for j in goods}, sink_caps, frozenset())
-    edges = frozenset((j, i) for i in buyers for j in mbpb(inst, prices, i, goods)[1])
+    edges = frozenset((j, i) for i in buyers for j in mbpb(inst, prices, i)[1])
     return replace(net, edges=edges)
 
 
@@ -374,27 +373,16 @@ class _Residual:
         k = len(self.adj[0])  # the source arcs come first
         return sum(self.cap[:k]) - sum(self.flow[:k])
 
-    def walk(self, starts, reverse: bool = False, avoid=()) -> dict:
-        """``search`` on vertex tuples: the parent map of every vertex reached.
-
-        Starts map to None.
-        """
-        index, at, ends = self.index, self.vertices, self.ends
-        parent = self.search([index[v] for v in starts], reverse, [index[v] for v in avoid])
-        return {
-            at[v]: None if a == -1 else at[ends[a][0] if ends[a][1] == v else ends[a][1]]
-            for v, a in enumerate(parent)
-            if a is not None
-        }
-
     def buyers_reaching(self, targets) -> set[int]:
         """Buyers outside ``targets`` with a residual path into ``targets``.
 
         Paths run through goods and buyers only; the source and sink are not
         valid interior vertices for buyer-to-buyer reachability.
         """
-        seen = self.walk([buyer_vertex(i) for i in targets], reverse=True, avoid=(SOURCE, SINK))
-        return {v[1] for v in seen if v[0] == "b"} - set(targets)
+        at = self.vertices
+        starts = [self.index[buyer_vertex(i)] for i in targets]
+        parent = self.search(starts, reverse=True, avoid=(0, len(at) - 1))
+        return {at[v][1] for v, a in enumerate(parent) if a is not None and at[v][0] == "b"} - set(targets)
 
 
 def max_flow(net: FlowNetwork) -> Flow:

@@ -288,7 +288,7 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
     alpha = rational_field(doc, "alpha", n)
     try:
         stats = stats_from_doc(doc.get("stats", {}))
-    except (AttributeError, TypeError, IndexError) as exc:
+    except (AttributeError, TypeError, LookupError) as exc:
         raise MarketFormatError(f"malformed stats: {exc}") from exc
     eq = Equilibrium(prices=prices, allocation=allocation, returned=returned, alpha=alpha)
     return eq, stats

@@ -49,19 +49,21 @@ gcd, so its ints are those of a fresh build and cannot grow from one
 iteration to the next; then its flow is checked to be feasible.  A
 zero-degree event edits it in place: a new edge is an arc added in sorted
 place, a removal sets the buyer's sink cap to zero and leaves an isolated
-vertex.  Each probe, and each invariant check inside the iteration (after a
-zero-degree event and at the tight-set event), augments a copy of it at
-theta = a/b (``_at_theta``): every capacity and flow times b and the scaled
-goods' source caps times a, on the same arcs and adjacency lists.  A new
-edge takes the same copy at the event's theta, adds its arc, balances it in
-place and reads the absorbed buyers off it; that copy is the next
-iteration's graph.  A money return and the final extraction push from zero
-on the same copy with its flow zeroed, which finds the flow ``max_flow``
-finds on the network built afresh.  At phase start the balanced flow itself
-must fill every source arc.  No other check is needed: phase 1's begin_phase
-checks the initial network before anything changes, and a full return's flow
-is already a maximum flow of the network without the buyer.  Every refund,
-in a money return and in the refund split, is a max-flow deficit
+vertex.  Each probe, and the invariant check after a zero-degree event,
+augments a copy of it at theta = a/b (``_at_theta``): every capacity and
+flow times b and the scaled goods' source caps times a, on the same arcs and
+adjacency lists.  A new edge takes the same copy at the event's theta, adds
+its arc, balances it in place and reads the absorbed buyers off it; that
+copy is the next iteration's graph.  A money return and the final extraction
+push from zero on the same copy with its flow zeroed, which finds the flow
+``max_flow`` finds on the network built afresh.  At phase start the balanced
+flow itself must fill every source arc.  No other check is needed: phase 1's
+begin_phase checks the initial network before anything changes, which also
+covers initialize's repricing (a good left without an edge leaves a deficit
+of at least its price); a tight-set event's theta is that of the search's
+last probe, which found no deficit on the same graph; and a full return's
+flow is already a maximum flow of the network without the buyer.  Every
+refund, in a money return and in the refund split, is a max-flow deficit
 (``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
 0, and stays for perfbench's check.
 
@@ -159,7 +161,6 @@ class TraceRecorder:
                 "returns": dict(state.returns),
                 "edges": frozenset((j, i) for j in state.inst.goods for i in g.buyers_of(j)),
                 "live_buyers": frozenset(state.live_buyers),
-                "live_goods": frozenset(state.inst.goods),
                 "phi": state.phi,
             }
         )
@@ -251,12 +252,13 @@ def _balance(state: SolverState, g: _Residual, keep=()) -> tuple[dict[int, int],
 
 
 def initialize(inst: MarketInstance) -> SolverState:
-    """Set starting prices, zero returns, and the initial network.
+    """Set starting prices and zero returns.
 
     Prices start uniform at the largest value that keeps every buyer's
     bang-per-buck at least 1 while the total price stays within the
     smallest budget; goods nobody demands at that price are then repriced
-    to the highest indifference point so every good has an edge.
+    to the highest indifference point so every good has an edge.  Phase 1's
+    begin_phase checks that: a good without an edge leaves a deficit.
     """
     report = validate_instance(inst)
     if not report.ok:
@@ -271,10 +273,6 @@ def initialize(inst: MarketInstance) -> SolverState:
     for j in inst.goods:
         if j not in covered:
             prices[j] = max(inst.utilities[i][j] / best[i][0] for i in inst.buyers)
-    edges = build_network(inst, prices).edges
-    if {j for (j, _) in edges} != set(inst.goods):
-        raise SolverError("repricing left a good without an edge")
-
     min_m, total_m, max_u, bits = instance_bit_bounds(inst)
     stats = RunStats(
         min_money=min_m, total_money=total_m, max_utility=max_u, input_bits=bits
@@ -450,18 +448,16 @@ def next_event(state: SolverState) -> Event:
 
     for i in sorted(state.I):
         abar = _alpha_bar_active(state, i)
-        if abar < state.theta:
-            raise SolverError(f"active buyer {i} has bang-per-buck below 1")
         candidates.append(Event("money_return", abar, buyer=i))
         crossing("new_edge", i, abar)
     for i in sorted(state.Z):
         abar = _alpha_bar_zero_degree(state, i)
-        if abar < state.theta:
-            raise SolverError(f"zero-degree buyer {i} has bang-per-buck below 1")
         candidates.append(Event("z_removal", abar, buyer=i))
         crossing("z_new_edge", i, abar)
     if not candidates:
         raise SolverError("no candidate events in iteration")
+    # A refund's theta is the buyer's bang-per-buck at iteration-start
+    # prices, so this also checks that no buyer's is below 1.
     for ev in candidates:
         if ev.theta_star < state.theta:
             raise SolverError(f"{ev.kind} event in the past: {ev.theta_star} < {state.theta}")
@@ -608,7 +604,7 @@ def run_phase(state: SolverState) -> PhaseOutcome:
             kind = apply_money_return(state, ev.buyer)
             return PhaseOutcome(kind)
         elif ev.kind == "tight_set":
-            _require_iteration_invariant(state, "tight set event")
+            # The search's last probe, at this theta, found no deficit.
             result = apply_tight_set(state, ev.tight_goods)
             return PhaseOutcome("I", terminal=(result == "terminal"))
     raise SolverError("event budget exceeded within a phase")
@@ -688,34 +684,25 @@ def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[
     state = initialize(inst)
     state.recorder = recorder
     stats = state.stats
+    trace = stats.potential_trace
     phase_cap = _phase_cap(inst)
-    pending: tuple[int, int, Fraction, str] | None = None
     while True:
         if state.phase_index > phase_cap:
             raise SolverError("phase budget exceeded; runtime bound violated")
         n_live = len(state.live_buyers)
         phi_before, terminal = begin_phase(state)
-        if pending is not None:
-            idx, n_prev, phi_prev, kind = pending
-            stats.potential_trace.append((idx, n_prev, phi_prev, phi_before, kind))
-            pending = None
+        if trace:  # the last phase ended at this potential
+            idx, n_prev, phi_prev, _, kind = trace[-1]
+            trace[-1] = (idx, n_prev, phi_prev, phi_before, kind)
         if terminal:
-            stats.phase_count += 1
-            stats.type1 += 1
-            stats.potential_trace.append(
-                (state.phase_index, n_live, phi_before, Fraction(0), "I")
-            )
+            # Every surplus is zero: the full goods set is tight at theta = 1.
+            outcome = PhaseOutcome("I", terminal=True)
             if state.recorder is not None:
                 state.recorder.record_event(
-                    state,
-                    Event(
-                        "tight_set",
-                        Fraction(1),
-                        tight_goods=frozenset(inst.goods),
-                    ),
+                    state, Event("tight_set", Fraction(1), tight_goods=frozenset(inst.goods))
                 )
-            break
-        outcome = run_phase(state)
+        else:
+            outcome = run_phase(state)
         stats.phase_count += 1
         if outcome.type == "I":
             stats.type1 += 1
@@ -723,12 +710,9 @@ def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[
             stats.type2 += 1
         else:
             stats.type3 += 1
+        trace.append((state.phase_index, n_live, phi_before, Fraction(0), outcome.type))
         if outcome.terminal:
-            stats.potential_trace.append(
-                (state.phase_index, n_live, phi_before, Fraction(0), outcome.type)
-            )
             break
-        pending = (state.phase_index, n_live, phi_before, outcome.type)
 
     if state.recorder is not None:
         state.recorder.record_phase(state, "terminal")

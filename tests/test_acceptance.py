@@ -119,7 +119,6 @@ def test_criterion_03_invariant_preservation(small_runs, medium_runs):
                     snap["prices"],
                     returns=snap["returns"],
                     buyers=snap["live_buyers"],
-                    goods=snap["live_goods"],
                 )
                 if not check_invariant(net):
                     bad.append((tag, k, snap["label"]))
@@ -130,7 +129,6 @@ def test_criterion_03_invariant_preservation(small_runs, medium_runs):
                 terminal["prices"],
                 returns=terminal["returns"],
                 buyers=terminal["live_buyers"],
-                goods=terminal["live_goods"],
             )
             f = max_flow(net)
             # ({s}...{t}) and ({s,B,G},{t}) are both minimum cuts at the end.

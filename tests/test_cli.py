@@ -160,6 +160,7 @@ _COST_SOLUTION = {
         ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "allocation": [1]}),
         ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "prices": 5}),
         ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "allocation": [[]]}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"potential_trace": [{}]}}),
     ],
 )
 def test_verify_malformed_solution_is_bad_input(tmp_path, capsys, instance, solution):

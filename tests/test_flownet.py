@@ -523,8 +523,17 @@ def test_residual_walk_under_flow_of_another_network():
     reduced = replace(net, sink_caps={0: F(1, 3), 1: F(4, 3)})
     f = max_flow(reduced)
     assert f.on(good_vertex(0), buyer_vertex(1)) == F(2, 3)
-    seen = _Residual(net, f).walk([SOURCE], avoid=(SINK,))
+    g = _Residual(net, f)
+    parent = g.search([g.index[SOURCE]], avoid=[g.index[SINK]])
+    at = g.vertices
+
+    def came_from(v):
+        u, w = g.ends[parent[g.index[v]]]
+        return at[u] if at[w] == v else at[w]
+
     # Buyer 0 is reached only back along the 2/3 on g0 -> b1.
-    assert set(seen) == {SOURCE, good_vertex(0), good_vertex(1), buyer_vertex(0), buyer_vertex(1)}
-    assert seen[good_vertex(0)] == buyer_vertex(1)
-    assert seen[buyer_vertex(0)] == good_vertex(0)
+    assert {at[v] for v, a in enumerate(parent) if a is not None} == {
+        SOURCE, good_vertex(0), good_vertex(1), buyer_vertex(0), buyer_vertex(1)
+    }
+    assert came_from(good_vertex(0)) == buyer_vertex(1)
+    assert came_from(buyer_vertex(0)) == good_vertex(0)

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,6 +18,7 @@ from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import (
     MarketInstance,
     equilibrium_for_instance,
+    format_rational,
     generate_random_instance,
     generate_refund_heavy_instance,
     serialize_equilibrium,
@@ -124,6 +126,23 @@ def test_initialize_establishes_invariant(seed):
     net = build_network(inst, state.prices)
     assert check_invariant(net)
     assert {j for (j, _) in net.edges} == set(inst.goods)
+
+
+def test_a_good_without_an_edge_fails_phase_one(monkeypatch):
+    # initialize builds no network: phase 1's begin_phase checks that every
+    # good has an edge, since a good without one leaves its source arc
+    # unfilled.  At (1/2, 1/2) the buyer's best ratio is 4 on both goods; at
+    # (1/2, 1) it is 4 on good 0 alone.
+    init = solver.initialize
+
+    def uncovered(inst):
+        state = init(inst)
+        state.prices[1] = F(1)
+        return state
+
+    monkeypatch.setattr(solver, "initialize", uncovered)
+    with pytest.raises(solver.SolverError, match="phase 1 start"):
+        solve(inst_of([[2, 2]], [1]))
 
 
 def test_begin_phase_equal_surplus_all_active():
@@ -375,7 +394,6 @@ def test_solve_random_small_instances(seed):
             snap["prices"],
             returns=snap["returns"],
             buyers=snap["live_buyers"],
-            goods=snap["live_goods"],
         )
         assert check_invariant(net)
         if snap["label"] == "phase_start":
@@ -471,6 +489,34 @@ def test_answers_pinned_on_refund_heavy_seeds():
             eq, _ = solve(generate_refund_heavy_instance(seed, n))
             digest.update(serialize_equilibrium(eq).encode())
     assert digest.hexdigest() == "c6ded4dfa233b45a28c054f0e02a3a2bd6bded5a0e19a4c2f06b1816864309c1"
+
+
+def _canonical(x):
+    """x as plain JSON: Fractions by format_rational, sets as sorted lists, keys as strings."""
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if isinstance(x, (set, frozenset)):
+        return [_canonical(v) for v in sorted(x)]
+    if isinstance(x, dict):
+        return {str(k): _canonical(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_canonical(v) for v in x]
+    return x
+
+
+def test_traces_pinned_on_roadmap_seeds():
+    # The recorder's events and phase snapshots on the square and
+    # refund-heavy baseline seeds, pinned so that a change to the phase loop
+    # cannot move an event, a potential or an edge unseen.
+    digest = hashlib.sha256()
+    insts = [generate_random_instance(seed, 12, 12, 10) for seed in range(5)]
+    insts += [generate_refund_heavy_instance(seed, 12) for seed in range(3)]
+    for inst in insts:
+        recorder = TraceRecorder()
+        solve(inst, recorder=recorder)
+        dump = {"events": recorder.events, "phases": recorder.phases}
+        digest.update(json.dumps(_canonical(dump), sort_keys=True).encode())
+    assert digest.hexdigest() == "cfb9f96c6dcfaad5a94cf8117e6fb997298d87500efb6bcf2d9d68cf4bcdfeb7"
 
 
 EIGHT_BY_EIGHT = [generate_random_instance(seed, 8, 8, 10) for seed in range(3)] + [
@@ -676,10 +722,11 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
 
 @pytest.mark.parametrize("inst", [EIGHT_BY_EIGHT[0], generate_refund_heavy_instance(7, 8)])
 def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
-    # begin_phase builds the phase's one residual graph; a new edge and a
-    # zero-degree event edit it, and a money return and the extraction push
-    # on copies of it: none of them builds a graph or a network.  The
-    # refund split builds at most one graph, of the final network.
+    # initialize builds nothing; begin_phase builds the phase's one residual
+    # graph; a new edge and a zero-degree event edit it, and a money return
+    # and the extraction push on copies of it: none of them builds a graph
+    # or a network.  The refund split builds at most one graph, of the final
+    # network.
     builds = {"graph": 0, "network": 0}
 
     def counted(init, key):
@@ -712,15 +759,45 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
         monkeypatch.setattr(solver, name, wrapper)
 
     watched("begin_phase", 1)
-    for name in ("apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
+    for name in ("initialize", "apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
         watched(name, 0)
     # The refund split pushes on one graph of the final network, if any.
     watched("_lex_max_refunds", 1, at_most=True)
     solve(inst)
-    expected = {"begin_phase", "apply_new_edge", "apply_z_events", "_extract", "_lex_max_refunds"}
+    expected = {
+        "initialize", "begin_phase", "apply_new_edge", "apply_z_events", "_extract", "_lex_max_refunds"
+    }
     if inst is not EIGHT_BY_EIGHT[0]:
         expected.add("apply_money_return")
     assert set(steps) == expected
+
+
+def test_iteration_invariant_is_checked_once_per_z_event(monkeypatch):
+    # The in-iteration invariant check runs once after each zero-degree
+    # event, and never at a tight set: the tight-set search's last probe
+    # checked the invariant at that theta on the same graph.
+    check, tight = solver._require_iteration_invariant, solver.apply_tight_set
+    checks, tight_sets, z_kinds = [], 0, set()
+
+    def counted_check(state, where):
+        checks.append(where)
+        check(state, where)
+
+    def counted_tight(state, S):
+        nonlocal tight_sets
+        tight_sets += 1
+        return tight(state, S)
+
+    monkeypatch.setattr(solver, "_require_iteration_invariant", counted_check)
+    monkeypatch.setattr(solver, "apply_tight_set", counted_tight)
+    for inst in (EIGHT_BY_EIGHT[0], generate_refund_heavy_instance(7, 8)):
+        checks.clear()
+        recorder = TraceRecorder()
+        solve(inst, recorder=recorder)
+        z_events = [row["kind"] for row in recorder.events if row["kind"].startswith("z_")]
+        assert checks == [f"after {kind}" for kind in z_events]
+        z_kinds.update(z_events)
+    assert z_kinds == {"z_removal", "z_new_edge"} and tight_sets > 0
 
 
 # generate_random_instance(4, 8, 8, 10) has no money return, but its

@@ -6,27 +6,24 @@ that holds this script:
 
     python3 tools/bench_sweep.py --tag after
 
-For each size n it runs ``arctic bench --seed 0 --count <seeds> --buyers n
---goods n``, that is ``generate_random_instance(seed, n, n, 10)`` for seeds
-0, 1, ..., each solve timed alone, and writes one row per size: the median
-and max solve time, the phases by type and ``maxflow_calls``, summed over the
-seeds, and each seed's own figures.  ``refund_heavy_rows`` holds the same
-rows for ``generate_refund_heavy_instance(seed, n)`` at the same sizes and
-seeds, each solve timed alone as ``arctic bench`` times it: the money-return
-regime, which the Baseline instances almost never reach.  ``oracle_rows``
-holds ``oracle_solve``'s time per shape over criterion 01's corpus,
-``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199 with the
-sizes drawn from ``random.Random(424242)``, each call timed alone: count,
-median, max and total.  The file goes to the current directory.  Compare two
-files only when they were made on one machine, side by side.
+For each size n it solves ``generate_random_instance(seed, n, n, 10)`` for
+seeds 0, 1, ..., the instances ``arctic bench --seed 0 --count <seeds>
+--buyers n --goods n`` solves, each solve timed alone as ``arctic bench``
+times it, and writes one row per size: the median and max solve time, the
+phases by type and ``maxflow_calls``, summed over the seeds, and each seed's
+own figures.  ``refund_heavy_rows`` holds the same rows for
+``generate_refund_heavy_instance(seed, n)`` at the same sizes and seeds: the
+money-return regime, which the Baseline instances almost never reach.
+``oracle_rows`` holds ``oracle_solve``'s time per shape over criterion 01's
+corpus, ``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199
+with the sizes drawn from ``random.Random(424242)``, each call timed alone:
+count, median, max and total.  The file goes to the current directory.
+Compare two files only when they were made on one machine, side by side.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import io
 import json
 import os
 import platform
@@ -41,32 +38,13 @@ SIZES = (5, 8, 12, 16, 24, 32, 48)
 COUNTED = ("phases", "type1", "type2", "type3", "maxflow_calls")
 
 
-def bench_rows(n: int, seeds: int) -> list[dict]:
-    """``arctic bench``'s CSV rows for seeds 0 .. seeds - 1 at n x n."""
-    from arcticauction.cli import main
-
-    out = io.StringIO()
-    argv = ["bench", "--seed", "0", "--count", str(seeds), "--buyers", str(n), "--goods", str(n)]
-    with contextlib.redirect_stdout(out):
-        if main(argv) != 0:
-            sys.exit(f"bench_sweep: arctic bench failed at n={n}")
-    return list(csv.DictReader(io.StringIO(out.getvalue())))
-
-
-def bench_solves(n: int, seeds: int) -> list[dict]:
-    return [
-        {"seed": int(r["seed"]), "seconds": int(r["micros"]) / 1e6, **{k: int(r[k]) for k in COUNTED}}
-        for r in bench_rows(n, seeds)
-    ]
-
-
-def refund_heavy_solves(n: int, seeds: int) -> list[dict]:
-    from arcticauction.market import generate_refund_heavy_instance
+def timed_solves(instance, seeds: int) -> list[dict]:
+    """Each seed's solve of ``instance(seed)``, timed alone in whole microseconds."""
     from arcticauction.solver import solve
 
     solves = []
     for seed in range(seeds):
-        inst = generate_refund_heavy_instance(seed, n)
+        inst = instance(seed)
         t0 = time.perf_counter()
         _, stats = solve(inst)
         micros = int((time.perf_counter() - t0) * 1_000_000)
@@ -110,6 +88,8 @@ def main(argv=None) -> int:
     if args.seeds < 1 or min(args.sizes) < 1:
         parser.error("--seeds and every size must be positive")
     sys.path.insert(0, str(SRC))
+    from arcticauction.market import generate_random_instance, generate_refund_heavy_instance
+
     doc = {
         "tag": args.tag,
         "instances": "generate_random_instance(seed, n, n, 10)",
@@ -117,9 +97,15 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "rows": [size_row(n, bench_solves(n, args.seeds)) for n in args.sizes],
+        "rows": [
+            size_row(n, timed_solves(lambda seed: generate_random_instance(seed, n, n, 10), args.seeds))
+            for n in args.sizes
+        ],
         "refund_heavy_instances": "generate_refund_heavy_instance(seed, n)",
-        "refund_heavy_rows": [size_row(n, refund_heavy_solves(n, args.seeds)) for n in args.sizes],
+        "refund_heavy_rows": [
+            size_row(n, timed_solves(lambda seed: generate_refund_heavy_instance(seed, n), args.seeds))
+            for n in args.sizes
+        ],
         "oracle_instances": "criterion 01: generate_random_instance(1000 + k, n, m, 10)",
         "oracle_rows": oracle_rows(),
     }
