@@ -53,16 +53,17 @@ with their surpluses as they are, and only the rest is peeled.
 the peel-off's balanced flow, with the caps restored.  Which balanced flow
 that is depends on the start flow; nothing the solver reads does.  The
 surplus vector is unique.  When every maximum flow fills every source arc,
-as at a new edge, where theta is at most the first tight theta, all
-balanced flows agree on the source and sink arcs, so any two differ by
-residual cycles through goods and buyers.  Pushing flow around a residual
-cycle leaves the reversed cycle residual, so reachability through goods and
-buyers does not change: the absorbed buyers (``buyers_reaching``), the
-check that the arcs pruned at an iteration start carry no flow and every
-tight-set probe's cut are the same for every balanced flow.  The extraction
-and the refund split push their flows from zero, so no allocation depends
-on it either.  The solver balances the graph it carries through a phase;
-``balanced_flow`` and ``balanced_surplus`` build one from a network.
+as at a new edge, where theta is at most the first tight theta, and at a
+phase start, under the price-cut invariant, all balanced flows agree on the
+source and sink arcs, so any two differ by residual cycles through goods
+and buyers.  Pushing flow around a residual cycle leaves the reversed cycle
+residual, so reachability through goods and buyers does not change: the
+absorbed buyers (``buyers_reaching``), the check that the arcs pruned at an
+iteration start carry no flow and every tight-set probe's cut are the same
+for every balanced flow.  The extraction and the refund split push their
+flows from zero, so no allocation depends on it either.  The solver
+balances the graph it carries through a solve; ``balanced_flow`` and
+``balanced_surplus`` build one from a network.
 """
 
 from __future__ import annotations
@@ -150,16 +151,7 @@ def _peel(g: _Residual, keep=()) -> dict[int, int]:
                     table[b] *= d
         level = scaled.numerator
         for b in live:
-            a = sink_arc[b]
-            cap[a] = max(full[b] - level, 0)
-            excess = flow[a] - cap[a]
-            for j, arc, forward in adj[b]:
-                if excess > 0 and not forward:
-                    take = min(flow[arc], excess)
-                    flow[arc] -= take
-                    flow[source_arc[j]] -= take
-                    flow[a] -= take
-                    excess -= take
+            g.set_sink_cap(b, max(full[b] - level, 0))
         return level
 
     kept_goods = goods_of(keep)

@@ -15,12 +15,12 @@ is checked to be feasible before it is used; a scaled copy of a graph,
 which shares its arcs and multiplies its capacities and flows by ints, is
 not built again and needs no check.  A graph can also be edited in place,
 so one graph can follow a network that changes an arc at a time: an arc
-added in sorted place, arcs without flow dropped, and every value divided
-by the common gcd.  That graph works on Python
-ints: each network's capacities, and the given flow's values, are multiplied
-by the LCM of their denominators, and results leave it only at the API
-boundary, as Fractions (flow values and flow value) and vertex tuples; cut
-capacities are summed from the network's own Fractions.
+added in sorted place, arcs without flow dropped, a sink cap set with the
+flow over it given back, and every value divided by the common gcd.  That
+graph works on Python ints: each network's capacities, and the given flow's
+values, are multiplied by the LCM of their denominators, and results leave
+it only at the API boundary, as Fractions (flow values and flow value) and
+vertex tuples; cut capacities are summed from the network's own Fractions.
 Its vertices are numbered s, goods by id, buyers by id, t, and each
 adjacency list is sorted by that number; the numbering fixes which
 augmenting paths max_flow takes, hence which maximum flow it returns, hence
@@ -153,10 +153,10 @@ class _Residual:
     capacity or backward against its flow.  The source arcs come first, in
     good order, and each buyer's sink arc is the last entry of its
     adjacency list.  ``cap`` and ``flow`` are only written on a graph its
-    caller owns: by ``augment``, ``rescale``, ``reduce``, the balanced
-    peel-off and the solver.  ``ends`` and ``adj`` may be shared with
-    scaled copies, so ``add_arc`` and ``drop_arcs`` replace them instead of
-    writing into them.
+    caller owns: by ``augment``, ``rescale``, ``reduce``, ``set_sink_cap``,
+    the balanced peel-off and the solver.  ``ends`` and ``adj`` may be
+    shared with scaled copies, so ``add_arc`` and ``drop_arcs`` replace them
+    instead of writing into them.
 
     A given flow must be feasible in the network: nonnegative, within every
     finite capacity and conserved at every good and buyer, else FlowError.
@@ -331,6 +331,27 @@ class _Residual:
             [(v, renumber[a], forward) for v, a, forward in entries if a in renumber]
             for entries in self.adj
         ]
+
+    def set_sink_cap(self, b: int, c: int) -> None:
+        """Set buyer vertex b's sink cap to c.
+
+        Inflow over c is given back along b's in-arcs, in adjacency order,
+        and taken off each good's source arc, so a feasible flow stays
+        feasible.
+        """
+        cap, flow, entries = self.cap, self.flow, self.adj[b]
+        a = entries[-1][1]
+        cap[a] = c
+        excess = flow[a] - c
+        for j, arc, forward in entries:
+            if excess <= 0:
+                return
+            if not forward:
+                take = min(flow[arc], excess)
+                flow[arc] -= take
+                flow[j - 1] -= take  # the source arcs come first, in good order
+                flow[a] -= take
+                excess -= take
 
     def sink_arc(self, i: int) -> int:
         """The arc from buyer i to the sink."""

@@ -39,33 +39,65 @@ ends with depends on its start flow, but the absorbed set, the pruned-arc
 check and the probes' cuts are the same for every balanced flow (see
 ``balanced``).
 
-A phase keeps one integer residual graph, built once by begin_phase and
-carried through every step.  Its good -> buyer arcs are the equality graph:
-the solver keeps no other record of the edges, and reads a buyer's goods and
-a good's buyers off its adjacency lists.  At each iteration start it is the
-iteration's network at theta = 1 under the start flow: the pruned arcs are
-dropped (checked to carry no flow), and every value is divided by the common
-gcd, so its ints are those of a fresh build and cannot grow from one
-iteration to the next; then its flow is checked to be feasible.  A
-zero-degree event edits it in place: a new edge is an arc added in sorted
-place, a removal sets the buyer's sink cap to zero and leaves an isolated
-vertex.  Each probe, and the invariant check after a zero-degree event,
-augments a copy of it at theta = a/b (``_at_theta``): every capacity and
-flow times b and the scaled goods' source caps times a, on the same arcs and
-adjacency lists.  A new edge takes the same copy at the event's theta, adds
-its arc, balances it in place and reads the absorbed buyers off it; that
-copy is the next iteration's graph.  A money return and the final extraction
-push from zero on the same copy with its flow zeroed, which finds the flow
-``max_flow`` finds on the network built afresh.  At phase start the balanced
-flow itself must fill every source arc.  No other check is needed: phase 1's
-begin_phase checks the initial network before anything changes, which also
-covers initialize's repricing (a good left without an edge leaves a deficit
-of at least its price); a tight-set event's theta is that of the search's
-last probe, which found no deficit on the same graph; and a full return's
-flow is already a maximum flow of the network without the buyer.  Every
-refund, in a money return and in the refund split, is a max-flow deficit
+A solve keeps one integer residual graph, built by phase 1's begin_phase
+and carried through every step of every phase.  Its good -> buyer arcs are
+the equality graph: the solver keeps no other record of the edges, and
+reads a buyer's goods and a good's buyers off its adjacency lists.  At each
+iteration start it is the iteration's network at theta = 1 under the start
+flow: the pruned arcs are dropped (checked to carry no flow), and every
+value is divided by the common gcd, so its ints are those of a fresh build
+and cannot grow from one iteration to the next; then its flow is checked to
+be feasible.  A zero-degree event edits it in place: a new edge is an arc
+added in sorted place, a removal sets the buyer's sink cap to zero and
+leaves an isolated vertex.  Each probe, and the invariant check after a
+zero-degree event, augments a copy of it at theta = a/b (``_at_theta``):
+every capacity and flow times b and the scaled goods' source caps times a,
+on the same arcs and adjacency lists.  A new edge takes the same copy at the
+event's theta, adds its arc, balances it in place and reads the absorbed
+buyers off it; that copy is the next iteration's graph.  A money return and
+the final extraction push from zero on the same copy with its flow zeroed,
+which finds the flow ``max_flow`` finds on the network built afresh.  The
+return is then written into the graph: a partial one sets the buyer's sink
+cap to her new spend, giving back the flow over it along her in-arcs and off
+her goods' source arcs; a full one also drops her arcs, and her vertex
+stays, cut off, with cap 0.
+
+A later phase starts from the last one's graph (``_carry_graph``): scaled to
+the final theta it has the new prices and refunds, and its flow stays
+feasible.  No live buyer loses an arc there: an active buyer's goods were
+all scaled alike, and any other buyer's arcs lead outside J, whose prices
+did not move.  So only the arcs ``mbpb`` gives and the graph lacks are
+added, in sorted place.  The graph is then balanced from the flow it holds,
+and only the components with a scaled good, a new arc or a refunded buyer's
+goods are peeled (``_settled_buyers``): every other component has the same
+caps and arcs as at the last balance, less arcs without flow, so its flow is
+balanced already.  The surplus vector, I, J, the absorbed sets and every
+probe's cut are the same for every balanced flow (see ``balanced``), so
+carrying the flow changes no answer.  After phase 1 the only network built
+is the refund split's.  At phase start the balanced flow itself must fill
+every source arc.  No other check is needed: phase 1's begin_phase checks
+the initial network before anything changes, which also covers
+initialize's repricing (a good left without an edge leaves a deficit of at
+least its price); a tight-set event's theta is that of the search's last
+probe, which found no deficit on the same graph; and a full return's flow
+is already a maximum flow of the network without the buyer.  Every refund,
+in a money return and in the refund split, is a max-flow deficit
 (``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
 0, and stays for perfbench's check.
+
+Events are found from candidates built once per iteration.  Within an
+iteration base_prices, J and the active buyers' arcs do not change, so each
+active buyer's refund theta (her bang-per-buck at iteration-start prices)
+and first crossing are fixed; a zero-degree buyer's are too, and a
+zero-degree event takes only its own buyer out of Z.  So the first event
+builds every candidate into a heap ordered by ``Event.sort_key``, and a
+later event only drops the entries of buyers that left Z; only the
+tight-set search runs at every event.  The outside goods' prices are fixed
+for the whole phase and J only grows, so a buyer's best outside ratio and
+its goods are kept for the phase and computed again only when one of those
+goods joins J.  Checking the heap's head against theta checks every
+candidate, and ``_alpha_bar_active``'s checks run once per iteration, on
+data that does not change within it.
 
 Everything is exact rational arithmetic; every comparison is exact.
 """
@@ -73,6 +105,7 @@ Everything is exact rational arithmetic; every comparison is exact.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -182,14 +215,21 @@ class SolverState:
     phase_index: int = 0
     iteration_index: int = 0
     recorder: TraceRecorder | None = None
-    # The phase's integer residual graph: at iteration start, the
+    # The solve's integer residual graph: at iteration start, the
     # iteration's network at theta = 1 under its start flow.  Probes and
     # in-iteration invariant checks run on scaled copies of it.  Its
     # good -> buyer arcs are the equality graph's edges.
     graph: _Residual | None = None
-    # Buyers that gained an edge in a zero-degree event since the graph was
-    # last balanced: their components must be peeled again.
-    joined: set[int] = field(default_factory=set)
+    # Goods whose equality-graph component changed since the graph was last
+    # balanced, beyond J's: a new arc's good and a refunded buyer's goods.
+    # Their components must be peeled again.
+    touched: set[int] = field(default_factory=set)
+    # The iteration's refund and crossing candidates, a heap of
+    # (Event.sort_key, Event); built by the iteration's first next_event.
+    queue: list[tuple[tuple, Event]] | None = None
+    # Each buyer's best ratio over the goods outside J, and the goods
+    # attaining it, kept for the phase.
+    outside: dict[int, tuple[Fraction, frozenset[int]]] = field(default_factory=dict)
 
     def leftover(self, i: int) -> Fraction:
         return self.inst.money[i] - self.returns[i]
@@ -243,7 +283,7 @@ def _balance(state: SolverState, g: _Residual, keep=()) -> tuple[dict[int, int],
     ``keep`` (see ``balance``).  Returns each live buyer's surplus times
     g.scale, and the potential: the sum of the squared surpluses."""
     balance(g, keep)
-    state.joined.clear()
+    state.touched.clear()
     gamma = {}
     for i in state.live_buyers:
         a = g.sink_arc(i)
@@ -287,18 +327,18 @@ def initialize(inst: MarketInstance) -> SolverState:
     return state
 
 
-def _settled_buyers(state: SolverState, g: _Residual, j: int) -> list[int]:
+def _settled_buyers(state: SolverState, g: _Residual) -> list[int]:
     """The vertices of the live buyers whose flow on g is balanced already.
 
-    They are the buyers of every equality-graph component that has no scaled
-    good, does not hold j and has gained no zero-degree edge since the last
-    balance.  Since then such a component can only have lost arcs without
-    flow, pruned at an iteration start, and its flow stays balanced: it
-    still fills every source arc, and no residual path was added.
+    They are the buyers of every equality-graph component that holds no good
+    of J (scaled) or of ``state.touched`` (a new arc, or a buyer whose money
+    came back).  Since the last balance such a component can only have lost
+    arcs without flow, pruned at an iteration start, and its flow stays
+    balanced: it still fills every source arc, and no residual path was
+    added.
     """
     index, t = g.index, len(g.adj) - 1
-    seen = {index[good_vertex(k)] for k in (*state.J, j)}
-    seen |= {index[buyer_vertex(i)] for i in state.joined}
+    seen = {index[good_vertex(k)] for k in (*state.J, *state.touched)}
     stack = list(seen)
     while stack:
         for v, _, _ in g.adj[stack.pop()]:
@@ -323,23 +363,55 @@ def _start_iteration(state: SolverState) -> None:
     state.base_prices = {j: state.prices[j] for j in state.J}
     state.theta = Fraction(1)
     state.iteration_index += 1
+    state.queue = None
     g.reduce()
     g._check_feasible()
 
 
-def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
-    """Open a phase: rebuild the network, balance flow, pick the active sets.
+def _carry_graph(state: SolverState) -> _Residual:
+    """The last phase's graph, carried to the next phase's network.
 
-    The phase's graph is built here, once, and balanced from zero.  Returns
-    (potential at phase start, terminal flag).  The terminal flag is set
-    when every buyer's surplus is already zero, in which case the full goods
-    set is tight and the run ends.
+    Scaled to the final theta (``_at_theta``) it has every new price, and
+    the money returns are in it already (``apply_money_return``).  No live
+    buyer loses an arc: an active buyer's goods were all scaled alike, and
+    any other buyer's arcs lead outside J, whose prices did not move.  So
+    the arcs ``mbpb`` gives and the graph lacks are added, each in sorted
+    place with its good touched, and the flow stays feasible.
+    """
+    g = state.graph = _at_theta(state, state.theta)
+    for i in sorted(state.live_buyers):
+        best = mbpb(state.inst, state.prices, i)[1]
+        have = g.goods_of(i)
+        if not have <= best:
+            raise SolverError(f"buyer {i} kept an edge off her bang-per-buck")
+        for j in sorted(best - have):
+            g.add_arc(j, i)
+            state.touched.add(j)
+    return g
+
+
+def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
+    """Open a phase: bring the graph to the new prices, balance flow, pick the active sets.
+
+    Phase 1 builds the solve's graph and balances it from zero.  Every later
+    phase carries the last phase's graph (``_carry_graph``) and balances it
+    from the flow it holds, peeling only the components that
+    ``_settled_buyers`` does not keep.  Returns (potential at phase start,
+    terminal flag).  The terminal flag is set when every buyer's surplus is
+    already zero, in which case the full goods set is tight and the run
+    ends.
     """
     state.phase_index += 1
     state.iteration_index = 0
-    net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
-    state.graph = g = _Residual(net)
-    gamma, state.phi = _balance(state, g)
+    state.outside.clear()
+    if state.graph is None:
+        net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
+        state.graph = g = _Residual(net)
+        keep = ()
+    else:
+        g = _carry_graph(state)
+        keep = _settled_buyers(state, g)
+    gamma, state.phi = _balance(state, g, keep)
     if state.recorder is not None:
         state.recorder.record_phase(state, "phase_start")
     # The invariant: the balanced flow, a feasible flow, fills every source
@@ -426,47 +498,71 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     raise SolverError("tight set search failed to settle")
 
 
+def _candidates(state: SolverState) -> list[Event]:
+    """The iteration's refund and crossing candidates, one of each per active
+    or zero-degree buyer.  A buyer's crossing candidates all share one
+    bang-per-buck, so only its first crossing, the lowest good on ties, can
+    win and is the only one built."""
+    outside = [j for j in state.inst.goods if j not in state.J]
+    candidates: list[Event] = []
+
+    def crossing(kind: str, i: int, abar: Fraction) -> None:
+        # Scaled ratios fall as abar / theta, so buyer i first meets the
+        # outside goods of best ratio, at theta = abar / alpha_out.  Outside
+        # prices are fixed for the phase and J only grows, so that ratio
+        # holds until one of its goods joins J.
+        best = state.outside.get(i)
+        if best is None or not best[1].isdisjoint(state.J):
+            best = state.outside[i] = mbpb(state.inst, state.prices, i, outside)
+        alpha_out, goods = best
+        if goods:
+            candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
+
+    for i in state.I:
+        abar = _alpha_bar_active(state, i)
+        candidates.append(Event("money_return", abar, buyer=i))
+        crossing("new_edge", i, abar)
+    for i in state.Z:
+        abar = _alpha_bar_zero_degree(state, i)
+        candidates.append(Event("z_removal", abar, buyer=i))
+        crossing("z_new_edge", i, abar)
+    return candidates
+
+
 def next_event(state: SolverState) -> Event:
     """The earliest event as theta rises, ties broken by Event.sort_key.
 
     Ties at equal theta resolve by kind (refunds precede everything: prices
     cannot rise past an unpaid buyer), then by the lowest buyer index, then
     by the lowest good index.  This only orders events: the refund split a
-    solve reports is fixed afterwards by _lex_max_refunds.  A buyer's
-    crossing candidates all share one bang-per-buck, so only its first
-    crossing, the lowest good on ties, can win and is the only one built.
+    solve reports is fixed afterwards by _lex_max_refunds.
+
+    The candidates (``_candidates``) are built at the iteration's first
+    event and kept in the heap ``state.queue``.  Within an iteration
+    base_prices, J and the active buyers' arcs are fixed, and a zero-degree
+    event only takes its own buyer out of Z, so a later event only drops the
+    entries of buyers that left Z.  Only the tight-set search runs at every
+    event.
     """
-    outside = [j for j in state.inst.goods if j not in state.J]
-    candidates: list[Event] = []
-
-    def crossing(kind: str, i: int, abar: Fraction) -> None:
-        # Scaled ratios fall as abar / theta, so buyer i first meets the
-        # outside goods of best ratio, at theta = abar / alpha_out.
-        alpha_out, goods = mbpb(state.inst, state.prices, i, outside)
-        if goods:
-            candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
-
-    for i in sorted(state.I):
-        abar = _alpha_bar_active(state, i)
-        candidates.append(Event("money_return", abar, buyer=i))
-        crossing("new_edge", i, abar)
-    for i in sorted(state.Z):
-        abar = _alpha_bar_zero_degree(state, i)
-        candidates.append(Event("z_removal", abar, buyer=i))
-        crossing("z_new_edge", i, abar)
-    if not candidates:
+    queue = state.queue
+    if queue is None:
+        queue = state.queue = [(ev.sort_key(), ev) for ev in _candidates(state)]
+        heapq.heapify(queue)
+    while queue and queue[0][1].buyer not in state.I and queue[0][1].buyer not in state.Z:
+        heapq.heappop(queue)
+    if not queue:
         raise SolverError("no candidate events in iteration")
-    # A refund's theta is the buyer's bang-per-buck at iteration-start
-    # prices, so this also checks that no buyer's is below 1.
-    for ev in candidates:
-        if ev.theta_star < state.theta:
-            raise SolverError(f"{ev.kind} event in the past: {ev.theta_star} < {state.theta}")
-    theta_cap = min(ev.theta_star for ev in candidates)
-    found = _tight_set_search(state, theta_cap)
-    if found is not None:
-        theta_t, tight = found
-        candidates.append(Event("tight_set", theta_t, tight_goods=tight))
-    return min(candidates, key=Event.sort_key)
+    first = queue[0][1]
+    # The earliest candidate, so this checks them all; a refund's theta is
+    # the buyer's bang-per-buck at iteration-start prices, so this also
+    # checks that no buyer's is below 1.
+    if first.theta_star < state.theta:
+        raise SolverError(f"{first.kind} event in the past: {first.theta_star} < {state.theta}")
+    found = _tight_set_search(state, first.theta_star)
+    if found is None:
+        return first
+    theta_t, tight = found
+    return min(first, Event("tight_set", theta_t, tight_goods=tight), key=Event.sort_key)
 
 
 def _set_theta(state: SolverState, theta: Fraction) -> None:
@@ -492,7 +588,8 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
         raise SolverError("new edge does not satisfy the bang-per-buck equality")
     state.graph = g = _at_theta(state, state.theta)
     g.add_arc(j, i)
-    _, new_phi = _balance(state, g, _settled_buyers(state, g, j))
+    state.touched.add(j)
+    _, new_phi = _balance(state, g, _settled_buyers(state, g))
     if new_phi > state.phi:
         raise SolverError("potential increased across a balanced-flow recompute")
     state.phi = new_phi
@@ -527,7 +624,9 @@ def apply_money_return(state: SolverState, i: int) -> str:
     source side of the maximal min cut with her cap at 0, so it leaves S
     tight.  The copy, augmented again with her cap at beta, must fill every
     source arc.  That also checks that i is in T: else the cut would stay
-    minimal, below the total price, with her cap at beta.
+    minimal, below the total price, with her cap at beta.  The return is
+    then written into the graph the next phase carries: her sink cap is set
+    to beta, or she is removed.
     """
     abar = _alpha_bar_active(state, i)
     if abar != state.theta:
@@ -548,10 +647,23 @@ def apply_money_return(state: SolverState, i: int) -> str:
     if g.deficit():
         raise SolverError("price cut invariant broken at partial money return")
     state.returns[i] = state.inst.money[i] - beta
+    # Rescaled by theta's denominator, the graph has g's scale, at which
+    # her new cap is the spend.
+    h = state.graph
+    h.rescale(state.theta.denominator)
+    h.set_sink_cap(h.index[buyer_vertex(i)], spend)
+    state.touched |= h.goods_of(i)
     return "III"
 
 
 def _remove_buyer(state: SolverState, i: int) -> None:
+    """Take buyer i out: the graph gives back her flow and drops her arcs,
+    and keeps her vertex, cut off, with sink cap 0."""
+    g = state.graph
+    goods = g.goods_of(i)
+    g.set_sink_cap(g.index[buyer_vertex(i)], 0)
+    g.drop_arcs([(j, i) for j in goods])
+    state.touched |= goods
     state.live_buyers.discard(i)
     state.I.discard(i)
     state.Z.discard(i)
@@ -567,8 +679,6 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
             raise SolverError("zero-degree removal fired away from bang-per-buck 1")
         state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
-        # The buyer has no arc, hence no flow: the vertex stays, cut off.
-        state.graph.cap[state.graph.sink_arc(i)] = 0
     elif event.kind == "z_new_edge":
         j = event.good
         u = state.inst.utilities[i][j]
@@ -576,7 +686,7 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
         if u != alpha_i * state.prices[j]:
             raise SolverError("zero-degree crossing does not satisfy the equality")
         state.Z.discard(i)
-        state.joined.add(i)
+        state.touched.add(j)
         state.graph.add_arc(j, i)
     else:
         raise SolverError(f"not a zero-degree event: {event.kind}")

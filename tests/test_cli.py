@@ -303,10 +303,14 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     # The oracle rows time criterion 01's 200 oracle calls, about 10 s; here
     # only their bookkeeping is checked (criterion 01 runs the real oracle).
     monkeypatch.setattr(oracle, "oracle_solve", lambda inst: None)
+    # The bank rows' sizes (100 to 400 buyers) take seconds; smaller ones
+    # check the same bookkeeping.
+    monkeypatch.setattr(sweep, "BANK_SIZES", (6, 9))
     assert sweep.main(["--tag", "t", "--sizes", "3", "4", "--seeds", "2"]) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [row["n"] for row in doc["rows"]] == [3, 4]
-    for row in doc["rows"]:
+    assert [(row["n"], row["m"]) for row in doc["bank_rows"]] == [(6, 3), (9, 3)]
+    for row in doc["rows"] + doc["bank_rows"]:
         assert [s["seed"] for s in row["solves"]] == [0, 1]
         assert row["phases"] == row["type1"] + row["type2"] + row["type3"] > 0
         assert 0 < row["median_s"] <= row["max_s"]

@@ -26,6 +26,7 @@ from arcticauction.market import (
 )
 from arcticauction.oracle import oracle_solve
 from arcticauction.solver import (
+    Event,
     SolverState,
     TraceRecorder,
     begin_phase,
@@ -720,13 +721,153 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
         assert removed > 0
 
 
+@pytest.mark.parametrize("inst", CARRIED_GRAPH_CORPUS)
+def test_carried_phase_start_graph_has_the_fresh_build_edges(monkeypatch, inst):
+    # A later phase start carries the last phase's graph and adds the arcs
+    # that mbpb gives and it lacks: its edge set must be build_network's at
+    # the new prices, refunds and live buyers.
+    carry = solver._carry_graph
+    carried = 0
+
+    def checked(state):
+        nonlocal carried
+        g = carry(state)
+        net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
+        assert {(j, i) for j in state.inst.goods for i in g.buyers_of(j)} == net.edges
+        carried += 1
+        return g
+
+    monkeypatch.setattr(solver, "_carry_graph", checked)
+    _, stats = solve(inst)
+    assert carried == stats.phase_count - 1 > 0
+
+
+def test_a_carried_edge_off_bang_per_buck_fails_the_phase_start(monkeypatch):
+    # A later phase start only adds arcs to the carried graph: a live buyer
+    # that still has an arc to a good off her bang-per-buck is a contract
+    # violation.
+    begin = solver.begin_phase
+
+    def planted(state):
+        if state.phase_index == 1:
+            i = min(state.live_buyers)
+            state.graph.add_arc(min(set(state.inst.goods) - mbpb(state.inst, state.prices, i)[1]), i)
+        return begin(state)
+
+    monkeypatch.setattr(solver, "begin_phase", planted)
+    with pytest.raises(solver.SolverError, match="off her bang-per-buck"):
+        solve(EIGHT_BY_EIGHT[0])
+
+
+def test_full_money_return_takes_the_buyer_out_of_the_graph(monkeypatch):
+    # A full money return removes the buyer: at the next phase start her
+    # vertex has no arc, and her sink arc has cap 0 and no flow, before and
+    # after the graph is carried to the new prices.
+    money_return, begin = solver.apply_money_return, solver.begin_phase
+    removed = []
+
+    def cut_off(g, i):
+        a = g.sink_arc(i)
+        return not g.goods_of(i) and g.cap[a] == g.flow[a] == 0
+
+    def watched_return(state, i):
+        kind = money_return(state, i)
+        if kind == "II":
+            removed.append(i)
+        return kind
+
+    def watched_begin(state):
+        assert all(cut_off(state.graph, i) for i in removed)
+        out = begin(state)
+        assert all(cut_off(state.graph, i) for i in removed)
+        return out
+
+    monkeypatch.setattr(solver, "apply_money_return", watched_return)
+    monkeypatch.setattr(solver, "begin_phase", watched_begin)
+    full_returns = 0
+    for seed in range(3):
+        removed.clear()
+        _, stats = solve(generate_refund_heavy_instance(seed, 12))
+        assert len(removed) == stats.type2
+        full_returns += stats.type2
+    assert full_returns == 12
+
+
+def _candidates_from_scratch(state):
+    """Every refund and crossing candidate, rebuilt from the state at an
+    event: the reference for the candidates next_event keeps."""
+    outside = [j for j in state.inst.goods if j not in state.J]
+    candidates: list[Event] = []
+
+    def crossing(kind: str, i: int, abar: Fraction) -> None:
+        # Scaled ratios fall as abar / theta, so buyer i first meets the
+        # outside goods of best ratio, at theta = abar / alpha_out.
+        alpha_out, goods = mbpb(state.inst, state.prices, i, outside)
+        if goods:
+            candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
+
+    for i in sorted(state.I):
+        abar = solver._alpha_bar_active(state, i)
+        candidates.append(Event("money_return", abar, buyer=i))
+        crossing("new_edge", i, abar)
+    for i in sorted(state.Z):
+        abar = solver._alpha_bar_zero_degree(state, i)
+        candidates.append(Event("z_removal", abar, buyer=i))
+        crossing("z_new_edge", i, abar)
+    return candidates
+
+
+EVENT_QUEUE_CORPUS = [*CARRIED_GRAPH_CORPUS, generate_random_instance(0, 60, 3, 10)]
+
+
+@pytest.mark.parametrize("inst", EVENT_QUEUE_CORPUS)
+def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, inst):
+    # next_event builds the candidates at an iteration's first event and
+    # keeps them; at every event the kept candidates of the buyers still
+    # active or zero-degree must be those rebuilt from scratch, the queue's
+    # head their minimum, and the event that fires that minimum or a tight
+    # set before it.
+    original = solver.next_event
+    events = kept = 0
+
+    def checked(state):
+        nonlocal events, kept
+        expected = sorted(_candidates_from_scratch(state), key=Event.sort_key)
+        kept += state.queue is not None
+        ev = original(state)
+        live = [e for _, e in state.queue if e.buyer in state.I or e.buyer in state.Z]
+        assert sorted(live, key=Event.sort_key) == expected
+        assert state.queue[0][1] == expected[0]
+        assert ev == expected[0] or (ev.kind == "tight_set" and ev.sort_key() < expected[0].sort_key())
+        events += 1
+        return ev
+
+    monkeypatch.setattr(solver, "next_event", checked)
+    solve(inst)
+    assert events > kept > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bank_corpus(seed):
+    # The many-bidder, few-goods family: most phases end in a money return.
+    # Its 4 x 2 and 4 x 3 members fit the oracle, which must agree bit for bit.
+    inst = generate_random_instance(seed, 60, 3, 10)
+    eq, stats = solve(inst)
+    assert verify_arctic_kkt(inst, eq).overall
+    assert verify_market_clearing(inst, eq).overall
+    assert stats.type2 + stats.type3 > 0
+    for m in (2, 3):
+        small = generate_random_instance(seed, 4, m, 10)
+        assert solve(small)[0] == oracle_solve(small).equilibrium
+
+
 @pytest.mark.parametrize("inst", [EIGHT_BY_EIGHT[0], generate_refund_heavy_instance(7, 8)])
 def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
-    # initialize builds nothing; begin_phase builds the phase's one residual
-    # graph; a new edge and a zero-degree event edit it, and a money return
-    # and the extraction push on copies of it: none of them builds a graph
-    # or a network.  The refund split builds at most one graph, of the final
-    # network.
+    # initialize builds nothing; phase 1's begin_phase builds the solve's one
+    # residual graph, and every later phase start carries it; a new edge and
+    # a zero-degree event edit it, and a money return and the extraction push
+    # on copies of it: none of them builds a graph or a network.  The refund
+    # split builds at most one graph, of the final network.
     builds = {"graph": 0, "network": 0}
 
     def counted(init, key):
@@ -747,18 +888,19 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
 
         def wrapper(*args):
             before = dict(builds)
+            expected = graphs(*args) if callable(graphs) else graphs
             result = step(*args)
             built = builds["graph"] - before["graph"]
-            assert built <= graphs if at_most else built == graphs
+            assert built <= expected if at_most else built == expected
             # Each graph is of one network, which counts twice: build_network
             # checks the prices on an edgeless network before adding edges.
-            assert builds["network"] - before["network"] <= 2 * graphs
+            assert builds["network"] - before["network"] <= 2 * expected
             steps[name] = steps.get(name, 0) + 1
             return result
 
         monkeypatch.setattr(solver, name, wrapper)
 
-    watched("begin_phase", 1)
+    watched("begin_phase", lambda state: int(state.phase_index == 0))
     for name in ("initialize", "apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
         watched(name, 0)
     # The refund split pushes on one graph of the final network, if any.
@@ -770,6 +912,7 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
     if inst is not EIGHT_BY_EIGHT[0]:
         expected.add("apply_money_return")
     assert set(steps) == expected
+    assert steps["begin_phase"] > 1
 
 
 def test_iteration_invariant_is_checked_once_per_z_event(monkeypatch):

@@ -14,6 +14,9 @@ phases by type and ``maxflow_calls``, summed over the seeds, and each seed's
 own figures.  ``refund_heavy_rows`` holds the same rows for
 ``generate_refund_heavy_instance(seed, n)`` at the same sizes and seeds: the
 money-return regime, which the Baseline instances almost never reach.
+``bank_rows`` holds the same rows for the many-bidder, few-goods family
+``generate_random_instance(seed, n, 3, 10)`` at n = 100, 200 and 400, where
+most phases end in a money return.
 ``oracle_rows`` holds ``oracle_solve``'s time per shape over criterion 01's
 corpus, ``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199
 with the sizes drawn from ``random.Random(424242)``, each call timed alone:
@@ -35,6 +38,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SIZES = (5, 8, 12, 16, 24, 32, 48)
+BANK_SIZES = (100, 200, 400)
 COUNTED = ("phases", "type1", "type2", "type3", "maxflow_calls")
 
 
@@ -71,9 +75,9 @@ def oracle_rows() -> list[dict]:
     ]
 
 
-def size_row(n: int, solves: list[dict]) -> dict:
+def size_row(n: int, m: int, solves: list[dict]) -> dict:
     times = [s["seconds"] for s in solves]
-    row = {"n": n, "m": n, "median_s": statistics.median(times), "max_s": max(times)}
+    row = {"n": n, "m": m, "median_s": statistics.median(times), "max_s": max(times)}
     row.update((k, sum(s[k] for s in solves)) for k in COUNTED)
     row["solves"] = solves
     return row
@@ -98,20 +102,25 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "rows": [
-            size_row(n, timed_solves(lambda seed: generate_random_instance(seed, n, n, 10), args.seeds))
+            size_row(n, n, timed_solves(lambda seed: generate_random_instance(seed, n, n, 10), args.seeds))
             for n in args.sizes
         ],
         "refund_heavy_instances": "generate_refund_heavy_instance(seed, n)",
         "refund_heavy_rows": [
-            size_row(n, timed_solves(lambda seed: generate_refund_heavy_instance(seed, n), args.seeds))
+            size_row(n, n, timed_solves(lambda seed: generate_refund_heavy_instance(seed, n), args.seeds))
             for n in args.sizes
+        ],
+        "bank_instances": "generate_random_instance(seed, n, 3, 10)",
+        "bank_rows": [
+            size_row(n, 3, timed_solves(lambda seed: generate_random_instance(seed, n, 3, 10), args.seeds))
+            for n in BANK_SIZES
         ],
         "oracle_instances": "criterion 01: generate_random_instance(1000 + k, n, m, 10)",
         "oracle_rows": oracle_rows(),
     }
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    for key in ("rows", "refund_heavy_rows"):
+    for key in ("rows", "refund_heavy_rows", "bank_rows"):
         for row in doc[key]:
             print(
                 f"{key:17s} n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  "
