@@ -32,11 +32,13 @@ Gallo-Grigoriadis-Tarjan parametric max-flow):
   So the rest of the flow stays feasible for the rest of the network.
   After the last level the flow is a maximum flow with the balanced
   surplus vector: each pinned buyer's inflow is its full cap less its
-  surplus.
+  surplus.  The lowered sink caps are then restored, and no other copy of
+  the surpluses is kept: a buyer's surplus is its sink cap less its inflow.
 * Rescaling.  A water level may bring a new denominator d; every capacity,
-  every flow and the graph's scale are then multiplied by d, which is exact.
-  Water levels are solved on the graph's scaled ints: the buyers' full sink
-  caps and the goods' source caps.
+  every flow, the graph's scale and the full sink caps kept for the restore
+  are then multiplied by d, which is exact.  Water levels are solved on the
+  graph's scaled ints: the buyers' full sink caps and the goods' source
+  caps, read off the graph's layout.
 
 The peel-off reads only max-flow values and the vertex sets reachable from
 the source, and both are the same for every maximum flow of a network.  So
@@ -49,8 +51,8 @@ balanced flows of its components.  The caller may name components whose
 flow is balanced already: their buyers and goods are frozen from the start,
 with their surpluses as they are, and only the rest is peeled.
 
-``balance`` works on a residual graph its caller owns and leaves it holding
-the peel-off's balanced flow, with the caps restored.  Which balanced flow
+``balance`` runs the peel-off in place on a residual graph its caller owns
+and leaves it holding a balanced flow of its own network.  Which balanced flow
 that is depends on the start flow; nothing the solver reads does.  The
 surplus vector is unique.  When every maximum flow fills every source arc,
 as at a new edge, where theta is at most the first tight theta, and at a
@@ -62,8 +64,8 @@ absorbed buyers (``buyers_reaching``), the check that the arcs pruned at an
 iteration start carry no flow and every tight-set probe's cut are the same
 for every balanced flow.  The extraction and the refund split push their
 flows from zero, so no allocation depends on it either.  The solver
-balances the graph it carries through a solve; ``balanced_flow`` and
-``balanced_surplus`` build one from a network.
+balances the graph it carries through a solve and reads the surpluses off
+it; ``balanced_flow`` and ``balanced_surplus`` build one from a network.
 """
 
 from __future__ import annotations
@@ -112,27 +114,22 @@ def _water_level(caps: list[int], target: int) -> Fraction:
     raise AssertionError("water level search failed")
 
 
-def _peel(g: _Residual, keep=()) -> dict[int, int]:
-    """The balanced surplus of each buyer vertex of g, times g.scale.
+def balance(g: _Residual, keep=()) -> None:
+    """Replace g's flow, a feasible flow of g's network, by a balanced flow.
 
     The buyer vertices in ``keep`` are frozen from the start, with their
-    goods, and their current surpluses are taken as final: they must make
-    up whole components of g's network (FlowError if one of their goods
-    feeds another buyer) on which g's flow is balanced already.  The rest is
-    peeled off from g's flow, which must be feasible; the result does not
-    depend on it.  Each pinned group keeps its flow, so g ends holding a
-    maximum flow of g's network with the result as its surplus vector, and
-    with each peeled buyer's sink cap lowered to its inflow.
+    goods and flow: they must make up whole components of g's network, on
+    which the flow is balanced already (FlowError if one of their goods
+    feeds another buyer).  The rest is peeled off from g's flow, and the
+    sink caps lowered on the way are restored, so g ends as the residual
+    graph of its own network under a balanced flow.
     """
     cap, flow, adj = g.cap, g.flow, g.adj
-    t = len(adj) - 1
-    source_arc = {v: a for a, (u, v) in enumerate(g.ends) if u == 0}
-    sink_arc = {u: a for a, (u, v) in enumerate(g.ends) if v == t}
-    # Each buyer's full sink cap, and each kept or pinned buyer's surplus,
-    # scaled along with the graph.
-    full = {b: cap[a] for b, a in sink_arc.items()}
+    n_goods, t = len(adj[0]), len(adj) - 1  # good v's source arc is v - 1
     keep = set(keep)
-    out = {b: full[b] - flow[sink_arc[b]] for b in keep}
+    # Each peeled buyer's sink arc, and its full cap, scaled along with the graph.
+    sink_arc = {b: adj[b][-1][1] for b in range(n_goods + 1, t) if b not in keep}
+    full = {b: cap[a] for b, a in sink_arc.items()}
     dead: set[int] = set()
 
     def goods_of(buyers) -> set[int]:
@@ -146,9 +143,8 @@ def _peel(g: _Residual, keep=()) -> dict[int, int]:
         d = scaled.denominator
         if d > 1:
             g.rescale(d)
-            for table in (full, out):
-                for b in table:
-                    table[b] *= d
+            for b in full:
+                full[b] *= d
         level = scaled.numerator
         for b in live:
             g.set_sink_cap(b, max(full[b] - level, 0))
@@ -162,7 +158,7 @@ def _peel(g: _Residual, keep=()) -> dict[int, int]:
     while live := [b for b in full if b not in dead]:
         # Find the top surplus level: the smallest uniform sink reduction that
         # the network can still fully absorb, searched from a lower bound.
-        bound = sum(full[b] for b in live) - sum(cap[source_arc[j]] for j in goods_of(live))
+        bound = sum(full[b] for b in live) - sum(cap[j - 1] for j in goods_of(live))
         delta = max(Fraction(bound, g.scale * len(live)), Fraction(0))
         while True:
             level = lower_caps(live, delta)
@@ -172,13 +168,12 @@ def _peel(g: _Residual, keep=()) -> dict[int, int]:
             starved = [b for b in live if reached[b] is None]
             if not starved:
                 raise FlowError("reduced network min cut has no starved buyers")
-            target = sum(cap[source_arc[j]] for j in goods_of(starved))
+            target = sum(cap[j - 1] for j in goods_of(starved))
             new_delta = _water_level([full[b] for b in starved], target) / g.scale
             if new_delta <= delta:
                 raise FlowError("water level candidate did not increase")
             delta = new_delta
         if level == 0:  # every live buyer is saturated at its full cap
-            out.update((b, 0) for b in live)
             break
 
         # Split off the group pinned at the top level: buyers not reachable
@@ -189,32 +184,18 @@ def _peel(g: _Residual, keep=()) -> dict[int, int]:
         pinned = [b for b in live if reached[b] is None]
         if not pinned:
             raise FlowError("no buyers pinned at the top surplus level")
-        for b in pinned:
-            out[b] = min(full[b], level)
         dead |= goods_of(pinned)
         dead.update(pinned)
-    return out
-
-
-def balance(g: _Residual, keep=()) -> None:
-    """Replace g's flow, a feasible flow of g's network, by a balanced flow.
-
-    The peel-off leaves g holding a balanced flow; only the sink caps it
-    lowered are restored, so g ends as the residual graph of its own network
-    under that flow.  ``keep`` is as for ``_peel``: the buyer vertices of
-    components whose flow is balanced already, which keep it.
-    """
-    caps, scale = list(g.cap), g.scale
-    _peel(g, keep)
-    k = g.scale // scale
-    g.cap[:] = [None if c is None else c * k for c in caps]
+    for b, c in full.items():
+        cap[sink_arc[b]] = c
 
 
 def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
     """The unique surplus vector attained by every balanced flow."""
     g = _Residual(net)
-    out = _peel(g)
-    return {g.vertices[b][1]: Fraction(s, g.scale) for b, s in out.items()}
+    balance(g)
+    arcs = {i: g.sink_arc(i) for i in net.buyers}
+    return {i: Fraction(g.cap[a] - g.flow[a], g.scale) for i, a in arcs.items()}
 
 
 def balanced_flow(net: FlowNetwork) -> Flow:

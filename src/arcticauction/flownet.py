@@ -154,7 +154,7 @@ class _Residual:
     good order, and each buyer's sink arc is the last entry of its
     adjacency list.  ``cap`` and ``flow`` are only written on a graph its
     caller owns: by ``augment``, ``rescale``, ``reduce``, ``set_sink_cap``,
-    the balanced peel-off and the solver.  ``ends`` and ``adj`` may be
+    ``balanced.balance`` and the solver.  ``ends`` and ``adj`` may be
     shared with scaled copies, so ``add_arc`` and ``drop_arcs`` replace them
     instead of writing into them.
 

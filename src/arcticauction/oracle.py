@@ -36,6 +36,11 @@ from .market import Equilibrium, MarketInstance, equilibrium_for_instance, mbpb
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Enumeration guards: oracle_solve's n and m, oracle_balanced_surplus's n, oracle_cost_solve's sqrt(nm).
+SOLVE_GUARD = 4
+BALANCED_SURPLUS_GUARD = 6
+COST_GUARD = 16
+
 
 class OracleError(RuntimeError):
     """No sign pattern produced a verified solution; should never happen."""
@@ -217,7 +222,7 @@ def _pattern_equilibrium(inst: MarketInstance, forest: _Forest, rho, L) -> Equil
     return None
 
 
-def oracle_solve(inst: MarketInstance, size_guard: int = 4) -> OracleResult:
+def oracle_solve(inst: MarketInstance) -> OracleResult:
     """Exact equilibrium by sign-pattern enumeration, smallest patterns first.
 
     A pattern is K, the allocations, and L, the refunds, taken strictly
@@ -245,8 +250,8 @@ def oracle_solve(inst: MarketInstance, size_guard: int = 4) -> OracleResult:
     along the path between them and let their refunds compensate.
     """
     n, m = inst.n_buyers, inst.n_goods
-    if n > size_guard or m > size_guard:
-        raise OracleSizeError(f"instance {n}x{m} exceeds the {size_guard} guard")
+    if n > SOLVE_GUARD or m > SOLVE_GUARD:
+        raise OracleSizeError(f"instance {n}x{m} exceeds the {SOLVE_GUARD} guard")
     pairs = [(i, j) for i in inst.buyers for j in inst.goods if inst.utilities[i][j] > 0]
     all_buyers = frozenset(inst.buyers)
     all_goods = frozenset(inst.goods)
@@ -400,7 +405,7 @@ def perturbed_feasible_point(inst: MarketInstance, eq: Equilibrium, rng: random.
     return x, s
 
 
-def oracle_balanced_surplus(net: FlowNetwork, size_guard: int = 6) -> dict[int, Fraction]:
+def oracle_balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
     """The l2-minimal surplus vector via subset enumeration, no max-flow.
 
     The total inflow any buyer group can receive is bounded by the total
@@ -408,8 +413,8 @@ def oracle_balanced_surplus(net: FlowNetwork, size_guard: int = 6) -> dict[int, 
     deficiency over groups, its argmax union is pinned there, and the rest
     recurses on the remaining subnetwork.
     """
-    if len(net.buyers) > size_guard:
-        raise OracleSizeError(f"{len(net.buyers)} buyers exceed the {size_guard} guard")
+    if len(net.buyers) > BALANCED_SURPLUS_GUARD:
+        raise OracleSizeError(f"{len(net.buyers)} buyers exceed the {BALANCED_SURPLUS_GUARD} guard")
     out: dict[int, Fraction] = {}
     buyers = set(net.buyers)
     goods = set(net.goods)
@@ -439,7 +444,7 @@ def oracle_balanced_surplus(net: FlowNetwork, size_guard: int = 6) -> dict[int, 
     return out
 
 
-def oracle_cost_solve(inst: CostMarketInstance, size_guard: int = 16) -> CostSolution:
+def oracle_cost_solve(inst: CostMarketInstance) -> CostSolution:
     """Revenue-maximal verified sign pattern of the production market.
 
     Prices are pinned to unit costs, which decouples buyers: each buyer
@@ -449,7 +454,7 @@ def oracle_cost_solve(inst: CostMarketInstance, size_guard: int = 16) -> CostSol
     """
     base, d = inst.base, inst.unit_costs
     n, m = base.n_buyers, base.n_goods
-    if n * m > size_guard * size_guard:
+    if n * m > COST_GUARD * COST_GUARD:
         raise OracleSizeError("instance exceeds the enumeration guard")
     per_buyer_modes: list[list[tuple[Fraction, Fraction]]] = []
     # mode: (spend on good j, refund) encoded as (x_value on best good or 0, s_i)

@@ -39,10 +39,11 @@ ends with depends on its start flow, but the absorbed set, the pruned-arc
 check and the probes' cuts are the same for every balanced flow (see
 ``balanced``).
 
-A solve keeps one integer residual graph, built by phase 1's begin_phase
+A solve keeps one integer residual graph, built by initialize with no arcs
 and carried through every step of every phase.  Its good -> buyer arcs are
-the equality graph: the solver keeps no other record of the edges, and
-reads a buyer's goods and a good's buyers off its adjacency lists.  At each
+the equality graph, and each buyer's sink cap is her left-over money: the
+solver keeps no other record of the edges or of the refunds, and reads a
+buyer's goods, a good's buyers and a refund off the graph.  At each
 iteration start it is the iteration's network at theta = 1 under the start
 flow: the pruned arcs are dropped (checked to carry no flow), and every
 value is divided by the common gcd, so its ints are those of a fresh build
@@ -62,28 +63,29 @@ cap to her new spend, giving back the flow over it along her in-arcs and off
 her goods' source arcs; a full one also drops her arcs, and her vertex
 stays, cut off, with cap 0.
 
-A later phase starts from the last one's graph (``_carry_graph``): scaled to
-the final theta it has the new prices and refunds, and its flow stays
-feasible.  No live buyer loses an arc there: an active buyer's goods were
-all scaled alike, and any other buyer's arcs lead outside J, whose prices
-did not move.  So only the arcs ``mbpb`` gives and the graph lacks are
-added, in sorted place.  The graph is then balanced from the flow it holds,
-and only the components with a scaled good, a new arc or a refunded buyer's
-goods are peeled (``_settled_buyers``): every other component has the same
-caps and arcs as at the last balance, less arcs without flow, so its flow is
-balanced already.  The surplus vector, I, J, the absorbed sets and every
-probe's cut are the same for every balanced flow (see ``balanced``), so
-carrying the flow changes no answer.  After phase 1 the only network built
-is the refund split's.  At phase start the balanced flow itself must fill
-every source arc.  No other check is needed: phase 1's begin_phase checks
-the initial network before anything changes, which also covers
-initialize's repricing (a good left without an edge leaves a deficit of at
-least its price); a tight-set event's theta is that of the search's last
-probe, which found no deficit on the same graph; and a full return's flow
-is already a maximum flow of the network without the buyer.  Every refund,
-in a money return and in the refund split, is a max-flow deficit
-(``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
-0, and stays for perfbench's check.
+Every phase starts from the last one's graph, or initialize's
+(``_carry_graph``): scaled to the final theta it has the new prices and
+refunds, and its flow stays feasible.  No live buyer loses an arc there: an
+active buyer's goods were all scaled alike, and any other buyer's arcs lead
+outside J, whose prices did not move.  So only the arcs ``mbpb`` gives and
+the graph lacks are added, in sorted place; at phase 1 that is every arc.
+The graph is then balanced from the flow it holds, and only the components
+with a scaled good, a new arc or a refunded buyer's goods are peeled
+(``_settled_buyers``): every other component has the same caps and arcs as
+at the last balance, less arcs without flow, so its flow is balanced
+already.  The surplus vector, I, J, the absorbed sets and every probe's cut
+are the same for every balanced flow (see ``balanced``), so carrying the
+flow changes no answer.  The only network built after initialize is the
+refund split's.  At phase start the balanced flow itself must fill every
+source arc.  No other check is needed: phase 1's begin_phase checks the
+opening prices before anything changes, which also covers initialize's
+repricing (a good left without an edge leaves a deficit of at least its
+price); a tight-set event's theta is that of the search's last probe, which
+found no deficit on the same graph; and a full return's flow is already a
+maximum flow of the network without the buyer.  Every refund, in a money
+return and in the refund split, is a max-flow deficit (``_least_spend``).
+A solve calls no ``max_flow``: ``maxflow_calls`` reads 0, and stays for
+perfbench's check.
 
 Events are found from candidates built once per iteration.  Within an
 iteration base_prices, J and the active buyers' arcs do not change, so each
@@ -111,7 +113,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balanced import balance
-from .flownet import build_network, buyer_vertex, good_vertex, _read_cut, _Residual
+from .flownet import FlowNetwork, build_network, buyer_vertex, good_vertex, _read_cut, _Residual
 from .market import (
     Equilibrium,
     MarketInstance,
@@ -191,7 +193,7 @@ class TraceRecorder:
                 "label": label,
                 "phase": state.phase_index,
                 "prices": dict(state.prices),
-                "returns": dict(state.returns),
+                "returns": {i: state.inst.money[i] - state.leftover(i) for i in state.inst.buyers},
                 "edges": frozenset((j, i) for j in state.inst.goods for i in g.buyers_of(j)),
                 "live_buyers": frozenset(state.live_buyers),
                 "phi": state.phi,
@@ -204,7 +206,11 @@ class SolverState:
     inst: MarketInstance
     live_buyers: set[int]
     prices: dict[int, Fraction]
-    returns: dict[int, Fraction]
+    # The solve's integer residual graph: at iteration start, the
+    # iteration's network at theta = 1 under its start flow, which probes
+    # scale.  Its good -> buyer arcs are the equality graph's edges, and its
+    # sink caps the buyers' left-over money, the only record of refunds.
+    graph: _Residual
     I: set[int] = field(default_factory=set)
     J: set[int] = field(default_factory=set)
     Z: set[int] = field(default_factory=set)
@@ -215,11 +221,6 @@ class SolverState:
     phase_index: int = 0
     iteration_index: int = 0
     recorder: TraceRecorder | None = None
-    # The solve's integer residual graph: at iteration start, the
-    # iteration's network at theta = 1 under its start flow.  Probes and
-    # in-iteration invariant checks run on scaled copies of it.  Its
-    # good -> buyer arcs are the equality graph's edges.
-    graph: _Residual | None = None
     # Goods whose equality-graph component changed since the graph was last
     # balanced, beyond J's: a new arc's good and a refunded buyer's goods.
     # Their components must be peeled again.
@@ -231,8 +232,10 @@ class SolverState:
     # attaining it, kept for the phase.
     outside: dict[int, tuple[Fraction, frozenset[int]]] = field(default_factory=dict)
 
-    def leftover(self, i: int) -> Fraction:
-        return self.inst.money[i] - self.returns[i]
+    def leftover(self, *buyers: int) -> Fraction:
+        """The buyers' total left-over money: the sum of their sink caps."""
+        g = self.graph
+        return Fraction(sum(g.cap[g.sink_arc(i)] for i in buyers), g.scale)
 
 
 def _at_theta(state: SolverState, theta: Fraction) -> _Residual:
@@ -292,13 +295,14 @@ def _balance(state: SolverState, g: _Residual, keep=()) -> tuple[dict[int, int],
 
 
 def initialize(inst: MarketInstance) -> SolverState:
-    """Set starting prices and zero returns.
+    """Set starting prices and build the solve's graph, with no arcs.
 
     Prices start uniform at the largest value that keeps every buyer's
     bang-per-buck at least 1 while the total price stays within the
     smallest budget; goods nobody demands at that price are then repriced
     to the highest indifference point so every good has an edge.  Phase 1's
-    begin_phase checks that: a good without an edge leaves a deficit.
+    begin_phase adds the arcs and checks that: a good without one leaves a
+    deficit.  The graph's sink caps are the buyers' money: no refund yet.
     """
     report = validate_instance(inst)
     if not report.ok:
@@ -317,14 +321,11 @@ def initialize(inst: MarketInstance) -> SolverState:
     stats = RunStats(
         min_money=min_m, total_money=total_m, max_utility=max_u, input_bits=bits
     )
-    state = SolverState(
-        inst=inst,
-        live_buyers=set(inst.buyers),
-        prices=prices,
-        returns={i: Fraction(0) for i in inst.buyers},
-        stats=stats,
+    buyers = tuple(inst.buyers)
+    net = FlowNetwork(tuple(inst.goods), buyers, prices, dict(zip(buyers, inst.money)), frozenset())
+    return SolverState(
+        inst=inst, live_buyers=set(buyers), prices=prices, graph=_Residual(net), stats=stats
     )
-    return state
 
 
 def _settled_buyers(state: SolverState, g: _Residual) -> list[int]:
@@ -376,7 +377,8 @@ def _carry_graph(state: SolverState) -> _Residual:
     buyer loses an arc: an active buyer's goods were all scaled alike, and
     any other buyer's arcs lead outside J, whose prices did not move.  So
     the arcs ``mbpb`` gives and the graph lacks are added, each in sorted
-    place with its good touched, and the flow stays feasible.
+    place with its good touched, and the flow stays feasible.  Phase 1
+    carries initialize's graph, which has no arcs: every arc is added here.
     """
     g = state.graph = _at_theta(state, state.theta)
     for i in sorted(state.live_buyers):
@@ -393,25 +395,18 @@ def _carry_graph(state: SolverState) -> _Residual:
 def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     """Open a phase: bring the graph to the new prices, balance flow, pick the active sets.
 
-    Phase 1 builds the solve's graph and balances it from zero.  Every later
-    phase carries the last phase's graph (``_carry_graph``) and balances it
-    from the flow it holds, peeling only the components that
-    ``_settled_buyers`` does not keep.  Returns (potential at phase start,
-    terminal flag).  The terminal flag is set when every buyer's surplus is
-    already zero, in which case the full goods set is tight and the run
-    ends.
+    Every phase carries the last phase's graph, or initialize's, to the new
+    prices (``_carry_graph``) and balances it from the flow it holds,
+    peeling only the components that ``_settled_buyers`` does not keep.
+    Returns (potential at phase start, terminal flag).  The terminal flag is
+    set when every buyer's surplus is already zero, in which case the full
+    goods set is tight and the run ends.
     """
     state.phase_index += 1
     state.iteration_index = 0
     state.outside.clear()
-    if state.graph is None:
-        net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
-        state.graph = g = _Residual(net)
-        keep = ()
-    else:
-        g = _carry_graph(state)
-        keep = _settled_buyers(state, g)
-    gamma, state.phi = _balance(state, g, keep)
+    g = _carry_graph(state)
+    gamma, state.phi = _balance(state, g, _settled_buyers(state, g))
     if state.recorder is not None:
         state.recorder.record_phase(state, "phase_start")
     # The invariant: the balanced flow, a feasible flow, fills every source
@@ -488,8 +483,7 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
         violated = goods & state.J
         if not violated:
             raise SolverError("invariant violation without scaled goods")
-        interested = {i for j in violated for i in g.buyers_of(j)}
-        worth_buyers = sum((state.leftover(i) for i in interested), Fraction(0))
+        worth_buyers = state.leftover(*{i for j in violated for i in g.buyers_of(j)})
         base = sum((state.base_prices[j] for j in violated), Fraction(0))
         theta_v = worth_buyers / base
         if not (state.theta <= theta_v < theta_hi):
@@ -606,8 +600,7 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
     next rebuild, which reopens price slack, so the run must continue.
     """
     worth_s = sum((state.prices[j] for j in S), Fraction(0))
-    interested = {i for j in S for i in state.graph.buyers_of(j)}
-    worth_neighbors = sum((state.leftover(i) for i in interested), Fraction(0))
+    worth_neighbors = state.leftover(*{i for j in S for i in state.graph.buyers_of(j)})
     if worth_s != worth_neighbors:
         raise SolverError("tight set is not exactly tight")
     if S == set(state.inst.goods) and not state.Z:
@@ -625,8 +618,9 @@ def apply_money_return(state: SolverState, i: int) -> str:
     tight.  The copy, augmented again with her cap at beta, must fill every
     source arc.  That also checks that i is in T: else the cut would stay
     minimal, below the total price, with her cap at beta.  The return is
-    then written into the graph the next phase carries: her sink cap is set
-    to beta, or she is removed.
+    then written into the graph the next phase carries, whose sink caps are
+    the solve's only record of refunds: her cap is set to beta, or she is
+    removed.
     """
     abar = _alpha_bar_active(state, i)
     if abar != state.theta:
@@ -634,19 +628,16 @@ def apply_money_return(state: SolverState, i: int) -> str:
     g = _at_theta(state, state.theta)
     spend = _least_spend(g, i)
     if not spend:
-        state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
         return "II"
-    beta = Fraction(spend, g.scale)
-    # The new return is money - beta and the old one money - leftover, so
+    # The new return is money - spend and the old one money - leftover, so
     # this also keeps returned money from decreasing.
-    if beta > state.leftover(i):
+    if Fraction(spend, g.scale) > state.leftover(i):
         raise SolverError("partial return outside the feasible range")
     g.cap[g.sink_arc(i)] = spend
     g.augment()
     if g.deficit():
         raise SolverError("price cut invariant broken at partial money return")
-    state.returns[i] = state.inst.money[i] - beta
     # Rescaled by theta's denominator, the graph has g's scale, at which
     # her new cap is the spend.
     h = state.graph
@@ -658,7 +649,8 @@ def apply_money_return(state: SolverState, i: int) -> str:
 
 def _remove_buyer(state: SolverState, i: int) -> None:
     """Take buyer i out: the graph gives back her flow and drops her arcs,
-    and keeps her vertex, cut off, with sink cap 0."""
+    and keeps her vertex, cut off, with sink cap 0, which records her full
+    refund."""
     g = state.graph
     goods = g.goods_of(i)
     g.set_sink_cap(g.index[buyer_vertex(i)], 0)
@@ -677,7 +669,6 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
     if event.kind == "z_removal":
         if _alpha_bar_zero_degree(state, i) != state.theta:
             raise SolverError("zero-degree removal fired away from bang-per-buck 1")
-        state.returns[i] = state.inst.money[i]
         _remove_buyer(state, i)
     elif event.kind == "z_new_edge":
         j = event.good

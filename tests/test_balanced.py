@@ -295,6 +295,38 @@ def test_balance_keeps_whole_components_it_is_given(checked_augment):
         balance(g, [g.index[buyer_vertex(0)]])
 
 
+def _kept_component_graph():
+    """test_balance_keeps_whole_components_it_is_given's graph: buyer 2's
+    component carries its balanced flow and is kept."""
+    net = net_of([2, 1], [2, 1, 3], [(0, 0), (0, 1), (1, 2)])
+    arcs = [(SOURCE, good_vertex(1)), (good_vertex(1), buyer_vertex(2)), (buyer_vertex(2), SINK)]
+    g = flownet._Residual(net, Flow(values=dict.fromkeys(arcs, F(1)), value=F(1)))
+    return g, [g.index[buyer_vertex(2)]], 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # test_rescaling_across_levels' network: three rescales, two pinned levels.
+        lambda: (flownet._Residual(net_of([1, 1], [1] * 5, [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)])), (), 30),
+        _kept_component_graph,
+        # Buyer 0 is pinned at surplus 1; buyer 1, lowered to cap 0 there,
+        # is saturated at the last level, at 0.
+        lambda: (flownet._Residual(net_of([1, 2], [2, 1], [(0, 0), (1, 1)])), (), 1),
+    ],
+    ids=["three-rescales", "kept-component", "last-level"],
+)
+def test_balance_leaves_every_cap_as_it_was_times_the_rescale(checked_augment, case):
+    # balance lowers sink caps level by level and rescales every value; at
+    # the end every capacity, source, unbounded and sink arcs alike, is its
+    # value before the call times the rescale factor.
+    g, keep, factor = case()
+    before, scale = list(g.cap), g.scale
+    balance(g, keep)
+    assert g.scale // scale == factor
+    assert g.cap == [None if c is None else c * factor for c in before]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_balanced_flow_on_rational_networks_beyond_the_oracle(checked_augment, seed):
     rng = random.Random(7_000 + seed)

@@ -130,10 +130,10 @@ def test_initialize_establishes_invariant(seed):
 
 
 def test_a_good_without_an_edge_fails_phase_one(monkeypatch):
-    # initialize builds no network: phase 1's begin_phase checks that every
-    # good has an edge, since a good without one leaves its source arc
-    # unfilled.  At (1/2, 1/2) the buyer's best ratio is 4 on both goods; at
-    # (1/2, 1) it is 4 on good 0 alone.
+    # initialize builds the graph with no arcs: phase 1's begin_phase adds
+    # them and checks that every good has one, since a good without one
+    # leaves its source arc unfilled.  At (1/2, 1/2) the buyer's best ratio
+    # is 4 on both goods; at (1/2, 1) it is 4 on good 0 alone.
     init = solver.initialize
 
     def uncovered(inst):
@@ -723,23 +723,24 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
 
 @pytest.mark.parametrize("inst", CARRIED_GRAPH_CORPUS)
 def test_carried_phase_start_graph_has_the_fresh_build_edges(monkeypatch, inst):
-    # A later phase start carries the last phase's graph and adds the arcs
-    # that mbpb gives and it lacks: its edge set must be build_network's at
-    # the new prices, refunds and live buyers.
+    # Every phase start carries the last phase's graph, or initialize's,
+    # and adds the arcs that mbpb gives and it lacks: its edge set must be
+    # build_network's at the new prices, refunds and live buyers.
     carry = solver._carry_graph
     carried = 0
 
     def checked(state):
         nonlocal carried
         g = carry(state)
-        net = build_network(state.inst, state.prices, state.returns, state.live_buyers)
+        returns = {i: state.inst.money[i] - state.leftover(i) for i in state.inst.buyers}
+        net = build_network(state.inst, state.prices, returns, state.live_buyers)
         assert {(j, i) for j in state.inst.goods for i in g.buyers_of(j)} == net.edges
         carried += 1
         return g
 
     monkeypatch.setattr(solver, "_carry_graph", checked)
     _, stats = solve(inst)
-    assert carried == stats.phase_count - 1 > 0
+    assert carried == stats.phase_count > 1
 
 
 def test_a_carried_edge_off_bang_per_buck_fails_the_phase_start(monkeypatch):
@@ -791,6 +792,26 @@ def test_full_money_return_takes_the_buyer_out_of_the_graph(monkeypatch):
         assert len(removed) == stats.type2
         full_returns += stats.type2
     assert full_returns == 12
+
+
+def test_phase_snapshots_refund_every_removed_buyer_in_full():
+    # The graph's sink caps are the solve's only record of refunds: at every
+    # phase boundary each refund lies in [0, money], and a buyer taken out
+    # by a full money return or a zero-degree removal has all of it back.
+    removed, kinds = set(), set()
+    for seed in range(3):
+        inst = generate_refund_heavy_instance(seed, 12)
+        recorder = TraceRecorder()
+        solve(inst, recorder=recorder)
+        for snap in recorder.phases:
+            returns = snap["returns"]
+            assert all(0 <= returns[i] <= inst.money[i] for i in inst.buyers)
+            out = set(inst.buyers) - snap["live_buyers"]
+            assert all(returns[i] == inst.money[i] for i in out)
+            removed |= {(seed, i) for i in out}
+        kinds |= {row["kind"] for row in recorder.events}
+    # Twelve full money returns and one zero-degree removal.
+    assert len(removed) == 13 and "z_removal" in kinds
 
 
 def _candidates_from_scratch(state):
@@ -863,11 +884,11 @@ def test_bank_corpus(seed):
 
 @pytest.mark.parametrize("inst", [EIGHT_BY_EIGHT[0], generate_refund_heavy_instance(7, 8)])
 def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
-    # initialize builds nothing; phase 1's begin_phase builds the solve's one
-    # residual graph, and every later phase start carries it; a new edge and
-    # a zero-degree event edit it, and a money return and the extraction push
-    # on copies of it: none of them builds a graph or a network.  The refund
-    # split builds at most one graph, of the final network.
+    # initialize builds the solve's one residual graph, with no arcs, and
+    # every phase start carries it; a new edge and a zero-degree event edit
+    # it, and a money return and the extraction push on copies of it: none
+    # of them builds a graph or a network.  The refund split builds at most
+    # one graph, of the final network.
     builds = {"graph": 0, "network": 0}
 
     def counted(init, key):
@@ -900,8 +921,8 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
 
         monkeypatch.setattr(solver, name, wrapper)
 
-    watched("begin_phase", lambda state: int(state.phase_index == 0))
-    for name in ("initialize", "apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
+    watched("initialize", 1)
+    for name in ("begin_phase", "apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
         watched(name, 0)
     # The refund split pushes on one graph of the final network, if any.
     watched("_lex_max_refunds", 1, at_most=True)
@@ -973,7 +994,7 @@ def test_money_returns_and_extraction_match_fresh_networks(monkeypatch, inst):
             worth_t = sum((state.leftover(b) for b in cut.buyers_part() if b != i), F(0))
             expected = ("III", state.inst.money[i] - (worth_s - worth_t))
         kind = money_return(state, i)
-        assert (kind, state.returns[i]) == expected
+        assert (kind, state.inst.money[i] - state.leftover(i)) == expected
         returns += 1
         return kind
 
