@@ -8,19 +8,23 @@ exact; unbounded capacities are a distinct marker (None), never a big number.
 Every residual query (augmenting paths, the maximality check, both extreme
 min cuts, buyer-to-buyer reachability and the balanced-flow walks) goes
 through one residual graph and its one breadth-first search, and every
-maximum flow, from zero or warm-started, through its one augmenting loop.
-One cut reader gives both extreme min cuts, whether the maximum flow was
-given or was just augmented on the same graph.  A flow handed to the graph
-is checked to be feasible before it is used; a scaled copy of a graph,
-which shares its arcs and multiplies its capacities and flows by ints, is
-not built again and needs no check.  A graph can also be edited in place,
-so one graph can follow a network that changes an arc at a time: an arc
-added in sorted place, arcs without flow dropped, a sink cap set with the
-flow over it given back, and every value divided by the common gcd.  That
-graph works on Python ints: each network's capacities, and the given flow's
-values, are multiplied by the LCM of their denominators, and results leave
-it only at the API boundary, as Fractions (flow values and flow value) and
-vertex tuples; cut capacities are summed from the network's own Fractions.
+maximum flow, from zero or warm-started, through its one augmenting loop,
+Edmonds-Karp's shortest augmenting paths.  The loop opens with one pass
+that pushes every length-3 path s -> good -> buyer -> t without a search,
+in the order and by the amounts the searches would (``augment`` has the
+proof), and its searches then push the longer paths.  One cut reader gives
+both extreme min cuts, whether the maximum flow was given or was just
+augmented on the same graph.  A flow handed to the graph is checked to be
+feasible before it is used; a scaled copy of a graph, which shares its arcs
+and multiplies its capacities and flows by ints, is not built again and
+needs no check.  A graph can also be edited in place, so one graph can
+follow a network that changes an arc at a time: an arc added in sorted
+place, arcs without flow dropped, a sink cap set with the flow over it
+given back, and every value divided by the common gcd.  That graph works
+on Python ints: each network's capacities, and the given flow's values, are
+multiplied by the LCM of their denominators, and results leave it only at
+the API boundary, as Fractions (flow values and flow value) and vertex
+tuples; cut capacities are summed from the network's own Fractions.
 Its vertices are numbered s, goods by id, buyers by id, t, and each
 adjacency list is sorted by that number; the numbering fixes which
 augmenting paths max_flow takes, hence which maximum flow it returns, hence
@@ -30,7 +34,7 @@ speed.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from copy import copy
 from dataclasses import dataclass, replace
@@ -153,10 +157,10 @@ class _Residual:
     capacity or backward against its flow.  The source arcs come first, in
     good order, and each buyer's sink arc is the last entry of its
     adjacency list.  ``cap`` and ``flow`` are only written on a graph its
-    caller owns: by ``augment``, ``rescale``, ``reduce``, ``set_sink_cap``,
-    ``balanced.balance`` and the solver.  ``ends`` and ``adj`` may be
-    shared with scaled copies, so ``add_arc`` and ``drop_arcs`` replace them
-    instead of writing into them.
+    caller owns: by ``augment``, ``rescale``, ``reduce``, ``add_arc``,
+    ``drop_arcs``, ``set_sink_cap``, ``balanced.balance`` and the solver.
+    ``ends`` and ``adj`` may be shared with scaled copies, so ``add_arc``
+    and ``drop_arcs`` replace them instead of writing into them.
 
     A given flow must be feasible in the network: nonnegative, within every
     finite capacity and conserved at every good and buyer, else FlowError.
@@ -241,13 +245,48 @@ class _Residual:
     def augment(self, avoid=()) -> list:
         """Push shortest augmenting paths from the current flow until none is left.
 
-        Paths never enter ``avoid``.  Returns the last search, which found no
-        path: its parent map marks the vertices reachable from the source
-        without entering ``avoid``, the source side of the source-nearest
-        min cut.
+        Paths never enter ``avoid``, a set of goods and buyers.  Returns the
+        last search, which found no path: its parent map marks the vertices
+        reachable from the source without entering ``avoid``, the source
+        side of the source-nearest min cut.
+
+        The length-3 paths s -> g -> b -> t go first, in one pass with no
+        search: for each good g in vertex order, while its source arc has
+        room, each buyer b after an arc g -> b, in adjacency order, takes
+        what g's and b's residuals allow.  The searches would push the same
+        paths, in the same order and by the same amounts, because:
+
+        * shortest-path lengths never fall, so every length-3 path comes
+          before any longer one;
+        * a length-3 path runs on forward arcs only, and pushing on it only
+          fills source and sink arcs (the middle arcs are unbounded), so it
+          makes no new length-3 path;
+        * the search reaches each buyer from the first good next to it
+          whose source arc has room, and visits the buyers in that order,
+          so its path is the least pair (g, b), by g and then by b, whose
+          source and sink arcs both have room.
+
+        So the flow, the returned search and every cut read off them are
+        those of the searches alone.
         """
-        cap, flow, ends = self.cap, self.flow, self.ends
-        sink = len(self.adj) - 1
+        cap, flow, ends, adj = self.cap, self.flow, self.ends, self.adj
+        for g, a, _ in adj[0]:
+            room = cap[a] - flow[a]
+            if room <= 0 or g in avoid:
+                continue
+            for b, arc, forward in adj[g]:
+                if not forward or b in avoid:
+                    continue
+                out = adj[b][-1][1]  # the sink arc is last
+                push = min(room, cap[out] - flow[out])
+                if push > 0:
+                    flow[a] += push
+                    flow[arc] += push
+                    flow[out] += push
+                    room -= push
+                    if not room:
+                        break
+        sink = len(adj) - 1
         while True:
             parent = self.search([0], avoid=avoid, stop=sink)
             if parent[sink] is None:
@@ -310,27 +349,36 @@ class _Residual:
     def drop_arcs(self, pairs) -> None:
         """Remove the arcs from good j to buyer i for each (j, i) in ``pairs``.
 
-        Raises FlowError if one of them carries flow.  The other arcs keep
-        their order, so the source arcs still come first.
+        Raises FlowError if one of them carries flow.  The arcs numbered
+        past the new arc count take the freed numbers below it, so only the
+        adjacency lists at the ends of a dropped or a moved arc are
+        rewritten, each once.  A list is sorted by head vertex, which arc
+        numbers do not change, and no source arc moves, so the source arcs
+        still come first, in good order.
         """
-        index, at = self.index, self.vertices
-        gone = {(index[good_vertex(j)], index[buyer_vertex(i)]) for j, i in pairs}
-        if not gone:
+        index, at, adj, flow = self.index, self.vertices, self.adj, self.flow
+        dropped = set()
+        for j, i in pairs:
+            u, v = index[good_vertex(j)], index[buyer_vertex(i)]
+            k = bisect_left(adj[u], (v,))
+            if k < len(adj[u]) and adj[u][k][0] == v:
+                a = adj[u][k][1]
+                if flow[a]:
+                    raise FlowError(f"dropped arc {at[u]} -> {at[v]} carries flow")
+                dropped.add(a)
+        if not dropped:
             return
-        keep = []
-        for a, (u, v) in enumerate(self.ends):
-            if (u, v) not in gone:
-                keep.append(a)
-            elif self.flow[a]:
-                raise FlowError(f"dropped arc {at[u]} -> {at[v]} carries flow")
-        renumber = {a: k for k, a in enumerate(keep)}
-        self.ends = [self.ends[a] for a in keep]
-        self.cap = [self.cap[a] for a in keep]
-        self.flow = [self.flow[a] for a in keep]
-        self.adj = [
-            [(v, renumber[a], forward) for v, a, forward in entries if a in renumber]
-            for entries in self.adj
-        ]
+        ends, cap = list(self.ends), self.cap
+        n = len(ends) - len(dropped)
+        moved = [a for a in range(n, len(ends)) if a not in dropped]
+        renumber = dict(zip(moved, sorted(a for a in dropped if a < n)))
+        adj = self.adj = list(adj)
+        for w in {w for a in (*dropped, *moved) for w in ends[a]}:
+            adj[w] = [(v, renumber.get(a, a), forward) for v, a, forward in adj[w] if a not in dropped]
+        for old, new in renumber.items():
+            ends[new], cap[new], flow[new] = ends[old], cap[old], flow[old]
+        del ends[n:], cap[n:], flow[n:]
+        self.ends = ends
 
     def set_sink_cap(self, b: int, c: int) -> None:
         """Set buyer vertex b's sink cap to c.

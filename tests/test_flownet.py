@@ -5,6 +5,7 @@ source-side candidate on small networks.
 """
 
 import random
+from copy import copy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -366,6 +367,105 @@ def test_probe_cut_does_not_depend_on_start_flow(net, cut_back, theta):
         assert (not g.deficit()) == saturated
         assert _read_cut(g, maximal=saturated) == cold.source_side
         assert base.flow == kept and base.scale * theta.denominator == g.scale
+
+
+def _searches_only_augment(g, avoid=()):
+    """``_Residual.augment`` as it was before its length-3 pass: one search per path."""
+    cap, flow, ends = g.cap, g.flow, g.ends
+    sink = len(g.adj) - 1
+    while True:
+        parent = g.search([0], avoid=avoid, stop=sink)
+        if parent[sink] is None:
+            return parent
+        path = []
+        bottleneck = None
+        v = sink
+        while v:
+            a = parent[v]
+            u, w = ends[a]
+            if w == v:
+                r = None if cap[a] is None else cap[a] - flow[a]
+                path.append((a, 1))
+                v = u
+            else:
+                r = flow[a]
+                path.append((a, -1))
+                v = w
+            if r is not None and (bottleneck is None or r < bottleneck):
+                bottleneck = r
+        if bottleneck is None or bottleneck <= 0:
+            raise FlowError("augmenting path without finite bottleneck")
+        for a, sign in path:
+            flow[a] += sign * bottleneck
+
+
+def _bipartite_network(seed: int) -> FlowNetwork:
+    """Sparse good and buyer ids, prices and caps from a few values (so ratios
+    tie), zero sink caps, and edges at random."""
+    rng = random.Random(seed)
+    goods = tuple(sorted(rng.sample(range(9), rng.randint(1, 5))))
+    buyers = tuple(sorted(rng.sample(range(9), rng.randint(1, 5))))
+    return FlowNetwork(
+        goods=goods,
+        buyers=buyers,
+        source_caps={j: F(rng.randint(1, 4), rng.choice((1, 2))) for j in goods},
+        sink_caps={i: F(rng.choice((0, 1, 2, 3, 5)), rng.choice((1, 3))) for i in buyers},
+        edges=frozenset((j, i) for j in goods for i in buyers if rng.random() < 0.5),
+    )
+
+
+def _assert_augment_matches_searches(g, avoid):
+    reference = copy(g)
+    reference.flow = list(g.flow)
+    assert g.augment(avoid) == _searches_only_augment(reference, avoid)
+    assert g.flow == reference.flow
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    cut_back=st.fractions(min_value=0, max_value=1),
+    theta=st.fractions(min_value=1, max_value=3, max_denominator=7),
+    hidden_goods=st.sets(st.integers(min_value=0, max_value=4), max_size=2),
+    hidden_buyers=st.sets(st.integers(min_value=0, max_value=4), max_size=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_augment_pushes_the_paths_of_the_searches(
+    seed, cut_back, theta, hidden_goods, hidden_buyers
+):
+    # From zero, from a maximum flow with every sink cap scaled down and
+    # from a maximum flow, each on a copy with some source caps raised by
+    # theta (as a probe has them), and with some goods and buyers hidden:
+    # the same flow and the same last search as one search per path.
+    net = _bipartite_network(seed)
+    raised = net.goods[::2]
+    reduced = replace(net, sink_caps={i: c * cut_back for i, c in net.sink_caps.items()})
+    for start in (None, max_flow(reduced), max_flow(net)):
+        base = _Residual(net, start)
+        goods = [base.index[good_vertex(j)] for j in net.goods]
+        buyers = [base.index[buyer_vertex(i)] for i in net.buyers]
+        avoid = {goods[k % len(goods)] for k in hidden_goods}
+        avoid |= {buyers[k % len(buyers)] for k in hidden_buyers}
+        g = base.scaled(theta.denominator, theta.numerator, raised)
+        _assert_augment_matches_searches(g, avoid)
+
+
+def test_augment_fills_a_good_part_way_through_its_buyers():
+    # Good 0 fills buyer 0, skips the hidden buyer 1 and is full after
+    # buyer 2, so buyer 3 gets nothing in the length-3 pass; the hidden
+    # good 1 sends nothing.  Good 2 then reaches buyer 3 only by the
+    # length-5 path s, g2, b0, g0, b3, t.
+    net = net_of([3, 1, 1], [1, 4, 2, 3], [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 0)])
+    g = _Residual(net)
+    hidden = {g.index[good_vertex(1)], g.index[buyer_vertex(1)]}
+    _assert_augment_matches_searches(g, hidden)
+    assert g.as_flow().values == {
+        _arc(*e): F(x)
+        for e, x in {
+            ("s", "g0"): 3, ("s", "g2"): 1,
+            ("g0", "b2"): 2, ("g0", "b3"): 1, ("g2", "b0"): 1,
+            ("b0", "t"): 1, ("b2", "t"): 2, ("b3", "t"): 1,
+        }.items()
+    }
 
 
 def _graph_view(g):

@@ -133,12 +133,15 @@ def test_a_good_without_an_edge_fails_phase_one(monkeypatch):
     # initialize builds the graph with no arcs: phase 1's begin_phase adds
     # them and checks that every good has one, since a good without one
     # leaves its source arc unfilled.  At (1/2, 1/2) the buyer's best ratio
-    # is 4 on both goods; at (1/2, 1) it is 4 on good 0 alone.
+    # is 4 on both goods; at (1/2, 1) it is 4 on good 0 alone.  The graph's
+    # source cap is set with the price, so phase 1's deficit is good 1's 1.
     init = solver.initialize
 
     def uncovered(inst):
         state = init(inst)
         state.prices[1] = F(1)
+        g = state.graph
+        g.cap[g.index[("g", 1)] - 1] = g.scale  # the source arcs come first, in good order
         return state
 
     monkeypatch.setattr(solver, "initialize", uncovered)
