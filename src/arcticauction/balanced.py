@@ -65,7 +65,9 @@ iteration start carry no flow and every tight-set probe's cut are the same
 for every balanced flow.  The extraction and the refund split push their
 flows from zero, so no allocation depends on it either.  The solver
 balances the graph it carries through a solve and reads the surpluses off
-it; ``balanced_flow`` and ``balanced_surplus`` build one from a network.
+it; ``balanced_flow`` builds one from a network.  The surplus, potential
+and Property 1 readers that the tests check it with, and a subset
+enumeration of the surplus vector, are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -73,22 +75,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .flownet import Flow, FlowError, FlowNetwork, _Residual
-
-
-def surplus(net: FlowNetwork, flow: Flow) -> dict[int, Fraction]:
-    """Per-buyer left-over sink capacity under the given flow."""
-    out = {}
-    for i in net.buyers:
-        gamma = net.sink_caps[i] - flow.into_buyer(i)
-        if gamma < 0:
-            raise FlowError(f"buyer {i}: flow exceeds sink capacity")
-        out[i] = gamma
-    return out
-
-
-def potential(sv: dict[int, Fraction]) -> Fraction:
-    """Sum of squared surpluses."""
-    return sum((g * g for g in sv.values()), Fraction(0))
 
 
 def _water_level(caps: list[int], target: int) -> Fraction:
@@ -190,14 +176,6 @@ def balance(g: _Residual, keep=()) -> None:
         cap[sink_arc[b]] = c
 
 
-def balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
-    """The unique surplus vector attained by every balanced flow."""
-    g = _Residual(net)
-    balance(g)
-    arcs = {i: g.sink_arc(i) for i in net.buyers}
-    return {i: Fraction(g.cap[a] - g.flow[a], g.scale) for i, a in arcs.items()}
-
-
 def balanced_flow(net: FlowNetwork) -> Flow:
     """A maximum flow whose surplus vector minimizes the l2 norm: ``balance`` from zero.
 
@@ -206,14 +184,3 @@ def balanced_flow(net: FlowNetwork) -> Flow:
     g = _Residual(net)
     balance(g)
     return g.as_flow()
-
-
-def verify_property1(net: FlowNetwork, flow: Flow) -> bool:
-    """No residual path from a strictly lower-surplus buyer to a higher one.
-
-    Equivalent to the flow being balanced, provided it is a maximum flow.
-    Paths are taken through goods and buyers only.
-    """
-    gamma = surplus(net, flow)
-    g = _Residual(net, flow)
-    return not any(gamma[k] < gamma[i] for i in net.buyers for k in g.buyers_reaching([i]))

@@ -120,24 +120,17 @@ class Cut:
         return tuple(sorted(v[1] for v in self.source_side if v[0] == "b"))
 
 
-def build_network(inst: MarketInstance, prices, returns=None, buyers=None) -> FlowNetwork:
-    """The money network at the given prices and returned money.
+def build_network(inst: MarketInstance, prices, buyers=None) -> FlowNetwork:
+    """The money network at the given prices.
 
     Every good is priced at ``prices``.  Each buyer (every buyer by default)
-    has sink capacity equal to its money less its return (zero by default),
-    and an edge to each good that attains its bang-per-buck, ``market.mbpb``.
-    This is the one builder of a money network from prices and refunds.
+    has sink capacity equal to its money, and an edge to each good that
+    attains its bang-per-buck, ``market.mbpb``.  This is the one builder of
+    a money network from prices.
     """
-    if returns is None:
-        returns = {}
     buyers = tuple(sorted(buyers)) if buyers is not None else tuple(inst.buyers)
     goods = tuple(inst.goods)
-    sink_caps = {}
-    for i in buyers:
-        r = returns.get(i, Fraction(0))
-        if r < 0 or r > inst.money[i]:
-            raise FlowError(f"buyer {i}: returned money out of range")
-        sink_caps[i] = inst.money[i] - r
+    sink_caps = {i: inst.money[i] for i in buyers}
     # The edgeless network rejects a nonpositive price before any ratio is taken.
     net = FlowNetwork(goods, buyers, {j: prices[j] for j in goods}, sink_caps, frozenset())
     edges = frozenset((j, i) for i in buyers for j in mbpb(inst, prices, i)[1])
@@ -513,8 +506,3 @@ def maximal_min_cut(net: FlowNetwork, flow: Flow) -> Cut:
 def residual_reachable(net: FlowNetwork, flow: Flow, targets) -> set[int]:
     """Buyers outside ``targets`` with a residual path into ``targets``; see ``buyers_reaching``."""
     return _Residual(net, flow).buyers_reaching(targets)
-
-
-def check_invariant(net: FlowNetwork) -> bool:
-    """True iff ({s}, everything else) is a minimum s-t cut."""
-    return max_flow(net).value == net.total_price

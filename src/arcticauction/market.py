@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 
@@ -161,18 +161,24 @@ def instance_bit_bounds(inst: MarketInstance) -> tuple[Fraction, Fraction, Fract
 
 
 def validate_instance(inst: MarketInstance) -> ValidationReport:
-    """Check positivity of money and both mild market assumptions.
+    """Check the matrix shape, positivity of money and both mild market assumptions.
 
-    Every buyer must desire some good and every good must be desired by
-    some buyer; zero-money buyers are rejected outright.
+    There must be one utility row per buyer, all of one length.  Every
+    buyer must desire some good and every good must be desired by some
+    buyer (checked only when the shape is right); zero-money buyers are
+    rejected outright.
     """
     violations = []
     if inst.n_buyers == 0:
         violations.append("no buyers")
     if inst.n_goods == 0:
         violations.append("no goods")
+    shaped = len(inst.utilities) == inst.n_buyers
+    if not shaped:
+        violations.append(f"{len(inst.utilities)} utility rows for {inst.n_buyers} buyers")
     for i, row in enumerate(inst.utilities):
         if len(row) != inst.n_goods:
+            shaped = False
             violations.append(f"utility row {i} has wrong length")
     for i, m in enumerate(inst.money):
         if m <= 0:
@@ -182,9 +188,10 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
             violations.append(f"buyer {i}: negative utility")
         if all(u <= 0 for u in row):
             violations.append(f"buyer {i}: no positive utility for any good")
-    for j in range(inst.n_goods):
-        if all(row[j] <= 0 for row in inst.utilities):
-            violations.append(f"good {j}: undesired by every buyer")
+    if shaped:
+        for j in inst.goods:
+            if all(row[j] <= 0 for row in inst.utilities):
+                violations.append(f"good {j}: undesired by every buyer")
     return ValidationReport(tuple(violations))
 
 
@@ -219,44 +226,35 @@ def serialize_instance(inst: MarketInstance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# The RunStats fields that are not JSON values as they are; every other
+# field is written and read back unchanged.
+_RATIONAL_STATS = ("min_money", "total_money", "max_utility")
+
+
 def stats_to_doc(stats: RunStats) -> dict:
-    return {
-        "phase_count": stats.phase_count,
-        "type1": stats.type1,
-        "type2": stats.type2,
-        "type3": stats.type3,
-        "maxflow_calls": stats.maxflow_calls,
-        "min_money": format_rational(stats.min_money),
-        "total_money": format_rational(stats.total_money),
-        "max_utility": format_rational(stats.max_utility),
-        "input_bits": stats.input_bits,
-        "potential_trace": [
-            [idx, n_live, format_rational(before), format_rational(after), kind]
-            for idx, n_live, before, after, kind in stats.potential_trace
-        ],
-        "output_max_denominator": stats.output_max_denominator,
-        "note": stats.note,
-    }
+    doc = {f.name: getattr(stats, f.name) for f in fields(RunStats)}
+    for name in _RATIONAL_STATS:
+        doc[name] = format_rational(doc[name])
+    doc["potential_trace"] = [
+        [idx, n_live, format_rational(before), format_rational(after), kind]
+        for idx, n_live, before, after, kind in stats.potential_trace
+    ]
+    return doc
 
 
 def stats_from_doc(doc: dict) -> RunStats:
-    stats = RunStats()
-    stats.phase_count = doc.get("phase_count", 0)
-    stats.type1 = doc.get("type1", 0)
-    stats.type2 = doc.get("type2", 0)
-    stats.type3 = doc.get("type3", 0)
-    stats.maxflow_calls = doc.get("maxflow_calls", 0)
-    stats.min_money = parse_rational(doc.get("min_money", "0"))
-    stats.total_money = parse_rational(doc.get("total_money", "0"))
-    stats.max_utility = parse_rational(doc.get("max_utility", "0"))
-    stats.input_bits = doc.get("input_bits", 0)
-    stats.potential_trace = [
-        (row[0], row[1], parse_rational(row[2]), parse_rational(row[3]), row[4])
-        for row in doc.get("potential_trace", [])
-    ]
-    stats.output_max_denominator = doc.get("output_max_denominator", 1)
-    stats.note = doc.get("note")
-    return stats
+    """The inverse of stats_to_doc; a field whose key is missing keeps its default."""
+    names = {f.name for f in fields(RunStats)}
+    values = {name: value for name, value in doc.items() if name in names}
+    for name in _RATIONAL_STATS:
+        if name in values:
+            values[name] = parse_rational(values[name])
+    if "potential_trace" in values:
+        values["potential_trace"] = [
+            (row[0], row[1], parse_rational(row[2]), parse_rational(row[3]), row[4])
+            for row in values["potential_trace"]
+        ]
+    return RunStats(**values)
 
 
 def serialize_equilibrium(eq: Equilibrium, stats: RunStats | None = None) -> str:

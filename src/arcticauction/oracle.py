@@ -1,6 +1,6 @@
-"""Independent ground truth for small instances.
+"""Independent ground truth for small instances, in exact rationals only.
 
-Three separate engines cross-check the main machinery:
+Two separate engines cross-check the main machinery:
 
 * oracle_solve guesses the sign pattern of an optimum (which allocations and
   refunds are strictly positive) and keeps the first guess that survives a
@@ -10,35 +10,31 @@ Three separate engines cross-check the main machinery:
   too, are enumerated and leaf-peeled the same way, and the one with the
   lexicographically maximal refund vector by buyer index is reported, the
   rule the solver follows too.
-* oracle_balanced_surplus minimizes the l2 norm of the surplus vector by
-  brute-force maximization of the deficiency bound over buyer subsets,
-  without running any max-flow.
 * oracle_cost_solve enumerates per-buyer sign patterns of the production
   market at cost prices and keeps the revenue-maximal pattern passing the
   exact check.
+
+The balanced-surplus enumeration and the floating objective that the tests
+also hold the solver to are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .costmarket import CostMarketInstance, CostSolution, _cost_solution
-from .flownet import FlowNetwork
 from .kkt import verify_arctic_kkt, verify_cost_kkt, verify_market_clearing
 from .market import Equilibrium, MarketInstance, equilibrium_for_instance, mbpb
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Enumeration guards: oracle_solve's n and m, oracle_balanced_surplus's n, oracle_cost_solve's sqrt(nm).
+# Enumeration guards: oracle_solve's n and m, oracle_cost_solve's sqrt(nm).
 SOLVE_GUARD = 4
-BALANCED_SURPLUS_GUARD = 6
 COST_GUARD = 16
 
 
@@ -374,74 +370,6 @@ def _lex_max_optimum(inst: MarketInstance, eq: Equilibrium) -> Equilibrium:
     if not (verify_arctic_kkt(inst, best).overall and verify_market_clearing(inst, best).overall):
         raise OracleError("the lexicographically maximal refund split fails verification")
     return best if best.returned != eq.returned else eq
-
-
-def numeric_objective(inst: MarketInstance, allocation, returned) -> float:
-    """Floating value of the concave objective at a feasible point."""
-    total = 0.0
-    for i in inst.buyers:
-        w = sum(
-            float(inst.utilities[i][j]) * float(allocation[i][j]) for j in inst.goods
-        )
-        t = w + float(returned[i])
-        if t <= 0:
-            raise ValueError(f"buyer {i}: nonpositive utility-plus-refund")
-        total += float(inst.money[i]) * math.log(t)
-    return total - sum(float(v) for v in returned)
-
-
-def perturbed_feasible_point(inst: MarketInstance, eq: Equilibrium, rng: random.Random, scale: float):
-    """Perturb a solution within the feasible region of the program."""
-    x = [
-        [max(float(v) + scale * rng.uniform(-1, 1), 0.0) for v in row]
-        for row in eq.allocation
-    ]
-    for j in inst.goods:
-        col = sum(row[j] for row in x)
-        if col > 1.0:
-            for row in x:
-                row[j] /= col
-    s = [max(float(v) + scale * rng.uniform(-1, 1), 0.0) for v in eq.returned]
-    return x, s
-
-
-def oracle_balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
-    """The l2-minimal surplus vector via subset enumeration, no max-flow.
-
-    The total inflow any buyer group can receive is bounded by the total
-    price of its neighborhood; the top surplus level is the largest average
-    deficiency over groups, its argmax union is pinned there, and the rest
-    recurses on the remaining subnetwork.
-    """
-    if len(net.buyers) > BALANCED_SURPLUS_GUARD:
-        raise OracleSizeError(f"{len(net.buyers)} buyers exceed the {BALANCED_SURPLUS_GUARD} guard")
-    out: dict[int, Fraction] = {}
-    buyers = set(net.buyers)
-    goods = set(net.goods)
-    while buyers:
-        blist = sorted(buyers)
-        best: Fraction | None = None
-        argmax_union: set[int] = set()
-        for mask in range(1, 1 << len(blist)):
-            group = {blist[b] for b in range(len(blist)) if mask >> b & 1}
-            caps = sum((net.sink_caps[i] for i in group), ZERO)
-            hood = {j for (j, i) in net.edges if i in group and j in goods}
-            price = sum((net.source_caps[j] for j in hood), ZERO)
-            h = (caps - price) / len(group)
-            if best is None or h > best:
-                best = h
-                argmax_union = set(group)
-            elif h == best:
-                argmax_union |= group
-        if best is None or best <= 0:
-            for i in buyers:
-                out[i] = ZERO
-            return out
-        for i in argmax_union:
-            out[i] = best
-        goods -= {j for (j, i) in net.edges if i in argmax_union}
-        buyers -= argmax_union
-    return out
 
 
 def oracle_cost_solve(inst: CostMarketInstance) -> CostSolution:

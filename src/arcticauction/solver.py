@@ -101,6 +101,18 @@ goods joins J.  Checking the heap's head against theta checks every
 candidate, and ``_alpha_bar_active``'s checks run once per iteration, on
 data that does not change within it.
 
+Which maximum flow a step finds changes no answer: this is a contract.
+Outside the extraction and the refund split, a solve reads only what every
+maximum flow of a network shares: the balanced surplus vector, which is
+unique, the source side of the source-nearest min cut, and deficits.  Any
+maximum-flow method or augmenting order may run there, and the prices,
+refunds, allocation, ``RunStats`` and recorded trace stay bit-identical.
+Only ``_extract``'s push from zero and the pushes of ``_lex_max_refunds``
+choose one allocation among the optimal ones, so they alone rely on
+``augment``'s Edmonds-Karp order.  The tests hold the solve to this by
+solving the pinned corpora with every other ``augment`` first pushing the
+length-3 paths in reverse order.
+
 Everything is exact rational arithmetic; every comparison is exact.
 """
 

@@ -11,19 +11,22 @@ from fractions import Fraction
 
 import pytest
 
-from arcticauction.balanced import balanced_flow, surplus, verify_property1
+from arcticauction.balanced import balanced_flow
 from arcticauction.costmarket import generate_random_cost_instance, solve_cost_market
-from arcticauction.flownet import FlowNetwork, build_network, check_invariant, max_flow
+from arcticauction.flownet import FlowNetwork, max_flow
 from arcticauction.kkt import verify_arctic_kkt, verify_cost_kkt, verify_market_clearing
 from arcticauction.market import generate_random_instance
-from arcticauction.oracle import (
+from arcticauction.oracle import oracle_cost_solve, oracle_solve
+from arcticauction.solver import TraceRecorder, solve
+from reference import (
+    check_invariant,
     numeric_objective,
     oracle_balanced_surplus,
-    oracle_cost_solve,
-    oracle_solve,
     perturbed_feasible_point,
+    snapshot_network,
+    surplus,
+    verify_property1,
 )
-from arcticauction.solver import TraceRecorder, solve
 
 F = Fraction
 
@@ -114,22 +117,12 @@ def test_criterion_03_invariant_preservation(small_runs, medium_runs):
     for tag, runs in (("small", small_runs), ("medium", medium_runs)):
         for k, (inst, eq, _, recorder) in enumerate(runs):
             for snap in recorder.phases:
-                net = build_network(
-                    inst,
-                    snap["prices"],
-                    returns=snap["returns"],
-                    buyers=snap["live_buyers"],
-                )
+                net = snapshot_network(inst, snap)
                 if not check_invariant(net):
                     bad.append((tag, k, snap["label"]))
             terminal = recorder.phases[-1]
             assert terminal["label"] == "terminal"
-            net = build_network(
-                inst,
-                terminal["prices"],
-                returns=terminal["returns"],
-                buyers=terminal["live_buyers"],
-            )
+            net = snapshot_network(inst, terminal)
             f = max_flow(net)
             # ({s}...{t}) and ({s,B,G},{t}) are both minimum cuts at the end.
             if not (f.value == net.total_price == net.total_money):

@@ -21,6 +21,7 @@ from arcticauction.market import (
     serialize_instance,
     validate_instance,
 )
+from arcticauction.solver import solve
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -81,6 +82,25 @@ def test_validate_flags_nonpositive_money():
     inst = MarketInstance(money=(Fraction(0),), utilities=((Fraction(1),),))
     report = validate_instance(inst)
     assert any("nonpositive money" in v for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "money, utilities",
+    [((1, 1), ((1, 0), (1,))), ((1,), ((1,), (1,))), ((1, 1), ((1,),))],
+    ids=["ragged-rows", "more-rows-than-buyers", "fewer-rows-than-buyers"],
+)
+def test_validate_reports_a_bad_shape_without_raising(money, utilities):
+    # A direct API caller can hand in any shape: it must be reported, and
+    # solve must refuse it instead of ignoring a row or indexing past one.
+    inst = MarketInstance(
+        money=tuple(map(Fraction, money)),
+        utilities=tuple(tuple(map(Fraction, row)) for row in utilities),
+    )
+    report = validate_instance(inst)
+    assert not report.ok
+    assert any("utility row" in v for v in report.violations)
+    with pytest.raises(ValueError, match="invalid instance"):
+        solve(inst)
 
 
 @given(a=rationals, b=rationals)

@@ -13,7 +13,7 @@ import pytest
 import arcticauction
 
 from arcticauction import balanced, flownet, solver
-from arcticauction.flownet import FlowNetwork, build_network, check_invariant, max_flow, maximal_min_cut
+from arcticauction.flownet import FlowNetwork, build_network, max_flow, maximal_min_cut
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import (
     MarketInstance,
@@ -35,6 +35,7 @@ from arcticauction.solver import (
     next_event,
     solve,
 )
+from reference import balanced_surplus, check_invariant, snapshot_network, verify_property1
 
 F = Fraction
 
@@ -393,12 +394,7 @@ def test_solve_random_small_instances(seed):
     # Invariant at every recorded phase boundary; a phase starts on the
     # equality graph of a network built afresh.
     for snap in recorder.phases:
-        net = build_network(
-            inst,
-            snap["prices"],
-            returns=snap["returns"],
-            buyers=snap["live_buyers"],
-        )
+        net = snapshot_network(inst, snap)
         assert check_invariant(net)
         if snap["label"] == "phase_start":
             assert snap["edges"] == net.edges
@@ -460,8 +456,13 @@ def test_stats_report_output_denominators():
     )
 
 
-@pytest.mark.parametrize("module", ["flownet", "balanced", "solver", "kkt", "costmarket"])
+PACKAGE_MODULES = sorted(p.stem for p in Path(arcticauction.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
 def test_no_floats_on_solving_path(module):
+    # Every module of the package, not only the solving path: none has a
+    # float literal, a float() call or a math.log call.
     path = Path(arcticauction.__file__).parent / f"{module}.py"
     offenders = []
     for node in ast.walk(ast.parse(path.read_text())):
@@ -474,25 +475,21 @@ def test_no_floats_on_solving_path(module):
     assert not offenders, f"{module}.py: {offenders}"
 
 
-def test_answers_pinned_on_roadmap_seeds():
-    # Prices, allocations, refunds and alphas of the ROADMAP baseline
-    # instances, pinned so that a kernel change cannot move them unseen.
+ROADMAP_SQUARES = [generate_random_instance(seed, 12, 12, 10) for seed in range(5)]
+REFUND_HEAVY = [generate_refund_heavy_instance(seed, n) for n in (8, 12, 16) for seed in range(3)]
+TRACED = ROADMAP_SQUARES + [generate_refund_heavy_instance(seed, 12) for seed in range(3)]
+ROADMAP_SQUARES_DIGEST = "98315c2b580feb3f8dfe3ee5e2d6aca027e36ce13f8f38ec5aedbf243a773bb9"
+REFUND_HEAVY_DIGEST = "c6ded4dfa233b45a28c054f0e02a3a2bd6bded5a0e19a4c2f06b1816864309c1"
+TRACED_DIGEST = "cfb9f96c6dcfaad5a94cf8117e6fb997298d87500efb6bcf2d9d68cf4bcdfeb7"
+
+
+def _answers_digest(insts) -> str:
+    """One hash of the serialized equilibria of the solves of ``insts``."""
     digest = hashlib.sha256()
-    for seed in range(5):
-        eq, _ = solve(generate_random_instance(seed, 12, 12, 10))
+    for inst in insts:
+        eq, _ = solve(inst)
         digest.update(serialize_equilibrium(eq).encode())
-    assert digest.hexdigest() == "98315c2b580feb3f8dfe3ee5e2d6aca027e36ce13f8f38ec5aedbf243a773bb9"
-
-
-def test_answers_pinned_on_refund_heavy_seeds():
-    # The same pin for the refund regime: each of these solves runs 7 to 14
-    # partial money returns and at least one full one.
-    digest = hashlib.sha256()
-    for n in (8, 12, 16):
-        for seed in range(3):
-            eq, _ = solve(generate_refund_heavy_instance(seed, n))
-            digest.update(serialize_equilibrium(eq).encode())
-    assert digest.hexdigest() == "c6ded4dfa233b45a28c054f0e02a3a2bd6bded5a0e19a4c2f06b1816864309c1"
+    return digest.hexdigest()
 
 
 def _canonical(x):
@@ -508,19 +505,91 @@ def _canonical(x):
     return x
 
 
-def test_traces_pinned_on_roadmap_seeds():
-    # The recorder's events and phase snapshots on the square and
-    # refund-heavy baseline seeds, pinned so that a change to the phase loop
-    # cannot move an event, a potential or an edge unseen.
+def _traces_digest(insts) -> str:
+    """One hash of the recorder's events and phase snapshots over the solves of ``insts``."""
     digest = hashlib.sha256()
-    insts = [generate_random_instance(seed, 12, 12, 10) for seed in range(5)]
-    insts += [generate_refund_heavy_instance(seed, 12) for seed in range(3)]
     for inst in insts:
         recorder = TraceRecorder()
         solve(inst, recorder=recorder)
         dump = {"events": recorder.events, "phases": recorder.phases}
         digest.update(json.dumps(_canonical(dump), sort_keys=True).encode())
-    assert digest.hexdigest() == "cfb9f96c6dcfaad5a94cf8117e6fb997298d87500efb6bcf2d9d68cf4bcdfeb7"
+    return digest.hexdigest()
+
+
+def test_answers_pinned_on_roadmap_seeds():
+    # Prices, allocations, refunds and alphas of the ROADMAP baseline
+    # instances, pinned so that a kernel change cannot move them unseen.
+    assert _answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
+
+
+def test_answers_pinned_on_refund_heavy_seeds():
+    # The same pin for the refund regime: each of these solves runs 7 to 14
+    # partial money returns and at least one full one.
+    assert _answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
+
+
+def test_traces_pinned_on_roadmap_seeds():
+    # The recorder's events and phase snapshots on the square and
+    # refund-heavy baseline seeds, pinned so that a change to the phase loop
+    # cannot move an event, a potential or an edge unseen.
+    assert _traces_digest(TRACED) == TRACED_DIGEST
+
+
+def test_answers_do_not_depend_on_which_maximum_flow(monkeypatch):
+    # Every augment outside the extraction and the refund split first pushes
+    # the length-3 paths in reverse order, goods and their buyers last to
+    # first, so it ends at another maximum flow; the two that choose the
+    # allocation keep Edmonds-Karp's order.  Answers and traces must not move.
+    original = flownet._Residual.augment
+    choosing = False
+    calls = changed = 0
+
+    def reverse_first(g, avoid=()):
+        nonlocal calls, changed
+        if choosing:
+            return original(g, avoid)
+        reference = g.scaled(1, 1, ())
+        original(reference, avoid)
+        cap, flow, adj = g.cap, g.flow, g.adj
+        for v, a, _ in reversed(adj[0]):
+            room = cap[a] - flow[a]
+            if room <= 0 or v in avoid:
+                continue
+            for b, arc, forward in reversed(adj[v]):
+                if not forward or b in avoid:
+                    continue
+                out = adj[b][-1][1]
+                push = min(room, cap[out] - flow[out])
+                if push > 0:
+                    flow[a] += push
+                    flow[arc] += push
+                    flow[out] += push
+                    room -= push
+                    if not room:
+                        break
+        parent = original(g, avoid)
+        calls += 1
+        changed += flow != reference.flow
+        return parent
+
+    def in_order(step):
+        def run(*args):
+            nonlocal choosing
+            choosing = True
+            try:
+                return step(*args)
+            finally:
+                choosing = False
+
+        return run
+
+    monkeypatch.setattr(flownet._Residual, "augment", reverse_first)
+    monkeypatch.setattr(solver, "_extract", in_order(solver._extract))
+    monkeypatch.setattr(solver, "_lex_max_refunds", in_order(solver._lex_max_refunds))
+    assert _answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
+    assert _answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
+    assert _traces_digest(TRACED) == TRACED_DIGEST
+    assert changed > 0
 
 
 EIGHT_BY_EIGHT = [generate_random_instance(seed, 8, 8, 10) for seed in range(3)] + [
@@ -586,10 +655,10 @@ def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
             warm += any(g.flow)
         gamma, phi = balance(state, g, keep)
         net = _network(state)
-        assert {i: F(x, g.scale) for i, x in gamma.items()} == balanced.balanced_surplus(net)
+        assert {i: F(x, g.scale) for i, x in gamma.items()} == balanced_surplus(net)
         flow = g.as_flow()
         assert flow.value == flownet.max_flow(net).value
-        assert balanced.verify_property1(net, flow)
+        assert verify_property1(net, flow)
         if state.iteration_index:
             cold = flownet._Residual(net, balanced.balanced_flow(net))
             assert g.buyers_reaching(state.I) == cold.buyers_reaching(state.I)
@@ -736,7 +805,8 @@ def test_carried_phase_start_graph_has_the_fresh_build_edges(monkeypatch, inst):
         nonlocal carried
         g = carry(state)
         returns = {i: state.inst.money[i] - state.leftover(i) for i in state.inst.buyers}
-        net = build_network(state.inst, state.prices, returns, state.live_buyers)
+        snap = {"prices": state.prices, "returns": returns, "live_buyers": state.live_buyers}
+        net = snapshot_network(state.inst, snap)
         assert {(j, i) for j in state.inst.goods for i in g.buyers_of(j)} == net.edges
         carried += 1
         return g
