@@ -142,18 +142,6 @@ def _cost_solution(inst: CostMarketInstance, allocation, returned) -> CostSoluti
     )
 
 
-def profit(inst: CostMarketInstance, sol: CostSolution) -> Fraction:
-    """Seller revenue minus production cost, recomputed from first principles."""
-    total_s = sum(sol.returned, ZERO)
-    revenue = sum(inst.base.money, ZERO) - total_s
-    produced = [
-        sum((sol.allocation[i][j] for i in inst.base.buyers), ZERO)
-        for j in inst.base.goods
-    ]
-    cost = sum((inst.unit_costs[j] * produced[j] for j in inst.base.goods), ZERO)
-    return revenue - cost
-
-
 def generate_random_cost_instance(seed: int, n: int, m: int, max_value: int) -> CostMarketInstance:
     """Deterministic random cost-market instance; costs uniform in [1, max]."""
     base = generate_random_instance(seed, n, m, max_value)

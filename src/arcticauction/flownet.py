@@ -1,4 +1,4 @@
-"""Money-flow networks: construction, exact max-flow, min cuts, reachability.
+"""Money-flow networks: exact max-flow, min cuts, reachability.
 
 A network has a source feeding every good with capacity equal to its price,
 unbounded good-to-buyer edges for maximum bang-per-buck pairs, and a
@@ -37,11 +37,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-from .market import MarketInstance, mbpb
 
 SOURCE = ("s",)
 SINK = ("t",)
@@ -118,23 +116,6 @@ class Cut:
 
     def buyers_part(self) -> tuple[int, ...]:
         return tuple(sorted(v[1] for v in self.source_side if v[0] == "b"))
-
-
-def build_network(inst: MarketInstance, prices, buyers=None) -> FlowNetwork:
-    """The money network at the given prices.
-
-    Every good is priced at ``prices``.  Each buyer (every buyer by default)
-    has sink capacity equal to its money, and an edge to each good that
-    attains its bang-per-buck, ``market.mbpb``.  This is the one builder of
-    a money network from prices.
-    """
-    buyers = tuple(sorted(buyers)) if buyers is not None else tuple(inst.buyers)
-    goods = tuple(inst.goods)
-    sink_caps = {i: inst.money[i] for i in buyers}
-    # The edgeless network rejects a nonpositive price before any ratio is taken.
-    net = FlowNetwork(goods, buyers, {j: prices[j] for j in goods}, sink_caps, frozenset())
-    edges = frozenset((j, i) for i in buyers for j in mbpb(inst, prices, i)[1])
-    return replace(net, edges=edges)
 
 
 class _Residual:

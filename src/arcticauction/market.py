@@ -166,7 +166,8 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
     There must be one utility row per buyer, all of one length.  Every
     buyer must desire some good and every good must be desired by some
     buyer (checked only when the shape is right); zero-money buyers are
-    rejected outright.
+    rejected outright.  Each money and utility must be of type int or
+    Fraction; the checks skip any other, with its row's and the goods'.
     """
     violations = []
     if inst.n_buyers == 0:
@@ -180,17 +181,27 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
         if len(row) != inst.n_goods:
             shaped = False
             violations.append(f"utility row {i} has wrong length")
+    # A rational's sign is its numerator's; an int is its own numerator.
     for i, m in enumerate(inst.money):
-        if m <= 0:
+        if type(m) not in (int, Fraction):
+            violations.append(f"buyer {i}: money {m!r} is not an int or a Fraction")
+        elif m.numerator <= 0:
             violations.append(f"buyer {i}: nonpositive money")
+    exact = True
     for i, row in enumerate(inst.utilities):
-        if any(u < 0 for u in row):
+        signs = [u.numerator for u in row if type(u) in (int, Fraction)]
+        if any(n < 0 for n in signs):
             violations.append(f"buyer {i}: negative utility")
-        if all(u <= 0 for u in row):
+        if len(signs) < len(row):
+            exact = False
+            for j, u in enumerate(row):
+                if type(u) not in (int, Fraction):
+                    violations.append(f"buyer {i}: utility {u!r} for good {j} is not an int or a Fraction")
+        elif all(n <= 0 for n in signs):
             violations.append(f"buyer {i}: no positive utility for any good")
-    if shaped:
+    if shaped and exact:
         for j in inst.goods:
-            if all(row[j] <= 0 for row in inst.utilities):
+            if all(row[j].numerator <= 0 for row in inst.utilities):
                 violations.append(f"good {j}: undesired by every buyer")
     return ValidationReport(tuple(violations))
 
@@ -243,17 +254,24 @@ def stats_to_doc(stats: RunStats) -> dict:
 
 
 def stats_from_doc(doc: dict) -> RunStats:
-    """The inverse of stats_to_doc; a field whose key is missing keeps its default."""
-    names = {f.name for f in fields(RunStats)}
-    values = {name: value for name, value in doc.items() if name in names}
-    for name in _RATIONAL_STATS:
-        if name in values:
-            values[name] = parse_rational(values[name])
-    if "potential_trace" in values:
-        values["potential_trace"] = [
-            (row[0], row[1], parse_rational(row[2]), parse_rational(row[3]), row[4])
-            for row in values["potential_trace"]
-        ]
+    """The inverse of stats_to_doc; a field whose key is missing keeps its default.
+
+    A value of the wrong type, a bool for an int included, is a MarketFormatError."""
+    if not isinstance(doc, dict):
+        raise MarketFormatError("stats is not an object")
+    values = {f.name: doc[f.name] for f in fields(RunStats) if f.name in doc}
+    for name, value in values.items():
+        if name in _RATIONAL_STATS:
+            values[name] = parse_rational(value)
+        elif name == "potential_trace":
+            if not isinstance(value, list) or not all(
+                isinstance(r, list) and len(r) == 5 and type(r[0]) is type(r[1]) is int
+                and isinstance(r[4], str) for r in value
+            ):
+                raise MarketFormatError("stats potential_trace has a row of the wrong shape or types")
+            values[name] = [(r[0], r[1], parse_rational(r[2]), parse_rational(r[3]), r[4]) for r in value]
+        elif not ((value is None or isinstance(value, str)) if name == "note" else type(value) is int):
+            raise MarketFormatError(f"stats {name} has the wrong type: {value!r}")
     return RunStats(**values)
 
 
@@ -284,10 +302,7 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
         raise MarketFormatError("dimension mismatch between instance and solution")
     allocation = rational_field(doc, "allocation", n, m)
     alpha = rational_field(doc, "alpha", n)
-    try:
-        stats = stats_from_doc(doc.get("stats", {}))
-    except (AttributeError, TypeError, LookupError) as exc:
-        raise MarketFormatError(f"malformed stats: {exc}") from exc
+    stats = stats_from_doc(doc.get("stats", {}))
     eq = Equilibrium(prices=prices, allocation=allocation, returned=returned, alpha=alpha)
     return eq, stats
 

@@ -18,7 +18,8 @@ buyers until an event fires:
 The prices are unique, but when two or more buyers end at bang-per-buck
 exactly 1 many refund splits are optimal.  A solve reports the one whose
 refund vector is lexicographically maximal by buyer index at the final
-prices; a post-pass of max-flows on one graph computes it after extraction.
+prices; a post-pass of max-flows on a copy of the solve's graph computes it
+after extraction.
 
 Within an iteration, the search for the first tight goods set probes the
 invariant at a falling sequence of theta values.  Each probe is warm-started
@@ -68,24 +69,24 @@ Every phase starts from the last one's graph, or initialize's
 refunds, and its flow stays feasible.  No live buyer loses an arc there: an
 active buyer's goods were all scaled alike, and any other buyer's arcs lead
 outside J, whose prices did not move.  So only the arcs ``mbpb`` gives and
-the graph lacks are added, in sorted place; at phase 1 that is every arc.
+the graph lacks are added (``_add_best_arcs``); at phase 1 that is every arc.
 The graph is then balanced from the flow it holds, and only the components
 with a scaled good, a new arc or a refunded buyer's goods are peeled
 (``_settled_buyers``): every other component has the same caps and arcs as
 at the last balance, less arcs without flow, so its flow is balanced
 already.  The surplus vector, I, J, the absorbed sets and every probe's cut
 are the same for every balanced flow (see ``balanced``), so carrying the
-flow changes no answer.  The only network built after initialize is the
-refund split's.  At phase start the balanced flow itself must fill every
-source arc.  No other check is needed: phase 1's begin_phase checks the
-opening prices before anything changes, which also covers initialize's
-repricing (a good left without an edge leaves a deficit of at least its
-price); a tight-set event's theta is that of the search's last probe, which
-found no deficit on the same graph; and a full return's flow is already a
-maximum flow of the network without the buyer.  Every refund, in a money
-return and in the refund split, is a max-flow deficit (``_least_spend``).
-A solve calls no ``max_flow``: ``maxflow_calls`` reads 0, and stays for
-perfbench's check.
+flow changes no answer.  The refund split runs on a copy of the graph too:
+a solve builds one network and one graph, in initialize.  At phase start
+the balanced flow itself must fill every source arc.  No other check is
+needed: phase 1's begin_phase checks the opening prices before anything
+changes, which also covers initialize's repricing (a good left without an
+edge leaves a deficit of at least its price); a tight-set event's theta is
+that of the search's last probe, which found no deficit on the same graph;
+and a full return's flow is already a maximum flow of the network without
+the buyer.  Every refund, in a money return and in the refund split, is a
+max-flow deficit (``_least_spend``).  A solve calls no ``max_flow``:
+``maxflow_calls`` reads 0, and stays for perfbench's check.
 
 Events are found from candidates built once per iteration.  Within an
 iteration base_prices, J and the active buyers' arcs do not change, so each
@@ -125,7 +126,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balanced import balance
-from .flownet import FlowNetwork, build_network, buyer_vertex, good_vertex, _read_cut, _Residual
+from .flownet import FlowNetwork, buyer_vertex, good_vertex, _read_cut, _Residual
 from .market import (
     Equilibrium,
     MarketInstance,
@@ -381,6 +382,22 @@ def _start_iteration(state: SolverState) -> None:
     g._check_feasible()
 
 
+def _add_best_arcs(state: SolverState, g: _Residual, buyers) -> set[int]:
+    """Add to g, in sorted place, each buyer's arcs to the goods at her
+    bang-per-buck (``mbpb``) that g lacks, and return their goods; an arc off
+    it is a bug.  This is the one place where arcs come from prices."""
+    added = set()
+    for i in sorted(buyers):
+        best = mbpb(state.inst, state.prices, i)[1]
+        have = g.goods_of(i)
+        if not have <= best:
+            raise SolverError(f"buyer {i} kept an edge off her bang-per-buck")
+        for j in sorted(best - have):
+            g.add_arc(j, i)
+            added.add(j)
+    return added
+
+
 def _carry_graph(state: SolverState) -> _Residual:
     """The last phase's graph, carried to the next phase's network.
 
@@ -388,19 +405,11 @@ def _carry_graph(state: SolverState) -> _Residual:
     the money returns are in it already (``apply_money_return``).  No live
     buyer loses an arc: an active buyer's goods were all scaled alike, and
     any other buyer's arcs lead outside J, whose prices did not move.  So
-    the arcs ``mbpb`` gives and the graph lacks are added, each in sorted
-    place with its good touched, and the flow stays feasible.  Phase 1
-    carries initialize's graph, which has no arcs: every arc is added here.
+    ``_add_best_arcs`` only adds arcs, touching their goods, and the flow
+    stays feasible; on initialize's graph, at phase 1, it adds every arc.
     """
     g = state.graph = _at_theta(state, state.theta)
-    for i in sorted(state.live_buyers):
-        best = mbpb(state.inst, state.prices, i)[1]
-        have = g.goods_of(i)
-        if not have <= best:
-            raise SolverError(f"buyer {i} kept an edge off her bang-per-buck")
-        for j in sorted(best - have):
-            g.add_arc(j, i)
-            state.touched.add(j)
+    state.touched |= _add_best_arcs(state, g, state.live_buyers)
     return g
 
 
@@ -756,21 +765,29 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
     buyers at exactly 1 (removed ones included) may split the rest in many
     ways.  Maximizing their refunds in buyer order means minimizing their
     spends in that order, on one graph over every best-ratio edge with each
-    cap at the buyer's money.  Each spend in turn is her least spend, the
-    deficit of a maximum flow with her cap at 0 (``_least_spend``), with
-    the earlier buyers' caps set to theirs: augmenting paths never lower a
-    buyer's spend, so it is reached with them kept where they are.  The
-    last spend is what remains, and one more push from zero, which must
-    fill every source arc, realizes the split.  While no spend has moved,
-    the extracted flow is a feasible split, so a buyer it gives no goods
-    needs no push.
+    cap at the buyer's money: ``_at_theta``'s copy of the solve's graph with
+    the arcs it lacks for the buyers at 1 or more added (``_add_best_arcs``:
+    removed buyers', and arcs pruned at an iteration start) and rescaled so
+    that every money is an int.  A buyer below 1 stays isolated, with cap 0.
+    Every push starts from zero.  Each spend in turn is her least spend, the
+    deficit of a maximum flow with her cap at 0 (``_least_spend``), with the
+    earlier buyers' caps set to theirs: augmenting paths never lower a
+    buyer's spend, so it is reached with them kept where they are.  The last
+    spend is what remains, and one more push from zero, which must fill
+    every source arc, realizes the split.  While no spend has moved, the
+    extracted flow is a feasible split, so a buyer it gives no goods needs
+    no push.
     """
     inst = state.inst
     ones = [i for i in inst.buyers if eq.alpha[i] == 1]
     if len(ones) < 2:
         return eq
     buyers = [i for i in inst.buyers if eq.alpha[i] >= 1]
-    g = _Residual(build_network(inst, eq.prices, buyers=buyers))
+    g = _at_theta(state, state.theta)
+    _add_best_arcs(state, g, buyers)
+    g.rescale(math.lcm(g.scale, *(inst.money[i].denominator for i in buyers)) // g.scale)
+    for i in buyers:
+        g.cap[g.sink_arc(i)] = int(inst.money[i] * g.scale)
     moved = False
     for i in ones[:-1]:
         spend = (inst.money[i] - eq.returned[i]) * g.scale

@@ -1,5 +1,8 @@
 """Reference helpers that the tests hold the package to; no package code calls them.
 
+* ``build_network`` builds the money network at given prices from scratch,
+  with an edge for each buyer's bang-per-buck goods (``market.mbpb``), and
+  ``profit`` recomputes a cost solution's profit from first principles.
 * ``surplus``, ``potential`` and ``verify_property1`` read a flow's surplus
   vector, its l2 potential and the balanced-flow property straight off a
   ``FlowNetwork``; ``balanced_surplus`` is the surplus vector of
@@ -22,12 +25,30 @@ from dataclasses import replace
 from fractions import Fraction
 
 from arcticauction.balanced import balanced_flow
-from arcticauction.flownet import Flow, FlowError, FlowNetwork, _Residual, build_network, max_flow
-from arcticauction.market import Equilibrium, MarketInstance
+from arcticauction.costmarket import CostMarketInstance, CostSolution
+from arcticauction.flownet import Flow, FlowError, FlowNetwork, _Residual, max_flow
+from arcticauction.market import Equilibrium, MarketInstance, mbpb
 from arcticauction.oracle import ZERO, OracleSizeError
 
 # oracle_balanced_surplus's enumeration guard on the number of buyers.
 BALANCED_SURPLUS_GUARD = 6
+
+
+def build_network(inst: MarketInstance, prices, buyers=None) -> FlowNetwork:
+    """The money network at the given prices.
+
+    Every good is priced at ``prices``.  Each buyer (every buyer by default)
+    has sink capacity equal to its money, and an edge to each good that
+    attains its bang-per-buck, ``market.mbpb``.  The tests hold the solver's
+    graph, whose arcs come from prices in ``solver._add_best_arcs``, to it.
+    """
+    buyers = tuple(sorted(buyers)) if buyers is not None else tuple(inst.buyers)
+    goods = tuple(inst.goods)
+    sink_caps = {i: inst.money[i] for i in buyers}
+    # The edgeless network rejects a nonpositive price before any ratio is taken.
+    net = FlowNetwork(goods, buyers, {j: prices[j] for j in goods}, sink_caps, frozenset())
+    edges = frozenset((j, i) for i in buyers for j in mbpb(inst, prices, i)[1])
+    return replace(net, edges=edges)
 
 
 def surplus(net: FlowNetwork, flow: Flow) -> dict[int, Fraction]:
@@ -120,6 +141,18 @@ def oracle_balanced_surplus(net: FlowNetwork) -> dict[int, Fraction]:
         goods -= {j for (j, i) in net.edges if i in argmax_union}
         buyers -= argmax_union
     return out
+
+
+def profit(inst: CostMarketInstance, sol: CostSolution) -> Fraction:
+    """Seller revenue minus production cost, recomputed from first principles."""
+    total_s = sum(sol.returned, ZERO)
+    revenue = sum(inst.base.money, ZERO) - total_s
+    produced = [
+        sum((sol.allocation[i][j] for i in inst.base.buyers), ZERO)
+        for j in inst.base.goods
+    ]
+    cost = sum((inst.unit_costs[j] * produced[j] for j in inst.base.goods), ZERO)
+    return revenue - cost
 
 
 def numeric_objective(inst: MarketInstance, allocation, returned) -> float:

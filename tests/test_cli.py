@@ -161,6 +161,15 @@ _COST_SOLUTION = {
         ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "prices": 5}),
         ({**_INSTANCE, "costs": ["1"]}, {**_COST_SOLUTION, "allocation": [[]]}),
         (_INSTANCE, {**_EQUILIBRIUM, "stats": {"potential_trace": [{}]}}),
+        # Stats fields of the wrong type.
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"phase_count": "x", "type1": [1], "note": 5}}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"type2": True}}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"note": 5}}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"potential_trace": "abcde"}}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"potential_trace": [[1, 1, "0", "0"]]}}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"potential_trace": [[1, "1", "0", "0", "I"]]}}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"potential_trace": [[1, 1, "0", 0.5, "I"]]}}),
+        (_INSTANCE, {**_EQUILIBRIUM, "stats": {"potential_trace": [[1, 1, "0", "0", 3]]}}),
     ],
 )
 def test_verify_malformed_solution_is_bad_input(tmp_path, capsys, instance, solution):

@@ -9,7 +9,6 @@ from arcticauction.costmarket import (
     generate_random_cost_instance,
     parse_cost_instance,
     parse_cost_solution,
-    profit,
     serialize_cost_instance,
     serialize_cost_solution,
     solve_cost_market,
@@ -17,6 +16,7 @@ from arcticauction.costmarket import (
 from arcticauction.kkt import verify_cost_kkt
 from arcticauction.market import MarketFormatError, MarketInstance
 from arcticauction.oracle import oracle_cost_solve
+from reference import profit
 
 F = Fraction
 

@@ -18,7 +18,6 @@ from arcticauction.flownet import (
     Flow,
     FlowError,
     FlowNetwork,
-    build_network,
     buyer_vertex,
     good_vertex,
     max_flow,
@@ -29,7 +28,7 @@ from arcticauction.flownet import (
     _Residual,
 )
 from arcticauction.market import MarketInstance
-from reference import check_invariant
+from reference import build_network, check_invariant
 
 F = Fraction
 

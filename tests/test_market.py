@@ -1,5 +1,6 @@
 """Instance model: parsing, validation, serialization, random generation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from arcticauction.market import (
     RunStats,
     format_rational,
     generate_random_instance,
+    generate_refund_heavy_instance,
     instance_bit_bounds,
     mbpb,
     parse_equilibrium,
@@ -103,6 +105,27 @@ def test_validate_reports_a_bad_shape_without_raising(money, utilities):
         solve(inst)
 
 
+@pytest.mark.parametrize(
+    "money, utilities, bad",
+    [
+        ((0.5, 1), ((1.0, 2), (3, 1)), ["0: money 0.5", "0: utility 1.0 for good 0"]),
+        ((True, 1), ((1, 2), (3, False)), ["0: money True", "1: utility False for good 1"]),
+        ((1, "2"), (("1", 2), (3, 1)), ["1: money '2'", "0: utility '1' for good 0"]),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_validate_reports_entries_that_are_not_rational(money, utilities, bad):
+    # A direct API caller can hand in any entry: only an int or a Fraction
+    # is rational, and solve must refuse anything else before it computes.
+    inst = MarketInstance(money=money, utilities=utilities)
+    report = validate_instance(inst)
+    assert [v for v in report.violations if "not an int or a Fraction" in v] == [
+        f"buyer {entry} is not an int or a Fraction" for entry in bad
+    ]
+    with pytest.raises(ValueError, match="^invalid instance: "):
+        solve(inst)
+
+
 @given(a=rationals, b=rationals)
 def test_rational_arithmetic_is_exact(a, b):
     assert (a + b) - b == a
@@ -147,6 +170,16 @@ def test_equilibrium_serialization_round_trip(seed):
     assert back_stats.phase_count == 3
     assert back_stats.maxflow_calls == 17
     assert back_stats.potential_trace == stats.potential_trace
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solved_stats_round_trip(seed):
+    # Every field of a solve's stats, the note included, comes back from
+    # its document with the same value and type.
+    for inst in (generate_random_instance(seed, 5, 4, 10), generate_refund_heavy_instance(seed, 6)):
+        eq, stats = solve(inst)
+        for s in (stats, replace(stats, note="all buyers removed before a full tight set")):
+            assert parse_equilibrium(serialize_equilibrium(eq, s), inst) == (eq, s)
 
 
 def test_serialize_uses_rational_strings():

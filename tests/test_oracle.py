@@ -15,7 +15,7 @@ import pytest
 
 import arcticauction
 from arcticauction import oracle
-from arcticauction.flownet import FlowNetwork, build_network
+from arcticauction.flownet import FlowNetwork
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import (
     Equilibrium,
@@ -38,7 +38,7 @@ from arcticauction.oracle import (
     oracle_solve,
     solve_linear,
 )
-from reference import numeric_objective, oracle_balanced_surplus, perturbed_feasible_point
+from reference import build_network, numeric_objective, oracle_balanced_surplus, perturbed_feasible_point
 
 F = Fraction
 

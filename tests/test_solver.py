@@ -13,7 +13,7 @@ import pytest
 import arcticauction
 
 from arcticauction import balanced, flownet, solver
-from arcticauction.flownet import FlowNetwork, build_network, max_flow, maximal_min_cut
+from arcticauction.flownet import FlowNetwork, buyer_vertex, max_flow, maximal_min_cut
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import (
     MarketInstance,
@@ -35,7 +35,13 @@ from arcticauction.solver import (
     next_event,
     solve,
 )
-from reference import balanced_surplus, check_invariant, snapshot_network, verify_property1
+from reference import (
+    balanced_surplus,
+    build_network,
+    check_invariant,
+    snapshot_network,
+    verify_property1,
+)
 
 F = Fraction
 
@@ -955,13 +961,16 @@ def test_bank_corpus(seed):
         assert solve(small)[0] == oracle_solve(small).equilibrium
 
 
-@pytest.mark.parametrize("inst", [EIGHT_BY_EIGHT[0], generate_refund_heavy_instance(7, 8)])
+# The refund split moves on generate_refund_heavy_instance(2, 8).
+@pytest.mark.parametrize(
+    "inst",
+    [EIGHT_BY_EIGHT[0], generate_refund_heavy_instance(7, 8), generate_refund_heavy_instance(2, 8)],
+)
 def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
-    # initialize builds the solve's one residual graph, with no arcs, and
-    # every phase start carries it; a new edge and a zero-degree event edit
-    # it, and a money return and the extraction push on copies of it: none
-    # of them builds a graph or a network.  The refund split builds at most
-    # one graph, of the final network.
+    # initialize builds the solve's one residual graph, of a network with no
+    # arcs, and every phase start carries it; a new edge and a zero-degree
+    # event edit it, and a money return, the extraction and the refund split
+    # push on copies of it: none of them builds a graph or a network.
     builds = {"graph": 0, "network": 0}
 
     def counted(init, key):
@@ -977,29 +986,25 @@ def test_phase_steps_build_no_network_or_graph(monkeypatch, inst):
     )
     steps = {}
 
-    def watched(name, graphs, at_most=False):
+    def watched(name, built):
         step = getattr(solver, name)
 
         def wrapper(*args):
             before = dict(builds)
-            expected = graphs(*args) if callable(graphs) else graphs
             result = step(*args)
-            built = builds["graph"] - before["graph"]
-            assert built <= expected if at_most else built == expected
-            # Each graph is of one network, which counts twice: build_network
-            # checks the prices on an edgeless network before adding edges.
-            assert builds["network"] - before["network"] <= 2 * expected
+            assert {k: builds[k] - before[k] for k in builds} == {"graph": built, "network": built}
             steps[name] = steps.get(name, 0) + 1
             return result
 
         monkeypatch.setattr(solver, name, wrapper)
 
     watched("initialize", 1)
-    for name in ("begin_phase", "apply_new_edge", "apply_z_events", "apply_money_return", "_extract"):
+    for name in (
+        "begin_phase", "apply_new_edge", "apply_z_events", "apply_money_return", "_extract", "_lex_max_refunds"
+    ):
         watched(name, 0)
-    # The refund split pushes on one graph of the final network, if any.
-    watched("_lex_max_refunds", 1, at_most=True)
     solve(inst)
+    assert builds == {"graph": 1, "network": 1}
     expected = {
         "initialize", "begin_phase", "apply_new_edge", "apply_z_events", "_extract", "_lex_max_refunds"
     }
@@ -1138,3 +1143,53 @@ def test_refund_split_matches_fresh_networks(monkeypatch, n, seed):
     monkeypatch.setattr(solver, "_lex_max_refunds", checked)
     solve(generate_refund_heavy_instance(seed, n))
     assert moved == [(n, seed) != SPLIT_CASES[0]]
+
+
+# Live buyers whose bang-per-buck arcs were pruned at an iteration start with
+# theta = 1 still lack them at the split: 3, 1 and 2 arcs.
+LACKING_ARCS = [(0, 6, 6, 3), (37, 4, 4, 2), (93, 4, 4, 2)]
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [generate_refund_heavy_instance(seed, n) for n, seed in SPLIT_CASES]
+    + [generate_random_instance(*args) for args in LACKING_ARCS],
+)
+def test_refund_split_graph_is_the_fresh_build(monkeypatch, inst):
+    # The split runs on the solve's graph with every bang-per-buck arc of the
+    # buyers at alpha >= 1 added, removed buyers' included, and their caps
+    # at their money.  At its first push it must be build_network's graph at
+    # the final prices, with the caps set so far (0 for the buyers before
+    # the pushed one): the same adjacency order and the same caps over
+    # scale.  A buyer at alpha < 1 stays an isolated vertex with cap 0.
+    split, least_spend = solver._lex_max_refunds, solver._least_spend
+    pushed = []
+
+    def checked_split(state, eq):
+        ones = [k for k in inst.buyers if eq.alpha[k] == 1]
+        buyers = [k for k in inst.buyers if eq.alpha[k] >= 1]
+        isolated = [buyer_vertex(k) for k in inst.buyers if eq.alpha[k] < 1]
+
+        def first_push(g, i):
+            if not pushed:
+                net = build_network(inst, eq.prices, buyers=buyers)
+                caps = {**net.sink_caps, **{k: F(0) for k in ones[: ones.index(i)]}}
+                fresh = flownet._Residual(replace(net, sink_caps=caps))
+                assert _by_vertex(g, isolated)[0] == _by_vertex(fresh)[0]
+                over_scale = [
+                    {(h.vertices[u], h.vertices[v]): c if c is None else F(c, h.scale)
+                     for (u, v), c in zip(h.ends, h.cap)}
+                    for h in (g, fresh)
+                ]
+                assert over_scale[0] == {**over_scale[1], **{(v, flownet.SINK): 0 for v in isolated}}
+                pushed.append(i)
+            return least_spend(g, i)
+
+        monkeypatch.setattr(solver, "_least_spend", first_push)
+        out = split(state, eq)
+        monkeypatch.setattr(solver, "_least_spend", least_spend)
+        return out
+
+    monkeypatch.setattr(solver, "_lex_max_refunds", checked_split)
+    solve(inst)
+    assert pushed
