@@ -45,11 +45,12 @@ the source, and both are the same for every maximum flow of a network.  So
 the surplus vector cannot depend on which maximum flow the warm start
 reached.
 
-Kept components.  Max-flow value and l2 norm both separate over the
+Peeled components.  Max-flow value and l2 norm both separate over the
 components of a network, so a balanced flow of the whole is the union of
-balanced flows of its components.  The caller may name components whose
-flow is balanced already: their buyers and goods are frozen from the start,
-with their surpluses as they are, and only the rest is peeled.
+balanced flows of its components.  The caller names goods, and only their
+components are peeled: every other good and buyer is frozen from the start,
+with its flow and surplus as they are.  A buyer without arcs is a component
+of its own, whose only flow is zero, so it is never peeled.
 
 ``balance`` runs the peel-off in place on a residual graph its caller owns
 and leaves it holding a balanced flow of its own network.  Which balanced flow
@@ -100,23 +101,30 @@ def _water_level(caps: list[int], target: int) -> Fraction:
     raise AssertionError("water level search failed")
 
 
-def balance(g: _Residual, keep=()) -> None:
+def balance(g: _Residual, goods=None) -> None:
     """Replace g's flow, a feasible flow of g's network, by a balanced flow.
 
-    The buyer vertices in ``keep`` are frozen from the start, with their
-    goods and flow: they must make up whole components of g's network, on
-    which the flow is balanced already (FlowError if one of their goods
-    feeds another buyer).  The rest is peeled off from g's flow, and the
-    sink caps lowered on the way are restored, so g ends as the residual
-    graph of its own network under a balanced flow.
+    Only the components of g's network that hold one of the good vertices
+    in ``goods``, or every component if it is None, are peeled off from
+    g's flow; the flow on every other component must be balanced already,
+    and is kept.  The sink caps lowered on the way are restored, so g ends
+    as the residual graph of its own network under a balanced flow.
     """
     cap, flow, adj = g.cap, g.flow, g.adj
     n_goods, t = len(adj[0]), len(adj) - 1  # good v's source arc is v - 1
-    keep = set(keep)
+    # The peeled components: one walk from the given goods, through goods
+    # and buyers only.  Everything else is dead from the start.
+    seen = set(range(1, n_goods + 1) if goods is None else goods)
+    stack = list(seen)
+    while stack:
+        for v, _, _ in adj[stack.pop()]:
+            if 0 < v < t and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    dead = set(range(1, t)) - seen
     # Each peeled buyer's sink arc, and its full cap, scaled along with the graph.
-    sink_arc = {b: adj[b][-1][1] for b in range(n_goods + 1, t) if b not in keep}
+    sink_arc = {b: adj[b][-1][1] for b in range(n_goods + 1, t) if b in seen}
     full = {b: cap[a] for b, a in sink_arc.items()}
-    dead: set[int] = set()
 
     def goods_of(buyers) -> set[int]:
         return {v for b in buyers for v, _, forward in adj[b] if not forward} - dead
@@ -136,11 +144,6 @@ def balance(g: _Residual, keep=()) -> None:
             g.set_sink_cap(b, max(full[b] - level, 0))
         return level
 
-    kept_goods = goods_of(keep)
-    if any(forward and v not in keep for j in kept_goods for v, _, forward in adj[j]):
-        raise FlowError("a kept buyer shares a good with a buyer that is peeled")
-    dead |= kept_goods
-    dead.update(keep)
     while live := [b for b in full if b not in dead]:
         # Find the top surplus level: the smallest uniform sink reduction that
         # the network can still fully absorb, searched from a lower bound.

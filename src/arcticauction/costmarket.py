@@ -37,6 +37,9 @@ class CostMarketInstance:
     def __post_init__(self):
         if len(self.unit_costs) != self.base.n_goods:
             raise MarketFormatError("costs length does not match goods")
+        for j, d in enumerate(self.unit_costs):
+            if type(d) not in (int, Fraction):
+                raise MarketFormatError(f"good {j}: unit cost {d!r} is not an int or a Fraction")
         if any(d <= 0 for d in self.unit_costs):
             raise MarketFormatError("unit costs must be positive")
 

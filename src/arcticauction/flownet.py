@@ -133,8 +133,9 @@ class _Residual:
     adjacency list.  ``cap`` and ``flow`` are only written on a graph its
     caller owns: by ``augment``, ``rescale``, ``reduce``, ``add_arc``,
     ``drop_arcs``, ``set_sink_cap``, ``balanced.balance`` and the solver.
-    ``ends`` and ``adj`` may be shared with scaled copies, so ``add_arc``
-    and ``drop_arcs`` replace them instead of writing into them.
+    ``ends`` and ``adj`` are shared with scaled copies, and ``add_arc`` and
+    ``drop_arcs`` write into them, so a copy is stale once its source's arcs
+    change: the solver reads no copy after that.
 
     A given flow must be feasible in the network: nonnegative, within every
     finite capacity and conserved at every good and buyer, else FlowError.
@@ -312,13 +313,11 @@ class _Residual:
         """
         u, v = self.index[good_vertex(j)], self.index[buyer_vertex(i)]
         a = len(self.ends)
-        self.ends = [*self.ends, (u, v)]
+        self.ends.append((u, v))
         self.cap.append(None)
         self.flow.append(0)
-        self.adj = list(self.adj)
-        for w, entry in ((u, (v, a, True)), (v, (u, a, False))):
-            self.adj[w] = list(self.adj[w])
-            insort(self.adj[w], entry)
+        insort(self.adj[u], (v, a, True))
+        insort(self.adj[v], (u, a, False))
 
     def drop_arcs(self, pairs) -> None:
         """Remove the arcs from good j to buyer i for each (j, i) in ``pairs``.
@@ -342,17 +341,15 @@ class _Residual:
                 dropped.add(a)
         if not dropped:
             return
-        ends, cap = list(self.ends), self.cap
+        ends, cap = self.ends, self.cap
         n = len(ends) - len(dropped)
         moved = [a for a in range(n, len(ends)) if a not in dropped]
         renumber = dict(zip(moved, sorted(a for a in dropped if a < n)))
-        adj = self.adj = list(adj)
         for w in {w for a in (*dropped, *moved) for w in ends[a]}:
             adj[w] = [(v, renumber.get(a, a), forward) for v, a, forward in adj[w] if a not in dropped]
         for old, new in renumber.items():
             ends[new], cap[new], flow[new] = ends[old], cap[old], flow[old]
         del ends[n:], cap[n:], flow[n:]
-        self.ends = ends
 
     def set_sink_cap(self, b: int, c: int) -> None:
         """Set buyer vertex b's sink cap to c.

@@ -33,12 +33,12 @@ balanced flow does not have).  A probe reads only extreme min cuts, which
 are the same for every maximum flow, so the start flow changes how much
 augmenting is done, never an answer.  The next new edge balances from the
 same flow, for the same reason, and peels only the equality-graph
-components that the iteration can have changed: those with a scaled good,
-the new edge's good, or a buyer that gained an edge in a zero-degree event.
-Every other component keeps its balanced flow.  Which balanced flow a step
-ends with depends on its start flow, but the absorbed set, the pruned-arc
-check and the probes' cuts are the same for every balanced flow (see
-``balanced``).
+components that the iteration can have changed: ``_balance`` names their
+goods, the scaled goods, the new edge's and those of a zero-degree event
+or a removal, and ``balance`` finds the components.  Every other component
+keeps its balanced flow.  Which balanced flow a step ends with depends on
+its start flow, but the absorbed set, the pruned-arc check and the probes'
+cuts are the same for every balanced flow (see ``balanced``).
 
 A solve keeps one integer residual graph, built by initialize with no arcs
 and carried through every step of every phase.  Its good -> buyer arcs are
@@ -69,24 +69,26 @@ Every phase starts from the last one's graph, or initialize's
 refunds, and its flow stays feasible.  No live buyer loses an arc there: an
 active buyer's goods were all scaled alike, and any other buyer's arcs lead
 outside J, whose prices did not move.  So only the arcs ``mbpb`` gives and
-the graph lacks are added (``_add_best_arcs``); at phase 1 that is every arc.
-The graph is then balanced from the flow it holds, and only the components
-with a scaled good, a new arc or a refunded buyer's goods are peeled
-(``_settled_buyers``): every other component has the same caps and arcs as
-at the last balance, less arcs without flow, so its flow is balanced
-already.  The surplus vector, I, J, the absorbed sets and every probe's cut
-are the same for every balanced flow (see ``balanced``), so carrying the
-flow changes no answer.  The refund split runs on a copy of the graph too:
-a solve builds one network and one graph, in initialize.  At phase start
-the balanced flow itself must fill every source arc.  No other check is
-needed: phase 1's begin_phase checks the opening prices before anything
-changes, which also covers initialize's repricing (a good left without an
-edge leaves a deficit of at least its price); a tight-set event's theta is
-that of the search's last probe, which found no deficit on the same graph;
-and a full return's flow is already a maximum flow of the network without
-the buyer.  Every refund, in a money return and in the refund split, is a
-max-flow deficit (``_least_spend``).  A solve calls no ``max_flow``:
-``maxflow_calls`` reads 0, and stays for perfbench's check.
+the graph lacks are added (``_add_best_arcs``); at phase 1 that is every
+arc.  The graph is then balanced from the flow it holds, and ``_balance``
+names the goods whose components are peeled: the scaled goods, a new arc's
+and a refunded buyer's.  ``balance`` finds their components, and every other
+component has the same caps and arcs as at the last balance, less arcs
+without flow, so its flow is balanced already.  A removed buyer is a
+component of her own and is never peeled.  The surplus vector, I, J, the
+absorbed sets and every probe's cut are the same for every balanced flow
+(see ``balanced``), so carrying the flow changes no answer.  The refund
+split runs on a copy of the graph too: a solve builds one network and one
+graph, in initialize.  At phase start the balanced flow itself must fill
+every source arc.  No other check is needed: phase 1's begin_phase checks
+the opening prices before anything changes, which also covers initialize's
+repricing (a good left without an edge leaves a deficit of at least its
+price); a tight-set event's theta is that of the search's last probe, which
+found no deficit on the same graph; and a full return's flow is already a
+maximum flow of the network without the buyer.  Every refund, in a money
+return and in the refund split, is a max-flow deficit (``_least_spend``).  A
+solve calls no ``max_flow``: ``maxflow_calls`` reads 0, and stays for
+perfbench's check.
 
 Events are found from candidates built once per iteration.  Within an
 iteration base_prices, J and the active buyers' arcs do not change, so each
@@ -294,11 +296,15 @@ def _require_iteration_invariant(state: SolverState, where: str) -> None:
         raise SolverError(f"price cut invariant broken at {where}")
 
 
-def _balance(state: SolverState, g: _Residual, keep=()) -> tuple[dict[int, int], Fraction]:
-    """Balance g's flow in place, keeping the flow of the buyer vertices in
-    ``keep`` (see ``balance``).  Returns each live buyer's surplus times
-    g.scale, and the potential: the sum of the squared surpluses."""
-    balance(g, keep)
+def _balance(state: SolverState, g: _Residual) -> tuple[dict[int, int], Fraction]:
+    """Balance g's flow in place, peeling only the equality-graph components
+    with a good of J (scaled) or of ``state.touched`` (see ``balance``).
+    Since the last balance every other component can only have lost arcs
+    without flow, pruned at an iteration start, so its flow is balanced
+    already: it still fills every source arc, and no residual path was
+    added.  Returns each live buyer's surplus times g.scale, and the
+    potential: the sum of the squared surpluses."""
+    balance(g, [g.index[good_vertex(j)] for j in state.J | state.touched])
     state.touched.clear()
     gamma = {}
     for i in state.live_buyers:
@@ -339,28 +345,6 @@ def initialize(inst: MarketInstance) -> SolverState:
     return SolverState(
         inst=inst, live_buyers=set(buyers), prices=prices, graph=_Residual(net), stats=stats
     )
-
-
-def _settled_buyers(state: SolverState, g: _Residual) -> list[int]:
-    """The vertices of the live buyers whose flow on g is balanced already.
-
-    They are the buyers of every equality-graph component that holds no good
-    of J (scaled) or of ``state.touched`` (a new arc, or a buyer whose money
-    came back).  Since the last balance such a component can only have lost
-    arcs without flow, pruned at an iteration start, and its flow stays
-    balanced: it still fills every source arc, and no residual path was
-    added.
-    """
-    index, t = g.index, len(g.adj) - 1
-    seen = {index[good_vertex(k)] for k in (*state.J, *state.touched)}
-    stack = list(seen)
-    while stack:
-        for v, _, _ in g.adj[stack.pop()]:
-            if 0 < v < t and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    buyers = (index[buyer_vertex(i)] for i in sorted(state.live_buyers))
-    return [b for b in buyers if b not in seen]
 
 
 def _start_iteration(state: SolverState) -> None:
@@ -418,7 +402,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
 
     Every phase carries the last phase's graph, or initialize's, to the new
     prices (``_carry_graph``) and balances it from the flow it holds,
-    peeling only the components that ``_settled_buyers`` does not keep.
+    peeling only the components that changed (``_balance``).
     Returns (potential at phase start, terminal flag).  The terminal flag is
     set when every buyer's surplus is already zero, in which case the full
     goods set is tight and the run ends.
@@ -427,7 +411,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     state.iteration_index = 0
     state.outside.clear()
     g = _carry_graph(state)
-    gamma, state.phi = _balance(state, g, _settled_buyers(state, g))
+    gamma, state.phi = _balance(state, g)
     if state.recorder is not None:
         state.recorder.record_phase(state, "phase_start")
     # The invariant: the balanced flow, a feasible flow, fills every source
@@ -594,8 +578,8 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     The network at theta is the iteration graph scaled to theta plus the
     new arc; it is balanced from the start flow, which stays feasible (J's
     caps only grew, and the arc is new), and becomes the next iteration's
-    graph.  The components ``_settled_buyers`` names keep their flow and
-    surpluses; only the rest is peeled again.
+    graph.  Only the components with a good of J or of a new arc are peeled
+    again (``_balance``); every other one keeps its flow and surpluses.
     """
     u = state.inst.utilities[i][j]
     alpha_i = _alpha_bar_active(state, i) / state.theta
@@ -604,7 +588,7 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     state.graph = g = _at_theta(state, state.theta)
     g.add_arc(j, i)
     state.touched.add(j)
-    _, new_phi = _balance(state, g, _settled_buyers(state, g))
+    _, new_phi = _balance(state, g)
     if new_phi > state.phi:
         raise SolverError("potential increased across a balanced-flow recompute")
     state.phi = new_phi

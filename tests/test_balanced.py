@@ -12,7 +12,6 @@ from arcticauction.flownet import (
     SINK,
     SOURCE,
     Flow,
-    FlowError,
     FlowNetwork,
     buyer_vertex,
     good_vertex,
@@ -271,40 +270,36 @@ def test_cancellation_of_pinned_good_next_to_survivor(checked_augment):
 
 def test_balance_keeps_whole_components_it_is_given(checked_augment):
     # Good 0 feeds buyers 0 and 1; good 1 feeds buyer 2 alone, whose
-    # component carries its balanced flow and is kept as it is while the
-    # other is peeled from zero.  Keeping buyer 0 alone would split a
-    # component, which balance refuses.
+    # component carries its balanced flow.  Naming good 0 peels its
+    # component from zero, and buyer 2's is kept as it is.
     net = net_of([2, 1], [2, 1, 3], [(0, 0), (0, 1), (1, 2)])
     arcs = [(SOURCE, good_vertex(1)), (good_vertex(1), buyer_vertex(2)), (buyer_vertex(2), SINK)]
     start = Flow(values=dict.fromkeys(arcs, F(1)), value=F(1))
     g = flownet._Residual(net, start)
-    balance(g, [g.index[buyer_vertex(2)]])
+    balance(g, [g.index[good_vertex(0)]])
     f = g.as_flow()
     assert surplus(net, f) == balanced_surplus(net) == {0: F(1, 2), 1: F(1, 2), 2: F(2)}
     assert all(f.on(*arc) == 1 for arc in arcs)
-    g = flownet._Residual(net)
-    with pytest.raises(FlowError):
-        balance(g, [g.index[buyer_vertex(0)]])
 
 
 def _kept_component_graph():
     """test_balance_keeps_whole_components_it_is_given's graph: buyer 2's
-    component carries its balanced flow and is kept."""
+    component carries its balanced flow, and only good 0's is peeled."""
     net = net_of([2, 1], [2, 1, 3], [(0, 0), (0, 1), (1, 2)])
     arcs = [(SOURCE, good_vertex(1)), (good_vertex(1), buyer_vertex(2)), (buyer_vertex(2), SINK)]
     g = flownet._Residual(net, Flow(values=dict.fromkeys(arcs, F(1)), value=F(1)))
-    return g, [g.index[buyer_vertex(2)]], 2
+    return g, [g.index[good_vertex(0)]], 2
 
 
 @pytest.mark.parametrize(
     "case",
     [
         # test_rescaling_across_levels' network: three rescales, two pinned levels.
-        lambda: (flownet._Residual(net_of([1, 1], [1] * 5, [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)])), (), 30),
+        lambda: (flownet._Residual(net_of([1, 1], [1] * 5, [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)])), None, 30),
         _kept_component_graph,
         # Buyer 0 is pinned at surplus 1; buyer 1, lowered to cap 0 there,
         # is saturated at the last level, at 0.
-        lambda: (flownet._Residual(net_of([1, 2], [2, 1], [(0, 0), (1, 1)])), (), 1),
+        lambda: (flownet._Residual(net_of([1, 2], [2, 1], [(0, 0), (1, 1)])), None, 1),
     ],
     ids=["three-rescales", "kept-component", "last-level"],
 )
@@ -312,9 +307,9 @@ def test_balance_leaves_every_cap_as_it_was_times_the_rescale(checked_augment, c
     # balance lowers sink caps level by level and rescales every value; at
     # the end every capacity, source, unbounded and sink arcs alike, is its
     # value before the call times the rescale factor.
-    g, keep, factor = case()
+    g, goods, factor = case()
     before, scale = list(g.cap), g.scale
-    balance(g, keep)
+    balance(g, goods)
     assert g.scale // scale == factor
     assert g.cap == [None if c is None else c * factor for c in before]
 

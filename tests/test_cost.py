@@ -148,3 +148,12 @@ def test_cost_instance_requires_costs_field():
 def test_cost_instance_rejects_nonpositive_costs():
     with pytest.raises(MarketFormatError):
         cost_inst([[1]], [1], [0])
+
+
+@pytest.mark.parametrize("cost", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_cost_instance_rejects_a_cost_that_is_not_rational(cost):
+    # Like money and utilities, a unit cost must be an int or a Fraction; a
+    # float, a bool or a str is refused before it reaches the solver.
+    base = MarketInstance(money=(F(1),), utilities=((F(2), F(1)),))
+    with pytest.raises(MarketFormatError, match="not an int or a Fraction"):
+        CostMarketInstance(base=base, unit_costs=(cost, F(1)))

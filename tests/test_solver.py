@@ -487,6 +487,9 @@ TRACED = ROADMAP_SQUARES + [generate_refund_heavy_instance(seed, 12) for seed in
 ROADMAP_SQUARES_DIGEST = "98315c2b580feb3f8dfe3ee5e2d6aca027e36ce13f8f38ec5aedbf243a773bb9"
 REFUND_HEAVY_DIGEST = "c6ded4dfa233b45a28c054f0e02a3a2bd6bded5a0e19a4c2f06b1816864309c1"
 TRACED_DIGEST = "cfb9f96c6dcfaad5a94cf8117e6fb997298d87500efb6bcf2d9d68cf4bcdfeb7"
+BANK = [generate_random_instance(seed, 60, 3, 10) for seed in range(5)]
+BANK_DIGEST = "f363dcbc81e0c5492ee55aea6a6c800d26701541b717a3f5325f343dfecfca54"
+BANK_TRACED_DIGEST = "46e1f0978c01b8025f3df839f4010f078dcfa583ae5638111ba55b6a6d6cf20e"
 
 
 def _answers_digest(insts) -> str:
@@ -539,6 +542,76 @@ def test_traces_pinned_on_roadmap_seeds():
     # refund-heavy baseline seeds, pinned so that a change to the phase loop
     # cannot move an event, a potential or an edge unseen.
     assert _traces_digest(TRACED) == TRACED_DIGEST
+
+
+def test_answers_and_traces_pinned_on_bank_seeds():
+    # The bank shape, many bidders for three goods: nearly every phase ends
+    # in a money return, so most buyers are removed before the end.
+    assert _answers_digest(BANK) == BANK_DIGEST
+    assert _traces_digest(BANK) == BANK_TRACED_DIGEST
+
+
+@pytest.mark.parametrize("inst", [*BANK, *(generate_refund_heavy_instance(s, 12) for s in range(3))])
+def test_balance_leaves_removed_buyers_alone(monkeypatch, inst):
+    # A removed buyer is a vertex with no arcs and sink cap 0, a component
+    # of its own whose flow is zero: no balance peels it, so none sets its
+    # sink cap.
+    balance, set_sink_cap = solver.balance, flownet._Residual.set_sink_cap
+    remove_buyer = solver._remove_buyer
+    peeling = False
+    removed = lowered = 0
+
+    def watched(g, *args):
+        nonlocal peeling
+        peeling = True
+        try:
+            balance(g, *args)
+        finally:
+            peeling = False
+
+    def counted_cap(g, b, c):
+        nonlocal lowered
+        if peeling and len(g.adj[b]) == 1 and g.cap[g.adj[b][0][1]] == 0:
+            lowered += 1
+        set_sink_cap(g, b, c)
+
+    def counted_removal(state, i):
+        nonlocal removed
+        removed += 1
+        remove_buyer(state, i)
+
+    monkeypatch.setattr(solver, "balance", watched)
+    monkeypatch.setattr(flownet._Residual, "set_sink_cap", counted_cap)
+    monkeypatch.setattr(solver, "_remove_buyer", counted_removal)
+    solve(inst)
+    assert removed > 0
+    assert lowered == 0
+
+
+def test_no_graph_is_read_after_its_arcs_change(monkeypatch):
+    # add_arc and drop_arcs write into the arc lists that scaled copies
+    # share, so a copy read after its source's arcs changed would see arc
+    # numbers its own capacities and flows do not have.  Every search,
+    # augment and flow read must find them consistent.
+    checks = 0
+
+    def consistent(method):
+        def run(g, *args, **kwargs):
+            nonlocal checks
+            n = len(g.ends)
+            assert len(g.cap) == len(g.flow) == n
+            assert all(a < n for entries in g.adj for _, a, _ in entries)
+            checks += 1
+            return method(g, *args, **kwargs)
+
+        return run
+
+    for name in ("augment", "search", "as_flow"):
+        monkeypatch.setattr(flownet._Residual, name, consistent(getattr(flownet._Residual, name)))
+    assert _answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
+    assert _answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
+    assert _answers_digest(BANK) == BANK_DIGEST
+    assert checks > 0
 
 
 def test_answers_do_not_depend_on_which_maximum_flow(monkeypatch):
@@ -655,11 +728,11 @@ def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
     balance = solver._balance
     warm = 0
 
-    def both(state, g, keep=()):
+    def both(state, g):
         nonlocal warm
         if state.iteration_index:  # a new edge, not a phase start
             warm += any(g.flow)
-        gamma, phi = balance(state, g, keep)
+        gamma, phi = balance(state, g)
         net = _network(state)
         assert {i: F(x, g.scale) for i, x in gamma.items()} == balanced_surplus(net)
         flow = g.as_flow()
@@ -682,9 +755,17 @@ def test_new_edges_keep_the_flow_of_settled_components(monkeypatch, inst):
     balance = solver.balance
     kept = 0
 
-    def watched(g, keep=()):
+    def watched(g, goods):
         nonlocal kept
-        part = set(keep) | {v for b in keep for v, _, forward in g.adj[b] if not forward}
+        # The components of the named goods, found by a walk of the test's own.
+        t = len(g.adj) - 1
+        peeled, stack = set(goods), list(goods)
+        while stack:
+            for v, _, _ in g.adj[stack.pop()]:
+                if 0 < v < t and v not in peeled:
+                    peeled.add(v)
+                    stack.append(v)
+        part = set(range(1, t)) - peeled
 
         def flows():
             return {
@@ -692,9 +773,9 @@ def test_new_edges_keep_the_flow_of_settled_components(monkeypatch, inst):
             }
 
         before = flows()
-        balance(g, keep)
+        balance(g, goods)
         assert flows() == before
-        kept += len(keep)
+        kept += sum(u in part for u, v in g.ends if 0 < u and v < t)
 
     monkeypatch.setattr(solver, "balance", watched)
     solve(inst)
@@ -951,7 +1032,7 @@ def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, inst):
 def test_bank_corpus(seed):
     # The many-bidder, few-goods family: most phases end in a money return.
     # Its 4 x 2 and 4 x 3 members fit the oracle, which must agree bit for bit.
-    inst = generate_random_instance(seed, 60, 3, 10)
+    inst = BANK[seed]
     eq, stats = solve(inst)
     assert verify_arctic_kkt(inst, eq).overall
     assert verify_market_clearing(inst, eq).overall

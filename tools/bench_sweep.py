@@ -15,8 +15,8 @@ own figures.  ``refund_heavy_rows`` holds the same rows for
 ``generate_refund_heavy_instance(seed, n)`` at the same sizes and seeds: the
 money-return regime, which the Baseline instances almost never reach.
 ``bank_rows`` holds the same rows for the many-bidder, few-goods family
-``generate_random_instance(seed, n, 3, 10)`` at n = 100, 200 and 400, where
-most phases end in a money return.
+``generate_random_instance(seed, n, 3, 10)`` at n = 100, 200, 400 and 800,
+where most phases end in a money return.
 ``oracle_rows`` holds ``oracle_solve``'s time per shape over criterion 01's
 corpus, ``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199
 with the sizes drawn from ``random.Random(424242)``, each call timed alone:
@@ -38,7 +38,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SIZES = (5, 8, 12, 16, 24, 32, 48)
-BANK_SIZES = (100, 200, 400)
+BANK_SIZES = (100, 200, 400, 800)
 COUNTED = ("phases", "type1", "type2", "type3", "maxflow_calls")
 
 
