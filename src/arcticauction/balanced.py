@@ -11,13 +11,25 @@ The whole peel-off runs on one integer residual graph of the network, and
 its flow is kept from one max-flow to the next (the monotone case of
 Gallo-Grigoriadis-Tarjan parametric max-flow):
 
-* Lower-bound start.  Each level starts its water-level search at
-  delta = (sum of the live buyers' full sink caps - sum of the source caps
-  of their live goods) / |live|, or 0 if that is negative: the live goods
-  can send the live buyers no more than their source caps, so the level is
-  at least this.  When every maximum flow fills every source arc, as under
-  the solver's price-cut invariant, it is exactly the slack that refilling
-  to full caps would leave, so no refill is pushed.
+* Lower-bound start.  Each level starts its water-level search at the
+  largest of these lower bounds on its value delta*: (sum of the live
+  buyers' full sink caps - sum of the source caps of their live goods) /
+  |live|, or 0 if that is negative; and, for each set S of the live
+  buyers that share one surplus under the flow ``balance`` is given, S's
+  water level, the delta with sum_S max(c_i - delta, 0) = cap Gamma(S),
+  or 0 if S's live goods Gamma(S) cover S's caps.  Every buyer set's
+  water level is a lower bound: a live buyer's inflow comes only from its
+  live goods, since the dead goods feed no live buyer (see "Frozen
+  groups"), so at delta* every live buyer is saturated and
+  sum_S max(c_i - delta*, 0) <= cap Gamma(S); the left side strictly
+  falls in delta while positive, so delta* is at least S's level.  The
+  steps that follow therefore end at the same level from any of these
+  starts, and in one step when the start is already that level.  The
+  solver hands ``balance`` the last balanced flow, scaled, whose surplus
+  level sets are mostly the new levels' groups, so most levels start at
+  their value.  When every maximum flow fills every source arc, as under
+  the solver's price-cut invariant, the first bound is exactly the slack
+  that refilling to full caps would leave, so no refill is pushed.
 * Trimming.  Setting the water level delta lowers each live buyer's sink
   cap to max(c_i - delta, 0).  A buyer now over its cap gives the excess
   back along its in-arcs, in adjacency order, taking the same amount off
@@ -25,20 +37,23 @@ Gallo-Grigoriadis-Tarjan parametric max-flow):
 * One search per step.  The buyers starved below a water level, and the
   group pinned at the top one, are those the augment's last search, which
   found no path, did not reach.
-* Frozen groups.  Pinned buyers and every good next to one join a dead
-  set that no search or augmenting path enters, and keep their flow.  Such
-  a good feeds no buyer left live: the source reaches that buyer, so it
+* Frozen groups.  Pinned buyers and every good next to one are dead: no
+  search or augmenting path enters them, and they keep their flow.  Only
+  the dead goods are passed to ``augment`` to avoid: a dead buyer's goods
+  are all dead, so no path reaches it anyway.  A pinned buyer's good
+  feeds no buyer left live: the source reaches that buyer, so it
   would reach the good through the reverse arc, and the pinned buyer next.
   So the rest of the flow stays feasible for the rest of the network.
   After the last level the flow is a maximum flow with the balanced
   surplus vector: each pinned buyer's inflow is its full cap less its
   surplus.  The lowered sink caps are then restored, and no other copy of
   the surpluses is kept: a buyer's surplus is its sink cap less its inflow.
-* Rescaling.  A water level may bring a new denominator d; every capacity,
-  every flow, the graph's scale and the full sink caps kept for the restore
-  are then multiplied by d, which is exact.  Water levels are solved on the
-  graph's scaled ints: the buyers' full sink caps and the goods' source
-  caps, read off the graph's layout.
+* Rescaling.  A water level is held as a pair (num, den) on the graph's
+  scale and compared by cross-multiplying.  A new denominator d = den /
+  gcd(num, den) multiplies every capacity, every flow, the graph's scale
+  and the full sink caps kept for the restore, which is exact.  Water
+  levels are solved on the graph's scaled ints: the buyers' full sink caps
+  and the goods' source caps, read off the graph's layout.
 
 The peel-off reads only max-flow values and the vertex sets reachable from
 the source, and both are the same for every maximum flow of a network.  So
@@ -74,6 +89,7 @@ enumeration of the surplus vector, are in ``tests/reference.py``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .flownet import Flow, FlowError, FlowNetwork, _Residual
 
@@ -107,13 +123,15 @@ def balance(g: _Residual, goods=None) -> None:
     Only the components of g's network that hold one of the good vertices
     in ``goods``, or every component if it is None, are peeled off from
     g's flow; the flow on every other component must be balanced already,
-    and is kept.  The sink caps lowered on the way are restored, so g ends
-    as the residual graph of its own network under a balanced flow.
+    and is kept.  Each level's search starts at the best lower bound that
+    the surplus level sets of the given flow offer (see "Lower-bound
+    start").  The sink caps lowered on the way are restored, so g ends as
+    the residual graph of its own network under a balanced flow.
     """
     cap, flow, adj = g.cap, g.flow, g.adj
     n_goods, t = len(adj[0]), len(adj) - 1  # good v's source arc is v - 1
     # The peeled components: one walk from the given goods, through goods
-    # and buyers only.  Everything else is dead from the start.
+    # and buyers only.  Every other good is dead from the start.
     seen = set(range(1, n_goods + 1) if goods is None else goods)
     stack = list(seen)
     while stack:
@@ -121,47 +139,68 @@ def balance(g: _Residual, goods=None) -> None:
             if 0 < v < t and v not in seen:
                 seen.add(v)
                 stack.append(v)
-    dead = set(range(1, t)) - seen
-    # Each peeled buyer's sink arc, and its full cap, scaled along with the graph.
+    dead = set(range(1, n_goods + 1)) - seen
+    # Each peeled buyer's sink arc, its full cap, scaled along with the
+    # graph, and its goods.
     sink_arc = {b: adj[b][-1][1] for b in range(n_goods + 1, t) if b in seen}
     full = {b: cap[a] for b, a in sink_arc.items()}
+    goods_at = {b: [v for v, _, forward in adj[b] if not forward] for b in sink_arc}
+    # The peeled buyers grouped by the surplus the given flow leaves them.
+    by_surplus: dict[int, list[int]] = {}
+    for b, a in sink_arc.items():
+        by_surplus.setdefault(cap[a] - flow[a], []).append(b)
+    groups = list(by_surplus.values())
 
     def goods_of(buyers) -> set[int]:
-        return {v for b in buyers for v, _, forward in adj[b] if not forward} - dead
+        return {v for b in buyers for v in goods_at[b]} - dead
 
-    def lower_caps(live: list[int], delta: Fraction) -> int:
-        # Sink caps max(c_i - delta, 0), rescaled to stay integral; a buyer
-        # now over its cap gives the excess back along its in-arcs.  Returns
-        # delta on the graph's scale.
-        scaled = delta * g.scale
-        d = scaled.denominator
+    def water_level(buyers) -> tuple[int, int]:
+        # The level that the live goods of ``buyers`` leave them, as
+        # (num, den) on the graph's scale; 0 if the goods cover their caps.
+        caps = [full[b] for b in buyers]
+        target = sum(cap[j - 1] for j in goods_of(buyers))
+        if target >= sum(caps):
+            return 0, 1
+        level = _water_level(caps, target)
+        return level.numerator, level.denominator
+
+    def lower_caps(live: list[int], num: int, den: int) -> int:
+        # Sink caps max(c_i - num/den, 0), rescaled to stay integral; a
+        # buyer now over its cap gives the excess back along its in-arcs.
+        # Returns the level on the new scale.
+        d = den // gcd(num, den)
         if d > 1:
             g.rescale(d)
             for b in full:
                 full[b] *= d
-        level = scaled.numerator
+        level = num * d // den
         for b in live:
-            g.set_sink_cap(b, max(full[b] - level, 0))
+            c = max(full[b] - level, 0)
+            if cap[sink_arc[b]] != c:
+                g.set_sink_cap(b, c)
         return level
 
-    while live := [b for b in full if b not in dead]:
+    live = list(full)
+    while live:
         # Find the top surplus level: the smallest uniform sink reduction that
         # the network can still fully absorb, searched from a lower bound.
         bound = sum(full[b] for b in live) - sum(cap[j - 1] for j in goods_of(live))
-        delta = max(Fraction(bound, g.scale * len(live)), Fraction(0))
+        num, den = max(bound, 0), len(live)
+        for group in groups:
+            n, d = water_level(group)
+            if n * den > num * d:
+                num, den = n, d
         while True:
-            level = lower_caps(live, delta)
+            level = lower_caps(live, num, den)
             reached = g.augment(dead)
             if all(flow[sink_arc[b]] == cap[sink_arc[b]] for b in live):
                 break
             starved = [b for b in live if reached[b] is None]
             if not starved:
                 raise FlowError("reduced network min cut has no starved buyers")
-            target = sum(cap[j - 1] for j in goods_of(starved))
-            new_delta = _water_level([full[b] for b in starved], target) / g.scale
-            if new_delta <= delta:
+            num, den = water_level(starved)
+            if num <= level * den:
                 raise FlowError("water level candidate did not increase")
-            delta = new_delta
         if level == 0:  # every live buyer is saturated at its full cap
             break
 
@@ -174,7 +213,8 @@ def balance(g: _Residual, goods=None) -> None:
         if not pinned:
             raise FlowError("no buyers pinned at the top surplus level")
         dead |= goods_of(pinned)
-        dead.update(pinned)
+        live = [b for b in live if reached[b] is not None]
+        groups = [kept for group in groups if (kept := [b for b in group if reached[b] is not None])]
     for b, c in full.items():
         cap[sink_arc[b]] = c
 

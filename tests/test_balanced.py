@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from arcticauction import flownet
 from arcticauction.balanced import _water_level, balance, balanced_flow
@@ -326,3 +326,29 @@ def test_balanced_flow_on_rational_networks_beyond_the_oracle(checked_augment, s
     assert f.value == max_flow(net).value
     assert verify_property1(net, f)
     assert surplus(net, f) == balanced_surplus(net)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_balance_from_any_start_flow(checked_augment, seed):
+    # balance starts each level at the water levels of its start flow's
+    # surplus level sets.  A maximum flow of the network under randomly
+    # lowered sink caps is feasible, and its level sets are not the
+    # balanced ones; the balance must still reach the balanced surplus.
+    rng = random.Random(seed)
+    m, n = rng.randint(8, 12), rng.randint(8, 12)
+    prices = [F(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(m)]
+    moneys = [F(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(n)]
+    edges = {(j, i) for j in range(m) for i in range(n) if rng.random() < 0.25}
+    net = net_of(prices, moneys, edges)
+    lowered = net_of(prices, [c * F(rng.randint(0, 4), 4) for c in moneys], edges)
+    g = flownet._Residual(net, max_flow(lowered))
+    before, scale = list(g.cap), g.scale
+    balance(g)
+    factor = g.scale // scale
+    assert g.scale == scale * factor
+    assert g.cap == [None if c is None else c * factor for c in before]
+    f = g.as_flow()
+    assert f.value == max_flow(net).value
+    assert surplus(net, f) == balanced_surplus(net)
+    assert verify_property1(net, f)

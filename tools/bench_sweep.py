@@ -20,7 +20,9 @@ where most phases end in a money return.
 ``oracle_rows`` holds ``oracle_solve``'s time per shape over criterion 01's
 corpus, ``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199
 with the sizes drawn from ``random.Random(424242)``, each call timed alone:
-count, median, max and total.  The file goes to the current directory.
+count, median, max and total.  With ``--repeat R`` every solve and every
+oracle call is timed R times and the least time is kept; the default, 1,
+times each once.  The file goes to the current directory.
 Compare two files only when they were made on one machine, side by side.
 """
 
@@ -42,22 +44,31 @@ BANK_SIZES = (100, 200, 400, 800)
 COUNTED = ("phases", "type1", "type2", "type3", "maxflow_calls")
 
 
-def timed_solves(instance, seeds: int) -> list[dict]:
+def best_of(repeat: int, call):
+    """The least wall time of ``repeat`` runs of ``call()``, and its last result."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+def timed_solves(instance, seeds: int, repeat: int) -> list[dict]:
     """Each seed's solve of ``instance(seed)``, timed alone in whole microseconds."""
     from arcticauction.solver import solve
 
     solves = []
     for seed in range(seeds):
         inst = instance(seed)
-        t0 = time.perf_counter()
-        _, stats = solve(inst)
-        micros = int((time.perf_counter() - t0) * 1_000_000)
+        seconds, (_, stats) = best_of(repeat, lambda: solve(inst))
+        micros = int(seconds * 1_000_000)
         counts = (stats.phase_count, stats.type1, stats.type2, stats.type3, stats.maxflow_calls)
         solves.append({"seed": seed, "seconds": micros / 1e6, **dict(zip(COUNTED, counts))})
     return solves
 
 
-def oracle_rows() -> list[dict]:
+def oracle_rows(repeat: int) -> list[dict]:
     from arcticauction.market import generate_random_instance
     from arcticauction.oracle import oracle_solve
 
@@ -66,9 +77,7 @@ def oracle_rows() -> list[dict]:
     times: dict[tuple[int, int], list[float]] = {}
     for k, (n, m) in enumerate(sizes):
         inst = generate_random_instance(1000 + k, n, m, 10)
-        t0 = time.perf_counter()
-        oracle_solve(inst)
-        times.setdefault((n, m), []).append(time.perf_counter() - t0)
+        times.setdefault((n, m), []).append(best_of(repeat, lambda: oracle_solve(inst))[0])
     return [
         {"n": n, "m": m, "count": len(ts), "median_s": statistics.median(ts), "max_s": max(ts), "total_s": sum(ts)}
         for (n, m), ts in sorted(times.items())
@@ -88,9 +97,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
     parser.add_argument("--sizes", type=int, nargs="+", default=SIZES)
     parser.add_argument("--seeds", type=int, default=5, help="seeds 0 .. SEEDS - 1 at each size")
+    parser.add_argument("--repeat", type=int, default=1, help="time each solve REPEAT times, keep the least")
     args = parser.parse_args(argv)
-    if args.seeds < 1 or min(args.sizes) < 1:
-        parser.error("--seeds and every size must be positive")
+    if args.seeds < 1 or args.repeat < 1 or min(args.sizes) < 1:
+        parser.error("--seeds, --repeat and every size must be positive")
     sys.path.insert(0, str(SRC))
     from arcticauction.market import generate_random_instance, generate_refund_heavy_instance
 
@@ -98,25 +108,26 @@ def main(argv=None) -> int:
         "tag": args.tag,
         "instances": "generate_random_instance(seed, n, n, 10)",
         "seeds": list(range(args.seeds)),
+        "repeat": args.repeat,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "rows": [
-            size_row(n, n, timed_solves(lambda seed: generate_random_instance(seed, n, n, 10), args.seeds))
+            size_row(n, n, timed_solves(lambda seed: generate_random_instance(seed, n, n, 10), args.seeds, args.repeat))
             for n in args.sizes
         ],
         "refund_heavy_instances": "generate_refund_heavy_instance(seed, n)",
         "refund_heavy_rows": [
-            size_row(n, n, timed_solves(lambda seed: generate_refund_heavy_instance(seed, n), args.seeds))
+            size_row(n, n, timed_solves(lambda seed: generate_refund_heavy_instance(seed, n), args.seeds, args.repeat))
             for n in args.sizes
         ],
         "bank_instances": "generate_random_instance(seed, n, 3, 10)",
         "bank_rows": [
-            size_row(n, 3, timed_solves(lambda seed: generate_random_instance(seed, n, 3, 10), args.seeds))
+            size_row(n, 3, timed_solves(lambda seed: generate_random_instance(seed, n, 3, 10), args.seeds, args.repeat))
             for n in BANK_SIZES
         ],
         "oracle_instances": "criterion 01: generate_random_instance(1000 + k, n, m, 10)",
-        "oracle_rows": oracle_rows(),
+        "oracle_rows": oracle_rows(args.repeat),
     }
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(doc, indent=1) + "\n")
