@@ -97,13 +97,13 @@ from .flownet import Flow, FlowError, FlowNetwork, _Residual
 def _water_level(caps: list[int], target: int) -> Fraction:
     """Solve sum_i max(c_i - delta, 0) = target for delta >= 0, on integers.
 
-    Requires 0 <= target <= sum(caps); the left side is piecewise linear and
-    strictly decreasing until it hits zero.
+    Requires 0 <= target <= sum(caps), else FlowError; the left side is
+    piecewise linear and strictly decreasing until it hits zero.
     """
     caps = sorted(caps, reverse=True)
     total = sum(caps)
     if target > total or target < 0:
-        raise ValueError("water level target out of range")
+        raise FlowError("water level target out of range")
     if target == total:
         return Fraction(0)
     # With the k largest caps above the level: sum(top k) - k*delta = target,
@@ -114,41 +114,40 @@ def _water_level(caps: list[int], target: int) -> Fraction:
         excess = prefix - target
         if excess <= k * c and (k == len(caps) or excess >= k * caps[k]):
             return Fraction(excess, k)
-    raise AssertionError("water level search failed")
+    raise FlowError("water level search failed")
 
 
 def balance(g: _Residual, goods=None) -> None:
     """Replace g's flow, a feasible flow of g's network, by a balanced flow.
 
-    Only the components of g's network that hold one of the good vertices
-    in ``goods``, or every component if it is None, are peeled off from
+    Only the components of g's network that hold one of the goods with an
+    id in ``goods``, or every component if it is None, are peeled off from
     g's flow; the flow on every other component must be balanced already,
     and is kept.  Each level's search starts at the best lower bound that
     the surplus level sets of the given flow offer (see "Lower-bound
     start").  The sink caps lowered on the way are restored, so g ends as
-    the residual graph of its own network under a balanced flow.
+    the residual graph of its own network under a balanced flow.  It reads
+    arcs off the graph's layout: vertex v's source or sink arc is arc v - 1.
     """
     cap, flow, adj = g.cap, g.flow, g.adj
-    n_goods, t = len(adj[0]), len(adj) - 1  # good v's source arc is v - 1
+    m, t = g.m, len(adj) - 1
     # The peeled components: one walk from the given goods, through goods
     # and buyers only.  Every other good is dead from the start.
-    seen = set(range(1, n_goods + 1) if goods is None else goods)
+    seen = set(range(1, m + 1) if goods is None else (1 + j for j in goods))
     stack = list(seen)
     while stack:
         for v, _, _ in adj[stack.pop()]:
             if 0 < v < t and v not in seen:
                 seen.add(v)
                 stack.append(v)
-    dead = set(range(1, n_goods + 1)) - seen
-    # Each peeled buyer's sink arc, its full cap, scaled along with the
-    # graph, and its goods.
-    sink_arc = {b: adj[b][-1][1] for b in range(n_goods + 1, t) if b in seen}
-    full = {b: cap[a] for b, a in sink_arc.items()}
-    goods_at = {b: [v for v, _, forward in adj[b] if not forward] for b in sink_arc}
+    dead = set(range(1, m + 1)) - seen
+    # Each peeled buyer vertex's full cap, scaled with the graph, and goods.
+    full = {b: cap[b - 1] for b in range(m + 1, t) if b in seen}
+    goods_at = {b: [v for v, _, forward in adj[b] if not forward] for b in full}
     # The peeled buyers grouped by the surplus the given flow leaves them.
     by_surplus: dict[int, list[int]] = {}
-    for b, a in sink_arc.items():
-        by_surplus.setdefault(cap[a] - flow[a], []).append(b)
+    for b in full:
+        by_surplus.setdefault(cap[b - 1] - flow[b - 1], []).append(b)
     groups = list(by_surplus.values())
 
     def goods_of(buyers) -> set[int]:
@@ -176,8 +175,8 @@ def balance(g: _Residual, goods=None) -> None:
         level = num * d // den
         for b in live:
             c = max(full[b] - level, 0)
-            if cap[sink_arc[b]] != c:
-                g.set_sink_cap(b, c)
+            if cap[b - 1] != c:
+                g.set_sink_cap(b - 1, c)
         return level
 
     live = list(full)
@@ -193,7 +192,7 @@ def balance(g: _Residual, goods=None) -> None:
         while True:
             level = lower_caps(live, num, den)
             reached = g.augment(dead)
-            if all(flow[sink_arc[b]] == cap[sink_arc[b]] for b in live):
+            if all(flow[b - 1] == cap[b - 1] for b in live):
                 break
             starved = [b for b in live if reached[b] is None]
             if not starved:
@@ -216,7 +215,7 @@ def balance(g: _Residual, goods=None) -> None:
         live = [b for b in live if reached[b] is not None]
         groups = [kept for group in groups if (kept := [b for b in group if reached[b] is not None])]
     for b, c in full.items():
-        cap[sink_arc[b]] = c
+        cap[b - 1] = c
 
 
 def balanced_flow(net: FlowNetwork) -> Flow:

@@ -25,11 +25,12 @@ on Python ints: each network's capacities, and the given flow's values, are
 multiplied by the LCM of their denominators, and results leave it only at
 the API boundary, as Fractions (flow values and flow value) and vertex
 tuples; cut capacities are summed from the network's own Fractions.
-Its vertices are numbered s, goods by id, buyers by id, t, and each
-adjacency list is sorted by that number; the numbering fixes which
-augmenting paths max_flow takes, hence which maximum flow it returns, hence
-the allocation a solve reports.  Changing it changes answers, not just
-speed.
+Its layout is positional, and only this module computes it: with m goods,
+vertex 0 is s, good j is vertex 1 + j, buyer i is vertex 1 + m + i and t
+comes last, and vertex v's source or sink arc is arc v - 1.  Each
+adjacency list is sorted by vertex number, which fixes which augmenting
+paths max_flow takes, hence which maximum flow it returns, hence the
+allocation a solve reports.  Changing it changes answers, not just speed.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class FlowError(ValueError):
 class FlowNetwork:
     """Directed network source -> goods -> buyers -> sink.
 
-    ``edges`` holds the (good, buyer) pairs with unbounded capacity.
+    Goods and buyers are numbered 0, 1, ... in order, and ``source_caps``
+    and ``sink_caps`` are keyed by exactly them, else FlowError.  ``edges``
+    holds the (good, buyer) pairs with unbounded capacity.
     """
 
     goods: tuple[int, ...]
@@ -71,6 +74,11 @@ class FlowNetwork:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        goods, buyers = tuple(self.goods), tuple(self.buyers)
+        if goods != tuple(range(len(goods))) or buyers != tuple(range(len(buyers))):
+            raise FlowError("goods and buyers must be numbered 0, 1, ... in order")
+        if self.source_caps.keys() != set(goods) or self.sink_caps.keys() != set(buyers):
+            raise FlowError("source_caps and sink_caps must be keyed by exactly the goods and buyers")
         for j in self.goods:
             if self.source_caps[j] <= 0:
                 raise FlowError(f"good {j}: nonpositive price {self.source_caps[j]}")
@@ -121,21 +129,24 @@ class Cut:
 class _Residual:
     """Residual graph of a network under a flow, on scaled integers.
 
-    Vertices are numbered s, goods by id, buyers by id, t.  Arc ``a`` runs
+    With ``m`` goods and n buyers, vertex 0 is s, good j is vertex 1 + j,
+    buyer i is vertex 1 + m + i and t is vertex m + n + 1; ``vertices``
+    holds their names.  Arcs 0..m-1 run from s to the goods and arcs
+    m..m+n-1 from the buyers to t, so vertex v's terminal arc is arc v - 1;
+    the good -> buyer arcs are numbered from m + n.  Arc ``a`` runs
     ``ends[a]`` with capacity ``cap[a]`` (None for unbounded) and flow
     ``flow[a]``: the network's values times ``scale``, the LCM of every
     capacity and flow denominator, so the ints are exact and every residual
     keeps its sign.  ``adj[u]`` lists ``(v, arc, forward)`` for each arc at
     u, sorted by v.  The network has no antiparallel capacity edges, so each
     pair of vertices shares at most one arc, traversed forward against its
-    capacity or backward against its flow.  The source arcs come first, in
-    good order, and each buyer's sink arc is the last entry of its
-    adjacency list.  ``cap`` and ``flow`` are only written on a graph its
-    caller owns: by ``augment``, ``rescale``, ``reduce``, ``add_arc``,
-    ``drop_arcs``, ``set_sink_cap``, ``balanced.balance`` and the solver.
-    ``ends`` and ``adj`` are shared with scaled copies, and ``add_arc`` and
-    ``drop_arcs`` write into them, so a copy is stale once its source's arcs
-    change: the solver reads no copy after that.
+    capacity or backward against its flow.  ``cap`` and ``flow`` are only
+    written on a graph its caller owns: by ``augment``, ``rescale``,
+    ``reduce``, ``add_arc``, ``drop_arcs``, ``set_sink_cap``,
+    ``balanced.balance`` and the solver.  ``ends`` and ``adj`` are shared
+    with scaled copies, and ``add_arc`` and ``drop_arcs`` write into them,
+    so a copy is stale once its source's arcs change: the solver reads no
+    copy after that.
 
     A given flow must be feasible in the network: nonnegative, within every
     finite capacity and conserved at every good and buyer, else FlowError.
@@ -144,17 +155,13 @@ class _Residual:
     """
 
     def __init__(self, net: FlowNetwork, flow: Flow | None = None):
-        goods, buyers = sorted(net.goods), sorted(net.buyers)
-        self.vertices = [SOURCE, *map(good_vertex, goods), *map(buyer_vertex, buyers), SINK]
-        self.index = {v: k for k, v in enumerate(self.vertices)}
-        good_at = {j: k for k, j in enumerate(goods, 1)}
-        buyer_at = {i: k for k, i in enumerate(buyers, len(goods) + 1)}
-        t = len(self.vertices) - 1
-        ends = [(0, good_at[j]) for j in goods]
-        ends += [(good_at[j], buyer_at[i]) for j, i in net.edges]
-        ends += [(buyer_at[i], t) for i in buyers]
-        caps = [net.source_caps[j] for j in goods] + [None] * len(net.edges)
-        caps += [net.sink_caps[i] for i in buyers]
+        m, n = len(net.goods), len(net.buyers)
+        self.m = m
+        self.vertices = [SOURCE, *map(good_vertex, net.goods), *map(buyer_vertex, net.buyers), SINK]
+        ends = [(0, 1 + j) for j in net.goods] + [(1 + m + i, m + n + 1) for i in net.buyers]
+        ends += [(1 + j, 1 + m + i) for j, i in net.edges]
+        caps = [net.source_caps[j] for j in net.goods] + [net.sink_caps[i] for i in net.buyers]
+        caps += [None] * len(net.edges)
         if flow is None:
             flows = [0] * len(ends)
         else:
@@ -252,7 +259,7 @@ class _Residual:
             for b, arc, forward in adj[g]:
                 if not forward or b in avoid:
                     continue
-                out = adj[b][-1][1]  # the sink arc is last
+                out = b - 1
                 push = min(room, cap[out] - flow[out])
                 if push > 0:
                     flow[a] += push
@@ -311,7 +318,7 @@ class _Residual:
         It is entered in sorted place in both adjacency lists, as a graph
         built afresh with the arc would have it.
         """
-        u, v = self.index[good_vertex(j)], self.index[buyer_vertex(i)]
+        u, v = 1 + j, 1 + self.m + i
         a = len(self.ends)
         self.ends.append((u, v))
         self.cap.append(None)
@@ -326,13 +333,13 @@ class _Residual:
         past the new arc count take the freed numbers below it, so only the
         adjacency lists at the ends of a dropped or a moved arc are
         rewritten, each once.  A list is sorted by head vertex, which arc
-        numbers do not change, and no source arc moves, so the source arcs
-        still come first, in good order.
+        numbers do not change, and the terminal arcs, numbered below every
+        good -> buyer arc, never move.
         """
-        index, at, adj, flow = self.index, self.vertices, self.adj, self.flow
+        m, at, adj, flow = self.m, self.vertices, self.adj, self.flow
         dropped = set()
         for j, i in pairs:
-            u, v = index[good_vertex(j)], index[buyer_vertex(i)]
+            u, v = 1 + j, 1 + m + i
             k = bisect_left(adj[u], (v,))
             if k < len(adj[u]) and adj[u][k][0] == v:
                 a = adj[u][k][1]
@@ -351,15 +358,14 @@ class _Residual:
             ends[new], cap[new], flow[new] = ends[old], cap[old], flow[old]
         del ends[n:], cap[n:], flow[n:]
 
-    def set_sink_cap(self, b: int, c: int) -> None:
-        """Set buyer vertex b's sink cap to c.
+    def set_sink_cap(self, a: int, c: int) -> None:
+        """Set sink arc a's cap to c.
 
-        Inflow over c is given back along b's in-arcs, in adjacency order,
-        and taken off each good's source arc, so a feasible flow stays
-        feasible.
+        Inflow over c is given back along the buyer's in-arcs, in adjacency
+        order, and taken off each good's source arc, so a feasible flow
+        stays feasible.
         """
-        cap, flow, entries = self.cap, self.flow, self.adj[b]
-        a = entries[-1][1]
+        cap, flow, entries = self.cap, self.flow, self.adj[a + 1]
         cap[a] = c
         excess = flow[a] - c
         for j, arc, forward in entries:
@@ -368,29 +374,27 @@ class _Residual:
             if not forward:
                 take = min(flow[arc], excess)
                 flow[arc] -= take
-                flow[j - 1] -= take  # the source arcs come first, in good order
+                flow[j - 1] -= take
                 flow[a] -= take
                 excess -= take
 
     def sink_arc(self, i: int) -> int:
         """The arc from buyer i to the sink."""
-        return self.adj[self.index[buyer_vertex(i)]][-1][1]
+        return self.m + i
 
     def goods_of(self, i: int) -> set[int]:
         """The goods with an arc into buyer i."""
-        at = self.vertices
-        return {at[v][1] for v, _, forward in self.adj[self.index[buyer_vertex(i)]] if not forward}
+        return {v - 1 for v, _, forward in self.adj[1 + self.m + i] if not forward}
 
     def buyers_of(self, j: int) -> set[int]:
         """The buyers with an arc from good j."""
-        at = self.vertices
-        return {at[v][1] for v, _, forward in self.adj[self.index[good_vertex(j)]] if forward}
+        return {v - 1 - self.m for v, _, forward in self.adj[1 + j] if forward}
 
     def as_flow(self) -> Flow:
         """The graph's flow in the network's terms."""
         at, scale, flow = self.vertices, self.scale, self.flow
         values = {(at[u], at[v]): Fraction(f, scale) for (u, v), f in zip(self.ends, flow) if f}
-        return Flow(values=values, value=Fraction(sum(flow[: len(self.adj[0])]), scale))
+        return Flow(values=values, value=Fraction(sum(flow[: self.m]), scale))
 
     def scaled(self, d: int, n: int, goods) -> "_Residual":
         """A copy with every capacity and flow times d, but the source caps of ``goods`` times n.
@@ -402,16 +406,14 @@ class _Residual:
         g = copy(self)
         g.cap = [None if c is None else c * d for c in self.cap]
         for j in goods:
-            a = self.index[good_vertex(j)] - 1  # the source arcs come first, in good order
-            g.cap[a] = self.cap[a] * n
+            g.cap[j] = self.cap[j] * n
         g.flow = [f * d for f in self.flow]
         g.scale = self.scale * d
         return g
 
     def deficit(self) -> int:
         """How much the flow leaves unfilled on the source arcs, times ``scale``."""
-        k = len(self.adj[0])  # the source arcs come first
-        return sum(self.cap[:k]) - sum(self.flow[:k])
+        return sum(self.cap[: self.m]) - sum(self.flow[: self.m])
 
     def buyers_reaching(self, targets) -> set[int]:
         """Buyers outside ``targets`` with a residual path into ``targets``.
@@ -419,10 +421,9 @@ class _Residual:
         Paths run through goods and buyers only; the source and sink are not
         valid interior vertices for buyer-to-buyer reachability.
         """
-        at = self.vertices
-        starts = [self.index[buyer_vertex(i)] for i in targets]
-        parent = self.search(starts, reverse=True, avoid=(0, len(at) - 1))
-        return {at[v][1] for v, a in enumerate(parent) if a is not None and at[v][0] == "b"} - set(targets)
+        m, t = self.m, len(self.adj) - 1
+        parent = self.search([1 + m + i for i in targets], reverse=True, avoid=(0, t))
+        return {v - 1 - m for v in range(1 + m, t) if parent[v] is not None} - set(targets)
 
 
 def max_flow(net: FlowNetwork) -> Flow:

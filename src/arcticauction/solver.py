@@ -128,7 +128,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balanced import balance
-from .flownet import FlowNetwork, buyer_vertex, good_vertex, _read_cut, _Residual
+from .flownet import FlowNetwork, _read_cut, _Residual
 from .market import (
     Equilibrium,
     MarketInstance,
@@ -304,7 +304,7 @@ def _balance(state: SolverState, g: _Residual) -> tuple[dict[int, int], Fraction
     already: it still fills every source arc, and no residual path was
     added.  Returns each live buyer's surplus times g.scale, and the
     potential: the sum of the squared surpluses."""
-    balance(g, [g.index[good_vertex(j)] for j in state.J | state.touched])
+    balance(g, state.J | state.touched)
     state.touched.clear()
     gamma = {}
     for i in state.live_buyers:
@@ -647,7 +647,7 @@ def apply_money_return(state: SolverState, i: int) -> str:
     # her new cap is the spend.
     h = state.graph
     h.rescale(state.theta.denominator)
-    h.set_sink_cap(h.index[buyer_vertex(i)], spend)
+    h.set_sink_cap(h.sink_arc(i), spend)
     state.touched |= h.goods_of(i)
     return "III"
 
@@ -658,7 +658,7 @@ def _remove_buyer(state: SolverState, i: int) -> None:
     refund."""
     g = state.graph
     goods = g.goods_of(i)
-    g.set_sink_cap(g.index[buyer_vertex(i)], 0)
+    g.set_sink_cap(g.sink_arc(i), 0)
     g.drop_arcs([(j, i) for j in goods])
     state.touched |= goods
     state.live_buyers.discard(i)
@@ -781,12 +781,11 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
     if not moved:
         return eq
     last = ones[-1]
-    total = sum(g.cap[: inst.n_goods])  # the source arcs come first
+    g.flow = [0] * len(g.flow)
     rest = sum(g.cap[g.sink_arc(b)] for b in buyers if b != last)
-    g.cap[g.sink_arc(last)] = cap = total - rest
+    g.cap[g.sink_arc(last)] = cap = g.deficit() - rest  # with no flow, the total price
     if not 0 <= cap <= inst.money[last] * g.scale:
         raise SolverError("lexicographic refund split left a spend out of range")
-    g.flow = [0] * len(g.flow)
     g.augment()
     if g.deficit():
         raise SolverError("lexicographic refund split is not feasible")

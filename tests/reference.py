@@ -35,19 +35,21 @@ BALANCED_SURPLUS_GUARD = 6
 
 
 def build_network(inst: MarketInstance, prices, buyers=None) -> FlowNetwork:
-    """The money network at the given prices.
+    """The money network at the given prices, over every good and buyer.
 
-    Every good is priced at ``prices``.  Each buyer (every buyer by default)
-    has sink capacity equal to its money, and an edge to each good that
-    attains its bang-per-buck, ``market.mbpb``.  The tests hold the solver's
-    graph, whose arcs come from prices in ``solver._add_best_arcs``, to it.
+    Every good is priced at ``prices``.  Each buyer in ``buyers`` (every
+    buyer by default) has sink capacity equal to its money, and an edge to
+    each good that attains its bang-per-buck, ``market.mbpb``; any other
+    buyer has sink capacity 0 and no edge, as a removed buyer sits on the
+    solver's graph.  The tests hold the solver's graph, whose arcs come from
+    prices in ``solver._add_best_arcs``, to it.
     """
-    buyers = tuple(sorted(buyers)) if buyers is not None else tuple(inst.buyers)
+    buyers = set(inst.buyers if buyers is None else buyers)
     goods = tuple(inst.goods)
-    sink_caps = {i: inst.money[i] for i in buyers}
+    sink_caps = {i: inst.money[i] if i in buyers else Fraction(0) for i in inst.buyers}
     # The edgeless network rejects a nonpositive price before any ratio is taken.
-    net = FlowNetwork(goods, buyers, {j: prices[j] for j in goods}, sink_caps, frozenset())
-    edges = frozenset((j, i) for i in buyers for j in mbpb(inst, prices, i)[1])
+    net = FlowNetwork(goods, tuple(inst.buyers), {j: prices[j] for j in goods}, sink_caps, frozenset())
+    edges = frozenset((j, i) for i in sorted(buyers) for j in mbpb(inst, prices, i)[1])
     return replace(net, edges=edges)
 
 
@@ -92,11 +94,11 @@ def snapshot_network(inst: MarketInstance, snap: dict) -> FlowNetwork:
     """The money network of a ``TraceRecorder`` phase snapshot, built afresh.
 
     ``build_network`` at the snapshot's prices and live buyers, with each
-    buyer's sink cap its money less its recorded return.
+    live buyer's sink cap its money less its recorded return.
     """
     net = build_network(inst, snap["prices"], buyers=snap["live_buyers"])
-    sink_caps = {}
-    for i in net.buyers:
+    sink_caps = dict(net.sink_caps)
+    for i in snap["live_buyers"]:
         r = snap["returns"][i]
         if r < 0 or r > inst.money[i]:
             raise FlowError(f"buyer {i}: returned money out of range")

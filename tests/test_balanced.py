@@ -276,7 +276,7 @@ def test_balance_keeps_whole_components_it_is_given(checked_augment):
     arcs = [(SOURCE, good_vertex(1)), (good_vertex(1), buyer_vertex(2)), (buyer_vertex(2), SINK)]
     start = Flow(values=dict.fromkeys(arcs, F(1)), value=F(1))
     g = flownet._Residual(net, start)
-    balance(g, [g.index[good_vertex(0)]])
+    balance(g, [0])
     f = g.as_flow()
     assert surplus(net, f) == balanced_surplus(net) == {0: F(1, 2), 1: F(1, 2), 2: F(2)}
     assert all(f.on(*arc) == 1 for arc in arcs)
@@ -288,7 +288,7 @@ def _kept_component_graph():
     net = net_of([2, 1], [2, 1, 3], [(0, 0), (0, 1), (1, 2)])
     arcs = [(SOURCE, good_vertex(1)), (good_vertex(1), buyer_vertex(2)), (buyer_vertex(2), SINK)]
     g = flownet._Residual(net, Flow(values=dict.fromkeys(arcs, F(1)), value=F(1)))
-    return g, [g.index[good_vertex(0)]], 2
+    return g, [0], 2
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,25 @@
 """Command-line interface: pipelines, determinism, exit codes."""
 
+import hashlib
 import importlib.util
 import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from arcticauction import oracle, solver
+from arcticauction import balanced, oracle, solver
 from arcticauction.cli import main
 from arcticauction.flownet import FlowError
 from arcticauction.kkt import verify_arctic_kkt
-from arcticauction.market import parse_equilibrium, parse_instance
+from arcticauction.market import (
+    generate_random_instance,
+    parse_equilibrium,
+    parse_instance,
+    serialize_equilibrium,
+)
 
 
 def run(argv):
@@ -258,6 +265,20 @@ def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch, command, modu
     assert captured.out == ""
 
 
+def test_broken_water_level_exits_3(tmp_path, capsys, monkeypatch):
+    # A water level asked for past its caps' total is a broken contract
+    # inside balance, not bad input: exit 3, not 2, and no traceback.
+    water_level = balanced._water_level
+    monkeypatch.setattr(balanced, "_water_level", lambda caps, target: water_level(caps, sum(caps) + 1))
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--seed", 1, "--buyers", 4, "--goods", 3, "-o", inst]) == 0
+    capsys.readouterr()
+    assert run(["solve", "-i", inst]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal contract violation: water level target out of range\n"
+    assert captured.out == ""
+
+
 def test_determinism_of_solve(tmp_path):
     inst = tmp_path / "inst.json"
     out1 = tmp_path / "eq1.json"
@@ -301,6 +322,14 @@ def test_answer_past_the_int_digit_limit(tmp_path):
     assert max(map(len, re.findall(r"\d+", eq.read_text()))) > 4300
 
 
+def _answers_digest(insts) -> str:
+    """The sweep's ``answers_sha256``: one hash of the serialized equilibria of the solves of ``insts``."""
+    digest = hashlib.sha256()
+    for inst in insts:
+        digest.update(serialize_equilibrium(solver.solve(inst)[0]).encode())
+    return digest.hexdigest()
+
+
 def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     # tools/bench_sweep.py drives `arctic bench` and writes BENCH_<tag>.json
     # to the current directory, one row per size with every seed's solve.
@@ -310,8 +339,9 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     spec.loader.exec_module(sweep)
     monkeypatch.chdir(tmp_path)
     # The oracle rows time criterion 01's 200 oracle calls, about 10 s; here
-    # only their bookkeeping is checked (criterion 01 runs the real oracle).
-    monkeypatch.setattr(oracle, "oracle_solve", lambda inst: None)
+    # only their bookkeeping is checked (criterion 01 runs the real oracle),
+    # with the solver's answer, which the oracle's equals, in its place.
+    monkeypatch.setattr(oracle, "oracle_solve", lambda inst: SimpleNamespace(equilibrium=solver.solve(inst)[0]))
     # The bank rows' sizes (100 to 400 buyers) take seconds; smaller ones
     # check the same bookkeeping.
     monkeypatch.setattr(sweep, "BANK_SIZES", (6, 9))
@@ -321,6 +351,9 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     assert [(row["n"], row["m"]) for row in doc["bank_rows"]] == [(6, 3), (9, 3)]
     for row in doc["rows"] + doc["bank_rows"]:
         assert [s["seed"] for s in row["solves"]] == [0, 1]
+        assert row["answers_sha256"] == _answers_digest(
+            generate_random_instance(seed, row["n"], row["m"], 10) for seed in (0, 1)
+        )
         assert row["phases"] == row["type1"] + row["type2"] + row["type3"] > 0
         assert 0 < row["median_s"] <= row["max_s"]
     shapes = [(row["n"], row["m"]) for row in doc["oracle_rows"]]
@@ -328,3 +361,5 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     assert sum(row["count"] for row in doc["oracle_rows"]) == 200
     for row in doc["oracle_rows"]:
         assert 0 <= row["median_s"] <= row["max_s"] <= row["total_s"]
+    for row in doc["refund_heavy_rows"] + doc["oracle_rows"]:
+        assert re.fullmatch("[0-9a-f]{64}", row["answers_sha256"])

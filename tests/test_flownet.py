@@ -198,6 +198,24 @@ def test_cut_rejects_crossing_unbounded_edge():
         _cut_capacity(net, frozenset({SOURCE, good_vertex(0)}))
 
 
+@pytest.mark.parametrize(
+    "goods,buyers,source_caps,sink_caps",
+    [
+        ((1, 0), (0,), {0: F(1), 1: F(1)}, {0: F(1)}),
+        ((0,), (0, 2), {0: F(1)}, {0: F(1), 2: F(1)}),
+        ((0,), (0,), {}, {0: F(1)}),
+        ((0,), (0,), {0: F(1)}, {0: F(1), 1: F(1)}),
+    ],
+    ids=["out-of-order", "sparse-ids", "missing-cap", "extra-cap"],
+)
+def test_network_takes_only_ids_in_order_and_their_caps(goods, buyers, source_caps, sink_caps):
+    # Goods and buyers are numbered 0, 1, ... in order, and the caps are
+    # keyed by exactly them: any other network is a FlowError, not a
+    # KeyError or a graph that reads the wrong arc.
+    with pytest.raises(FlowError):
+        FlowNetwork(goods, buyers, source_caps, sink_caps, frozenset())
+
+
 def test_min_cut_requires_max_flow():
     net = net_of([1], [1], [(0, 0)])
     with pytest.raises(FlowError):
@@ -393,11 +411,11 @@ def _searches_only_augment(g, avoid=()):
 
 
 def _bipartite_network(seed: int) -> FlowNetwork:
-    """Sparse good and buyer ids, prices and caps from a few values (so ratios
-    tie), zero sink caps, and edges at random."""
+    """Up to five goods and five buyers, prices and caps from a few values (so
+    ratios tie), zero sink caps, and edges at random."""
     rng = random.Random(seed)
-    goods = tuple(sorted(rng.sample(range(9), rng.randint(1, 5))))
-    buyers = tuple(sorted(rng.sample(range(9), rng.randint(1, 5))))
+    goods = tuple(range(rng.randint(1, 5)))
+    buyers = tuple(range(rng.randint(1, 5)))
     return FlowNetwork(
         goods=goods,
         buyers=buyers,
@@ -434,8 +452,8 @@ def test_augment_pushes_the_paths_of_the_searches(
     reduced = replace(net, sink_caps={i: c * cut_back for i, c in net.sink_caps.items()})
     for start in (None, max_flow(reduced), max_flow(net)):
         base = _Residual(net, start)
-        goods = [base.index[good_vertex(j)] for j in net.goods]
-        buyers = [base.index[buyer_vertex(i)] for i in net.buyers]
+        goods = [base.vertices.index(good_vertex(j)) for j in net.goods]
+        buyers = [base.vertices.index(buyer_vertex(i)) for i in net.buyers]
         avoid = {goods[k % len(goods)] for k in hidden_goods}
         avoid |= {buyers[k % len(buyers)] for k in hidden_buyers}
         g = base.scaled(theta.denominator, theta.numerator, raised)
@@ -449,7 +467,7 @@ def test_augment_fills_a_good_part_way_through_its_buyers():
     # length-5 path s, g2, b0, g0, b3, t.
     net = net_of([3, 1, 1], [1, 4, 2, 3], [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 0)])
     g = _Residual(net)
-    hidden = {g.index[good_vertex(1)], g.index[buyer_vertex(1)]}
+    hidden = {g.vertices.index(good_vertex(1)), g.vertices.index(buyer_vertex(1))}
     _assert_augment_matches_searches(g, hidden)
     assert g.as_flow().values == {
         _arc(*e): F(x)
@@ -471,32 +489,61 @@ def _graph_view(g):
     )
 
 
+def _assert_layout(g, net):
+    """g has the positional layout over net: arc j is (s, good j), arc m + i
+    is (buyer i, t) and ``sink_arc(i)`` is m + i, with good j at vertex 1 + j
+    and buyer i at 1 + m + i; and ``goods_of``, ``buyers_of`` and
+    ``buyers_reaching`` agree, by id, with net's edges."""
+    m, t = len(net.goods), len(g.vertices) - 1
+    assert g.vertices == [SOURCE, *map(good_vertex, net.goods), *map(buyer_vertex, net.buyers), SINK]
+    for j in net.goods:
+        assert g.ends[j] == (0, 1 + j)
+        assert g.buyers_of(j) == {i for jj, i in net.edges if jj == j}
+    for i in net.buyers:
+        assert g.ends[m + i] == (1 + m + i, t) and g.sink_arc(i) == m + i
+        assert g.goods_of(i) == {j for j, ii in net.edges if ii == i}
+        assert g.buyers_reaching([i]) == _Residual(net, g.as_flow()).buyers_reaching([i])
+
+
 @given(net=small_networks, d=st.integers(min_value=1, max_value=12))
 @settings(max_examples=100, deadline=None)
 def test_edited_graph_equals_a_fresh_build(net, d):
     # Adding an arc, dropping an arc without flow and dividing by the gcd
     # leave the graph a fresh build of the edited network would be; an arc
-    # that carries flow cannot be dropped.
+    # that carries flow cannot be dropped.  The layout holds after every
+    # edit, on a scaled copy, and after a sink cap is lowered below its flow.
     f = max_flow(net)
     carries = {(j, i) for j, i in net.edges if f.on(good_vertex(j), buyer_vertex(i))}
     added = sorted({(j, i) for j in net.goods for i in net.buyers} - net.edges)[:1]
     dropped = sorted(net.edges - carries)[:1]
     g = _Residual(net, f)
+    _assert_layout(g, net)
     g.rescale(d)
+    _assert_layout(g, net)
     for j, i in added:
         g.add_arc(j, i)
+    edited = replace(net, edges=net.edges | set(added))
+    _assert_layout(g, edited)
     g.drop_arcs(dropped)
+    edited = replace(edited, edges=edited.edges - set(dropped))
+    _assert_layout(g, edited)
     g.reduce()
-    edited = replace(net, edges=(net.edges | set(added)) - set(dropped))
+    _assert_layout(g, edited)
     assert _graph_view(g) == _graph_view(_Residual(edited, f))
-    # A vertex's edges are read off the edited graph.
-    for j in net.goods:
-        assert g.buyers_of(j) == {i for jj, i in edited.edges if jj == j}
-    for i in net.buyers:
-        assert g.goods_of(i) == {j for j, ii in edited.edges if ii == i}
+    _assert_layout(g.scaled(d, d + 1, net.goods[::2]), edited)
     for arc in sorted(carries)[:1]:
         with pytest.raises(FlowError, match="carries flow"):
             g.drop_arcs([arc])
+    # Lowering a cap under the flow it carries gives the excess back and
+    # keeps the flow feasible: a fresh build from it passes the check.
+    for i in [i for i in net.buyers if f.into_buyer(i)][:1]:
+        c = g.flow[g.sink_arc(i)] // 2
+        g.set_sink_cap(g.sink_arc(i), c)
+        assert g.cap[g.sink_arc(i)] == g.flow[g.sink_arc(i)] == c
+        lowered = replace(edited, sink_caps={**net.sink_caps, i: F(c, g.scale)})
+        _assert_layout(g, lowered)
+        g.reduce()
+        assert _graph_view(g) == _graph_view(_Residual(lowered, g.as_flow()))
 
 
 _PRIMES_NEAR_1E6 = (999983, 999979, 999961, 999959, 999953, 999931)
@@ -555,13 +602,9 @@ def _arc(u, v):
 _TIES = net_of(
     [1, 3, 2], [4, 3, 1], [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)]
 )
-_SPARSE_IDS = FlowNetwork(
-    goods=(1, 3),
-    buyers=(0, 2),
-    source_caps={1: F(3, 2), 3: F(5, 4)},
-    sink_caps={0: F(7, 3), 2: F(1, 2)},
-    edges=frozenset({(1, 0), (1, 2), (3, 0), (3, 2)}),
-)
+# Goods (1, 3) and buyers (0, 2) of a sparse-id network, renumbered 0, 1 in
+# order: a FlowNetwork takes no other numbering.
+_SPARSE_IDS = net_of([F(3, 2), F(5, 4)], [F(7, 3), F(1, 2)], [(0, 0), (0, 1), (1, 0), (1, 1)])
 _ZERO_SINK = net_of(
     [2, 1, 3], [0, 3, 2], [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]
 )
@@ -580,13 +623,15 @@ _ZERO_SINK = net_of(
                 ("b0", "t"): 4, ("b1", "t"): 1, ("b2", "t"): 1,
             },
         ),
-        # Goods (1, 3) and buyers (0, 2): ids are not vertex positions.
+        # The sparse-id network renumbered: relabelling keeps the order,
+        # so the flow is the one it pinned, relabelled (g1, g3 -> g0, g1
+        # and b0, b2 -> b0, b1).
         (
             _SPARSE_IDS,
             {
-                ("s", "g1"): F(3, 2), ("s", "g3"): F(5, 4),
-                ("g1", "b0"): F(3, 2), ("g3", "b0"): F(5, 6), ("g3", "b2"): F(5, 12),
-                ("b0", "t"): F(7, 3), ("b2", "t"): F(5, 12),
+                ("s", "g0"): F(3, 2), ("s", "g1"): F(5, 4),
+                ("g0", "b0"): F(3, 2), ("g1", "b0"): F(5, 6), ("g1", "b1"): F(5, 12),
+                ("b0", "t"): F(7, 3), ("b1", "t"): F(5, 12),
             },
         ),
         # Buyer 0 has no sink capacity left.
@@ -617,11 +662,11 @@ def test_residual_walk_under_flow_of_another_network():
     f = max_flow(reduced)
     assert f.on(good_vertex(0), buyer_vertex(1)) == F(2, 3)
     g = _Residual(net, f)
-    parent = g.search([g.index[SOURCE]], avoid=[g.index[SINK]])
     at = g.vertices
+    parent = g.search([at.index(SOURCE)], avoid=[at.index(SINK)])
 
     def came_from(v):
-        u, w = g.ends[parent[g.index[v]]]
+        u, w = g.ends[parent[at.index(v)]]
         return at[u] if at[w] == v else at[w]
 
     # Buyer 0 is reached only back along the 2/3 on g0 -> b1.

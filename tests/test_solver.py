@@ -13,7 +13,7 @@ import pytest
 import arcticauction
 
 from arcticauction import balanced, flownet, solver
-from arcticauction.flownet import FlowNetwork, buyer_vertex, max_flow, maximal_min_cut
+from arcticauction.flownet import FlowNetwork, max_flow, maximal_min_cut
 from arcticauction.kkt import verify_arctic_kkt, verify_market_clearing
 from arcticauction.market import (
     MarketInstance,
@@ -54,7 +54,10 @@ def inst_of(u, m):
 
 
 def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int | None = None) -> FlowNetwork:
-    """The network a solver state stands for, built afresh: the reference for the phase graph."""
+    """The network a solver state stands for, built afresh: the reference for the phase graph.
+
+    It is built over every buyer: a removed buyer, and ``zero_buyer``, get
+    sink cap 0, and a removed buyer has no edge, as on the solver's graph."""
     prices = {}
     for j in state.inst.goods:
         if theta is not None and j in state.J:
@@ -62,12 +65,13 @@ def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int 
         else:
             prices[j] = state.prices[j]
     sink_caps = {}
-    for i in state.live_buyers:
-        sink_caps[i] = Fraction(0) if i == zero_buyer else state.leftover(i)
+    for i in state.inst.buyers:
+        live = i in state.live_buyers and i != zero_buyer
+        sink_caps[i] = state.leftover(i) if live else Fraction(0)
     at = state.graph.vertices
     return FlowNetwork(
         goods=tuple(state.inst.goods),
-        buyers=tuple(sorted(state.live_buyers)),
+        buyers=tuple(state.inst.buyers),
         source_caps=prices,
         sink_caps=sink_caps,
         # The graph's good -> buyer arcs: the arcs that leave a good.
@@ -148,7 +152,7 @@ def test_a_good_without_an_edge_fails_phase_one(monkeypatch):
         state = init(inst)
         state.prices[1] = F(1)
         g = state.graph
-        g.cap[g.index[("g", 1)] - 1] = g.scale  # the source arcs come first, in good order
+        g.cap[1] = g.scale  # good j's source arc is arc j
         return state
 
     monkeypatch.setattr(solver, "initialize", uncovered)
@@ -599,11 +603,11 @@ def test_balance_leaves_removed_buyers_alone(monkeypatch, inst):
         finally:
             peeling = False
 
-    def counted_cap(g, b, c):
+    def counted_cap(g, a, c):
         nonlocal lowered
-        if peeling and len(g.adj[b]) == 1 and g.cap[g.adj[b][0][1]] == 0:
+        if peeling and len(g.adj[a + 1]) == 1 and g.cap[a] == 0:  # sink arc a leaves vertex a + 1
             lowered += 1
-        set_sink_cap(g, b, c)
+        set_sink_cap(g, a, c)
 
     def counted_removal(state, i):
         nonlocal removed
@@ -764,7 +768,8 @@ def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
             warm += any(g.flow)
         gamma, phi = balance(state, g)
         net = _network(state)
-        assert {i: F(x, g.scale) for i, x in gamma.items()} == balanced_surplus(net)
+        # A removed buyer, cap 0 and no edge in net, has surplus 0.
+        assert {i: F(gamma.get(i, 0), g.scale) for i in state.inst.buyers} == balanced_surplus(net)
         flow = g.as_flow()
         assert flow.value == flownet.max_flow(net).value
         assert verify_property1(net, flow)
@@ -787,9 +792,11 @@ def test_new_edges_keep_the_flow_of_settled_components(monkeypatch, inst):
 
     def watched(g, goods):
         nonlocal kept
-        # The components of the named goods, found by a walk of the test's own.
+        # The components of the named goods, found by a walk of the test's own
+        # from their vertices: good j is vertex 1 + j.
         t = len(g.adj) - 1
-        peeled, stack = set(goods), list(goods)
+        peeled = {1 + j for j in goods}
+        stack = list(peeled)
         while stack:
             for v, _, _ in g.adj[stack.pop()]:
                 if 0 < v < t and v not in peeled:
@@ -862,16 +869,12 @@ def rational_instance(seed, n, m):
             return inst
 
 
-def _by_vertex(g, skip=()):
+def _by_vertex(g):
     """g per vertex tuple: each adjacency list's heads in order, and each arc's cap and flow."""
     at = g.vertices
-    heads = {
-        at[u]: [at[v] for v, _, _ in entries if at[v] not in skip]
-        for u, entries in enumerate(g.adj)
-        if at[u] not in skip
-    }
+    heads = {at[u]: [at[v] for v, _, _ in entries] for u, entries in enumerate(g.adj)}
     arcs = {(at[u], at[v]): (c, f) for (u, v), c, f in zip(g.ends, g.cap, g.flow)}
-    return heads, {e: x for e, x in arcs.items() if not set(e) & set(skip)}
+    return heads, arcs
 
 
 # generate_refund_heavy_instance(7, 8) fires a z_removal and then a new edge in one phase.
@@ -883,7 +886,7 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
     # The phase's graph is carried from iteration to iteration; at every
     # iteration start it must be the graph built afresh from the network and
     # its flow: same adjacency order, same scale, same caps and flows.  A
-    # buyer removed in the phase may stay as an isolated vertex with cap 0.
+    # buyer removed in the phase is a vertex with no arc and cap 0 in both.
     start = solver._start_iteration
     checked = removed = 0
 
@@ -892,16 +895,11 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
         start(state)
         g = state.graph
         fresh = flownet._Residual(_network(state, theta=F(1)), g.as_flow())
-        extra = [v for v in g.vertices if v not in fresh.index]
-        for v in extra:
-            assert v[0] == "b" and v[1] not in state.live_buyers
-            assert [g.vertices[w] for w, _, _ in g.adj[g.index[v]]] == [flownet.SINK]
-            a = g.sink_arc(v[1])
-            assert g.cap[a] == g.flow[a] == 0
+        assert g.vertices == fresh.vertices
         assert g.scale == fresh.scale
-        assert _by_vertex(g, extra) == _by_vertex(fresh)
+        assert _by_vertex(g) == _by_vertex(fresh)
         checked += 1
-        removed += len(extra)
+        removed += len(state.inst.buyers) - len(state.live_buyers)
 
     monkeypatch.setattr(solver, "_start_iteration", compare)
     _, stats = solve(inst)
@@ -1216,7 +1214,7 @@ def _fresh_lex_max_refunds(inst, eq):
     buyers = [i for i in inst.buyers if eq.alpha[i] >= 1]
     net = build_network(inst, eq.prices, buyers=buyers)
     total = net.total_price
-    caps = {i: inst.money[i] for i in buyers}
+    caps = dict(net.sink_caps)
     for i in ones[:-1]:
         caps[i] = F(0)
         caps[i] = total - max_flow(replace(net, sink_caps=dict(caps))).value
@@ -1229,7 +1227,7 @@ def _fresh_lex_max_refunds(inst, eq):
     allocation = tuple(
         tuple(f.on(("g", j), ("b", i)) / eq.prices[j] for j in inst.goods) for i in inst.buyers
     )
-    returned = tuple(inst.money[i] - caps.get(i, 0) for i in inst.buyers)
+    returned = tuple(inst.money[i] - caps[i] for i in inst.buyers)
     return equilibrium_for_instance(inst, eq.prices, allocation, returned)
 
 
@@ -1272,27 +1270,26 @@ def test_refund_split_graph_is_the_fresh_build(monkeypatch, inst):
     # at their money.  At its first push it must be build_network's graph at
     # the final prices, with the caps set so far (0 for the buyers before
     # the pushed one): the same adjacency order and the same caps over
-    # scale.  A buyer at alpha < 1 stays an isolated vertex with cap 0.
+    # scale.  A buyer at alpha < 1 is a vertex with no arc and cap 0 in both.
     split, least_spend = solver._lex_max_refunds, solver._least_spend
     pushed = []
 
     def checked_split(state, eq):
         ones = [k for k in inst.buyers if eq.alpha[k] == 1]
         buyers = [k for k in inst.buyers if eq.alpha[k] >= 1]
-        isolated = [buyer_vertex(k) for k in inst.buyers if eq.alpha[k] < 1]
 
         def first_push(g, i):
             if not pushed:
                 net = build_network(inst, eq.prices, buyers=buyers)
                 caps = {**net.sink_caps, **{k: F(0) for k in ones[: ones.index(i)]}}
                 fresh = flownet._Residual(replace(net, sink_caps=caps))
-                assert _by_vertex(g, isolated)[0] == _by_vertex(fresh)[0]
+                assert _by_vertex(g)[0] == _by_vertex(fresh)[0]
                 over_scale = [
                     {(h.vertices[u], h.vertices[v]): c if c is None else F(c, h.scale)
                      for (u, v), c in zip(h.ends, h.cap)}
                     for h in (g, fresh)
                 ]
-                assert over_scale[0] == {**over_scale[1], **{(v, flownet.SINK): 0 for v in isolated}}
+                assert over_scale[0] == over_scale[1]
                 pushed.append(i)
             return least_spend(g, i)
 

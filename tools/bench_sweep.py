@@ -10,8 +10,10 @@ For each size n it solves ``generate_random_instance(seed, n, n, 10)`` for
 seeds 0, 1, ..., the instances ``arctic bench --seed 0 --count <seeds>
 --buyers n --goods n`` solves, each solve timed alone as ``arctic bench``
 times it, and writes one row per size: the median and max solve time, the
-phases by type and ``maxflow_calls``, summed over the seeds, and each seed's
-own figures.  ``refund_heavy_rows`` holds the same rows for
+phases by type and ``maxflow_calls``, summed over the seeds, each seed's
+own figures, and ``answers_sha256``: the sha256 over ``serialize_equilibrium``
+of the row's solves in seed order, so two files show row by row whether
+the answers are bit-identical.  ``refund_heavy_rows`` holds the same rows for
 ``generate_refund_heavy_instance(seed, n)`` at the same sizes and seeds: the
 money-return regime, which the Baseline instances almost never reach.
 ``bank_rows`` holds the same rows for the many-bidder, few-goods family
@@ -20,7 +22,8 @@ where most phases end in a money return.
 ``oracle_rows`` holds ``oracle_solve``'s time per shape over criterion 01's
 corpus, ``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199
 with the sizes drawn from ``random.Random(424242)``, each call timed alone:
-count, median, max and total.  With ``--repeat R`` every solve and every
+count, median, max and total, and ``answers_sha256`` over the serialized
+``oracle_solve(inst).equilibrium`` of the shape's calls in k order.  With ``--repeat R`` every solve and every
 oracle call is timed R times and the least time is kept; the default, 1,
 times each once.  The file goes to the current directory.
 Compare two files only when they were made on one machine, side by side.
@@ -29,6 +32,7 @@ Compare two files only when they were made on one machine, side by side.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,40 +58,52 @@ def best_of(repeat: int, call):
     return best, result
 
 
-def timed_solves(instance, seeds: int, repeat: int) -> list[dict]:
-    """Each seed's solve of ``instance(seed)``, timed alone in whole microseconds."""
+def timed_solves(instance, seeds: int, repeat: int) -> tuple[list[dict], str]:
+    """Each seed's solve of ``instance(seed)``, timed alone in whole microseconds,
+    and the sha256 over the serialized equilibria in seed order."""
+    from arcticauction.market import serialize_equilibrium
     from arcticauction.solver import solve
 
     solves = []
+    answers = hashlib.sha256()
     for seed in range(seeds):
         inst = instance(seed)
-        seconds, (_, stats) = best_of(repeat, lambda: solve(inst))
+        seconds, (eq, stats) = best_of(repeat, lambda: solve(inst))
         micros = int(seconds * 1_000_000)
         counts = (stats.phase_count, stats.type1, stats.type2, stats.type3, stats.maxflow_calls)
         solves.append({"seed": seed, "seconds": micros / 1e6, **dict(zip(COUNTED, counts))})
-    return solves
+        answers.update(serialize_equilibrium(eq).encode())
+    return solves, answers.hexdigest()
 
 
 def oracle_rows(repeat: int) -> list[dict]:
-    from arcticauction.market import generate_random_instance
+    from arcticauction.market import generate_random_instance, serialize_equilibrium
     from arcticauction.oracle import oracle_solve
 
     rng = random.Random(424242)
     sizes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(200)]
     times: dict[tuple[int, int], list[float]] = {}
+    answers = {}
     for k, (n, m) in enumerate(sizes):
         inst = generate_random_instance(1000 + k, n, m, 10)
-        times.setdefault((n, m), []).append(best_of(repeat, lambda: oracle_solve(inst))[0])
+        seconds, result = best_of(repeat, lambda: oracle_solve(inst))
+        times.setdefault((n, m), []).append(seconds)
+        answers.setdefault((n, m), hashlib.sha256()).update(serialize_equilibrium(result.equilibrium).encode())
     return [
-        {"n": n, "m": m, "count": len(ts), "median_s": statistics.median(ts), "max_s": max(ts), "total_s": sum(ts)}
+        {
+            "n": n, "m": m, "count": len(ts), "median_s": statistics.median(ts), "max_s": max(ts), "total_s": sum(ts),
+            "answers_sha256": answers[n, m].hexdigest(),
+        }
         for (n, m), ts in sorted(times.items())
     ]
 
 
-def size_row(n: int, m: int, solves: list[dict]) -> dict:
+def size_row(n: int, m: int, timed: tuple[list[dict], str]) -> dict:
+    solves, answers = timed
     times = [s["seconds"] for s in solves]
     row = {"n": n, "m": m, "median_s": statistics.median(times), "max_s": max(times)}
     row.update((k, sum(s[k] for s in solves)) for k in COUNTED)
+    row["answers_sha256"] = answers
     row["solves"] = solves
     return row
 
