@@ -12,6 +12,8 @@
 * ``oracle_balanced_surplus`` minimizes the l2 norm of the surplus vector by
   brute-force maximization of the deficiency bound over buyer subsets,
   without running any max-flow.
+* ``answers_digest`` is one sha256 over the serialized equilibria of a list
+  of solves, as ``tools/bench_sweep.py`` writes it per row.
 * ``numeric_objective`` and ``perturbed_feasible_point`` evaluate the
   concave objective in floating point, for local-optimality probes: the
   only floats the tests compute with.
@@ -19,6 +21,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -27,8 +30,9 @@ from fractions import Fraction
 from arcticauction.balanced import balanced_flow
 from arcticauction.costmarket import CostMarketInstance, CostSolution
 from arcticauction.flownet import Flow, FlowError, FlowNetwork, _Residual, max_flow
-from arcticauction.market import Equilibrium, MarketInstance, mbpb
+from arcticauction.market import Equilibrium, MarketInstance, mbpb, serialize_equilibrium
 from arcticauction.oracle import ZERO, OracleSizeError
+from arcticauction.solver import solve
 
 # oracle_balanced_surplus's enumeration guard on the number of buyers.
 BALANCED_SURPLUS_GUARD = 6
@@ -155,6 +159,14 @@ def profit(inst: CostMarketInstance, sol: CostSolution) -> Fraction:
     ]
     cost = sum((inst.unit_costs[j] * produced[j] for j in inst.base.goods), ZERO)
     return revenue - cost
+
+
+def answers_digest(insts) -> str:
+    """One hash of the serialized equilibria of the solves of ``insts``, in order."""
+    digest = hashlib.sha256()
+    for inst in insts:
+        digest.update(serialize_equilibrium(solve(inst)[0]).encode())
+    return digest.hexdigest()
 
 
 def numeric_objective(inst: MarketInstance, allocation, returned) -> float:

@@ -1,6 +1,5 @@
 """Command-line interface: pipelines, determinism, exit codes."""
 
-import hashlib
 import importlib.util
 import json
 import re
@@ -18,8 +17,8 @@ from arcticauction.market import (
     generate_random_instance,
     parse_equilibrium,
     parse_instance,
-    serialize_equilibrium,
 )
+from reference import answers_digest
 
 
 def run(argv):
@@ -322,14 +321,6 @@ def test_answer_past_the_int_digit_limit(tmp_path):
     assert max(map(len, re.findall(r"\d+", eq.read_text()))) > 4300
 
 
-def _answers_digest(insts) -> str:
-    """The sweep's ``answers_sha256``: one hash of the serialized equilibria of the solves of ``insts``."""
-    digest = hashlib.sha256()
-    for inst in insts:
-        digest.update(serialize_equilibrium(solver.solve(inst)[0]).encode())
-    return digest.hexdigest()
-
-
 def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     # tools/bench_sweep.py drives `arctic bench` and writes BENCH_<tag>.json
     # to the current directory, one row per size with every seed's solve.
@@ -351,7 +342,7 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     assert [(row["n"], row["m"]) for row in doc["bank_rows"]] == [(6, 3), (9, 3)]
     for row in doc["rows"] + doc["bank_rows"]:
         assert [s["seed"] for s in row["solves"]] == [0, 1]
-        assert row["answers_sha256"] == _answers_digest(
+        assert row["answers_sha256"] == answers_digest(
             generate_random_instance(seed, row["n"], row["m"], 10) for seed in (0, 1)
         )
         assert row["phases"] == row["type1"] + row["type2"] + row["type3"] > 0

@@ -21,7 +21,6 @@ from arcticauction.market import (
     format_rational,
     generate_random_instance,
     generate_refund_heavy_instance,
-    serialize_equilibrium,
     validate_instance,
 )
 from arcticauction.oracle import oracle_solve
@@ -36,6 +35,7 @@ from arcticauction.solver import (
     solve,
 )
 from reference import (
+    answers_digest,
     balanced_surplus,
     build_network,
     check_invariant,
@@ -57,7 +57,9 @@ def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int 
     """The network a solver state stands for, built afresh: the reference for the phase graph.
 
     It is built over every buyer: a removed buyer, and ``zero_buyer``, get
-    sink cap 0, and a removed buyer has no edge, as on the solver's graph."""
+    sink cap 0, and a removed buyer has no edge, as on the solver's graph.
+    The edges are the graph's good -> buyer arcs into live buyers only, so a
+    graph that keeps an arc into a removed buyer differs from this build."""
     prices = {}
     for j in state.inst.goods:
         if theta is not None and j in state.J:
@@ -74,8 +76,12 @@ def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int 
         buyers=tuple(state.inst.buyers),
         source_caps=prices,
         sink_caps=sink_caps,
-        # The graph's good -> buyer arcs: the arcs that leave a good.
-        edges=frozenset((at[u][1], at[v][1]) for u, v in state.graph.ends if at[u][0] == "g"),
+        # The graph's good -> buyer arcs, the arcs that leave a good, into live buyers.
+        edges=frozenset(
+            (at[u][1], at[v][1])
+            for u, v in state.graph.ends
+            if at[u][0] == "g" and at[v][1] in state.live_buyers
+        ),
     )
 
 
@@ -496,15 +502,6 @@ BANK_DIGEST = "f363dcbc81e0c5492ee55aea6a6c800d26701541b717a3f5325f343dfecfca54"
 BANK_TRACED_DIGEST = "46e1f0978c01b8025f3df839f4010f078dcfa583ae5638111ba55b6a6d6cf20e"
 
 
-def _answers_digest(insts) -> str:
-    """One hash of the serialized equilibria of the solves of ``insts``."""
-    digest = hashlib.sha256()
-    for inst in insts:
-        eq, _ = solve(inst)
-        digest.update(serialize_equilibrium(eq).encode())
-    return digest.hexdigest()
-
-
 def _canonical(x):
     """x as plain JSON: Fractions by format_rational, sets as sorted lists, keys as strings."""
     if isinstance(x, Fraction):
@@ -532,13 +529,13 @@ def _traces_digest(insts) -> str:
 def test_answers_pinned_on_roadmap_seeds():
     # Prices, allocations, refunds and alphas of the ROADMAP baseline
     # instances, pinned so that a kernel change cannot move them unseen.
-    assert _answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
+    assert answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
 
 
 def test_answers_pinned_on_refund_heavy_seeds():
     # The same pin for the refund regime: each of these solves runs 7 to 14
     # partial money returns and at least one full one.
-    assert _answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
+    assert answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
 
 
 def test_traces_pinned_on_roadmap_seeds():
@@ -551,7 +548,7 @@ def test_traces_pinned_on_roadmap_seeds():
 def test_answers_and_traces_pinned_on_bank_seeds():
     # The bank shape, many bidders for three goods: nearly every phase ends
     # in a money return, so most buyers are removed before the end.
-    assert _answers_digest(BANK) == BANK_DIGEST
+    assert answers_digest(BANK) == BANK_DIGEST
     assert _traces_digest(BANK) == BANK_TRACED_DIGEST
 
 
@@ -642,9 +639,9 @@ def test_no_graph_is_read_after_its_arcs_change(monkeypatch):
 
     for name in ("augment", "search", "as_flow"):
         monkeypatch.setattr(flownet._Residual, name, consistent(getattr(flownet._Residual, name)))
-    assert _answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
-    assert _answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
-    assert _answers_digest(BANK) == BANK_DIGEST
+    assert answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
+    assert answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
+    assert answers_digest(BANK) == BANK_DIGEST
     assert checks > 0
 
 
@@ -699,8 +696,8 @@ def test_answers_do_not_depend_on_which_maximum_flow(monkeypatch):
     monkeypatch.setattr(flownet._Residual, "augment", reverse_first)
     monkeypatch.setattr(solver, "_extract", in_order(solver._extract))
     monkeypatch.setattr(solver, "_lex_max_refunds", in_order(solver._lex_max_refunds))
-    assert _answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
-    assert _answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
+    assert answers_digest(ROADMAP_SQUARES) == ROADMAP_SQUARES_DIGEST
+    assert answers_digest(REFUND_HEAVY) == REFUND_HEAVY_DIGEST
     assert _traces_digest(TRACED) == TRACED_DIGEST
     assert changed > 0
 
@@ -886,7 +883,8 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
     # The phase's graph is carried from iteration to iteration; at every
     # iteration start it must be the graph built afresh from the network and
     # its flow: same adjacency order, same scale, same caps and flows.  A
-    # buyer removed in the phase is a vertex with no arc and cap 0 in both.
+    # buyer removed in the phase is a vertex with no arc and cap 0 in the
+    # fresh build, which takes no arc into her from g, so g must drop hers.
     start = solver._start_iteration
     checked = removed = 0
 
