@@ -117,23 +117,23 @@ def _water_level(caps: list[int], target: int) -> Fraction:
     raise FlowError("water level search failed")
 
 
-def balance(g: _Residual, goods=None) -> None:
+def balance(g: _Residual, goods) -> None:
     """Replace g's flow, a feasible flow of g's network, by a balanced flow.
 
     Only the components of g's network that hold one of the goods with an
-    id in ``goods``, or every component if it is None, are peeled off from
-    g's flow; the flow on every other component must be balanced already,
-    and is kept.  Each level's search starts at the best lower bound that
-    the surplus level sets of the given flow offer (see "Lower-bound
-    start").  The sink caps lowered on the way are restored, so g ends as
-    the residual graph of its own network under a balanced flow.  It reads
-    arcs off the graph's layout: vertex v's source or sink arc is arc v - 1.
+    id in ``goods`` are peeled off from g's flow; the flow on every other
+    component must be balanced already, and is kept.  Each level's search
+    starts at the best lower bound that the surplus level sets of the given
+    flow offer (see "Lower-bound start").  The sink caps lowered on the way
+    are restored, so g ends as the residual graph of its own network under
+    a balanced flow.  It reads arcs off the graph's layout: vertex v's
+    source or sink arc is arc v - 1.
     """
     cap, flow, adj = g.cap, g.flow, g.adj
     m, t = g.m, len(adj) - 1
     # The peeled components: one walk from the given goods, through goods
     # and buyers only.  Every other good is dead from the start.
-    seen = set(range(1, m + 1) if goods is None else (1 + j for j in goods))
+    seen = {1 + j for j in goods}
     stack = list(seen)
     while stack:
         for v, _, _ in adj[stack.pop()]:
@@ -224,5 +224,5 @@ def balanced_flow(net: FlowNetwork) -> Flow:
     It is one balanced flow among many; only its surplus vector is unique.
     """
     g = _Residual(net)
-    balance(g)
+    balance(g, range(len(net.goods)))
     return g.as_flow()

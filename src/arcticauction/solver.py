@@ -41,54 +41,55 @@ its start flow, but the absorbed set, the pruned-arc check and the probes'
 cuts are the same for every balanced flow (see ``balanced``).
 
 A solve keeps one integer residual graph, built by initialize with no arcs
-and carried through every step of every phase.  Its good -> buyer arcs are
-the equality graph, and each buyer's sink cap is her left-over money: the
-solver keeps no other record of the edges or of the refunds, and reads a
-buyer's goods, a good's buyers and a refund off the graph.  At each
-iteration start it is the iteration's network at theta = 1 under the start
-flow: the pruned arcs are dropped (checked to carry no flow), and every
-value is divided by the common gcd, so its ints are those of a fresh build
-and cannot grow from one iteration to the next; then its flow is checked to
-be feasible.  A zero-degree event edits it in place: a new edge is an arc
-added in sorted place, a removal sets the buyer's sink cap to zero and
-leaves an isolated vertex.  Each probe, and the invariant check after a
-zero-degree event, augments a copy of it at theta = a/b (``_at_theta``):
-every capacity and flow times b and the scaled goods' source caps times a,
-on the same arcs and adjacency lists.  A new edge takes the same copy at the
-event's theta, adds its arc, balances it in place and reads the absorbed
-buyers off it; that copy is the next iteration's graph.  A money return and
-the final extraction push from zero on the same copy with its flow zeroed,
-which finds the flow ``max_flow`` finds on the network built afresh.  The
-return is then written into the graph: a partial one sets the buyer's sink
-cap to her new spend, giving back the flow over it along her in-arcs and off
-her goods' source arcs; a full one also drops her arcs, and her vertex
-stays, cut off, with cap 0.
+and carried through every step of every phase.  Each good's source cap over
+the scale is its price (times theta for J), its good -> buyer arcs are the
+equality graph, and each buyer's sink cap is her left-over money, 0 once
+she is removed: the solver keeps no other record of the prices, the edges,
+the refunds or the removals.  At each iteration start it is the iteration's
+network at theta = 1 under the start flow: the pruned arcs are dropped
+(checked to carry no flow), and every value is divided by the common gcd,
+so its ints are those of a fresh build and cannot grow from one iteration
+to the next; then its flow is checked to be feasible.  A zero-degree event
+edits it in place: a new edge is an arc added in sorted place, a removal
+sets the buyer's sink cap to zero and leaves an isolated vertex.  Each
+probe, and the invariant check after a zero-degree event, augments a copy
+of it at theta = a/b (``_at_theta``): every capacity and flow times b and
+the scaled goods' source caps times a, on the same arcs and adjacency
+lists.  A new edge takes the same copy at the event's theta, adds its arc,
+balances it in place and reads the absorbed buyers off it; that copy is the
+next iteration's graph, at theta = 1.  A money return and the final
+extraction push from zero on the same copy with its flow zeroed, which
+finds the flow ``max_flow`` finds on the network built afresh.  The return
+is then written into the graph: a partial one sets the buyer's sink cap to
+her new spend, giving back the flow over it along her in-arcs and off her
+goods' source arcs; a full one also drops her arcs, and her vertex stays,
+cut off, with cap 0.
 
 Every phase starts from the last one's graph, or initialize's
-(``_carry_graph``): scaled to the final theta it has the new prices and
-refunds, and its flow stays feasible.  No live buyer loses an arc there: an
-active buyer's goods were all scaled alike, and any other buyer's arcs lead
-outside J, whose prices did not move.  So only the arcs ``mbpb`` gives and
-the graph lacks are added (``_add_best_arcs``); at phase 1 that is every
-arc.  The graph is then balanced from the flow it holds, and ``_balance``
-names the goods whose components are peeled: the scaled goods, a new arc's
-and a refunded buyer's.  ``balance`` finds their components, and every other
-component has the same caps and arcs as at the last balance, less arcs
-without flow, so its flow is balanced already.  A removed buyer is a
-component of her own and is never peeled.  The surplus vector, I, J, the
-absorbed sets and every probe's cut are the same for every balanced flow
-(see ``balanced``), so carrying the flow changes no answer.  The refund
-split runs on a copy of the graph too: a solve builds one network and one
-graph, in initialize.  At phase start the balanced flow itself must fill
-every source arc.  No other check is needed: phase 1's begin_phase checks
-the opening prices before anything changes, which also covers initialize's
-repricing (a good left without an edge leaves a deficit of at least its
-price); a tight-set event's theta is that of the search's last probe, which
-found no deficit on the same graph; and a full return's flow is already a
-maximum flow of the network without the buyer.  Every refund, in a money
-return and in the refund split, is a max-flow deficit (``_least_spend``).  A
-solve calls no ``max_flow``: ``maxflow_calls`` reads 0, and stays for
-perfbench's check.
+(``_carry_graph``): scaled to the final theta, which then becomes 1, it has
+the new prices and refunds, and its flow stays feasible.  No live buyer
+loses an arc there: an active buyer's goods were all scaled alike, and any
+other buyer's arcs lead outside J, whose prices did not move.  So only the
+arcs ``mbpb`` gives and the graph lacks are added (``_add_best_arcs``); at
+phase 1 that is every arc.  The graph is then balanced from the flow it
+holds, and ``_balance`` names the goods whose components are peeled: the
+scaled goods, a new arc's and a refunded buyer's.  ``balance`` finds their
+components, and every other component has the same caps and arcs as at the
+last balance, less arcs without flow, so its flow is balanced already.  A
+removed buyer is a component of her own and is never peeled.  The surplus
+vector, I, J, the absorbed sets and every probe's cut are the same for every
+balanced flow (see ``balanced``), so carrying the flow changes no answer.
+The refund split runs on a copy of the graph too: a solve builds one network
+and one graph, in initialize.  At phase start the balanced flow itself must
+fill every source arc.  No other check is needed: phase 1's begin_phase
+checks the opening prices before anything changes, which also covers
+initialize's repricing (a good left without an edge leaves a deficit of at
+least its price); a tight-set event's theta is that of the search's last
+probe, which found no deficit on the same graph; and a full return's flow is
+already a maximum flow of the network without the buyer.  Every refund, in a
+money return and in the refund split, is a max-flow deficit
+(``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
+0, and stays for perfbench's check.
 
 Events are found from candidates built once per iteration.  Within an
 iteration base_prices, J and the active buyers' arcs do not change, so each
@@ -184,7 +185,7 @@ class TraceRecorder:
         self.phases: list[dict] = []
 
     def record_event(self, state: "SolverState", event: Event) -> None:
-        prices = dict(state.prices)
+        prices = state.prices
         alphas = {i: mbpb(state.inst, prices, i)[0] for i in state.inst.buyers}
         self.events.append(
             {
@@ -202,13 +203,14 @@ class TraceRecorder:
         )
 
     def record_phase(self, state: "SolverState", label: str) -> None:
-        g = state.graph
+        g, money = state.graph, state.inst.money
         self.phases.append(
             {
                 "label": label,
                 "phase": state.phase_index,
-                "prices": dict(state.prices),
-                "returns": {i: state.inst.money[i] - state.leftover(i) for i in state.inst.buyers},
+                "prices": state.prices,
+                "returns": {i: money[i] - Fraction(g.cap[g.sink_arc(i)], g.scale)
+                            for i in state.inst.buyers},
                 "edges": frozenset((j, i) for j in state.inst.goods for i in g.buyers_of(j)),
                 "live_buyers": frozenset(state.live_buyers),
                 "phi": state.phi,
@@ -219,16 +221,17 @@ class TraceRecorder:
 @dataclass
 class SolverState:
     inst: MarketInstance
-    live_buyers: set[int]
-    prices: dict[int, Fraction]
     # The solve's integer residual graph: at iteration start, the
     # iteration's network at theta = 1 under its start flow, which probes
-    # scale.  Its good -> buyer arcs are the equality graph's edges, and its
-    # sink caps the buyers' left-over money, the only record of refunds.
+    # scale.  It is the only record of prices, edges, refunds and removals:
+    # its source caps over scale are the prices (times theta for J), its
+    # good -> buyer arcs the equality graph's edges, and its sink caps the
+    # buyers' left-over money, 0 for a removed buyer.
     graph: _Residual
     I: set[int] = field(default_factory=set)
     J: set[int] = field(default_factory=set)
     Z: set[int] = field(default_factory=set)
+    # Every good's price at the iteration start: a cache read off the graph.
     base_prices: dict[int, Fraction] = field(default_factory=dict)
     theta: Fraction = Fraction(1)
     phi: Fraction = Fraction(0)
@@ -247,10 +250,20 @@ class SolverState:
     # attaining it, kept for the phase.
     outside: dict[int, tuple[Fraction, frozenset[int]]] = field(default_factory=dict)
 
-    def leftover(self, *buyers: int) -> Fraction:
-        """The buyers' total left-over money: the sum of their sink caps."""
+    @property
+    def prices(self) -> dict[int, Fraction]:
+        """Every good's price at theta, read off the graph."""
+        g, num, den = self.graph, self.theta.numerator, self.theta.denominator
+        return {
+            j: Fraction(c * num, g.scale * den) if j in self.J else Fraction(c, g.scale)
+            for j, c in enumerate(g.cap[: g.m])
+        }
+
+    @property
+    def live_buyers(self) -> list[int]:
+        """The buyers not removed, in order: those with a positive sink cap."""
         g = self.graph
-        return Fraction(sum(g.cap[g.sink_arc(i)] for i in buyers), g.scale)
+        return [i for i in self.inst.buyers if g.cap[g.sink_arc(i)]]
 
 
 def _at_theta(state: SolverState, theta: Fraction) -> _Residual:
@@ -277,15 +290,15 @@ def _least_spend(g: _Residual, i: int) -> int:
     return g.deficit()
 
 
-def _equilibrium_of(inst: MarketInstance, g: _Residual, prices) -> Equilibrium:
-    """The equilibrium at ``prices`` of g's flow, which fills every sink arc:
-    x_ij is the flow j -> i over p_j, and the refund is money less inflow."""
+def _equilibrium_of(inst: MarketInstance, g: _Residual) -> Equilibrium:
+    """The equilibrium of g's flow, which fills every sink arc, at g's source caps
+    over scale: x_ij is the flow j -> i over p_j, the refund money less inflow."""
     f = g.as_flow()
+    prices = tuple(Fraction(g.cap[j], g.scale) for j in inst.goods)
     allocation = tuple(
         tuple(f.on(("g", j), ("b", i)) / prices[j] for j in inst.goods) for i in inst.buyers
     )
     returned = tuple(inst.money[i] - f.into_buyer(i) for i in inst.buyers)
-    prices = tuple(prices[j] for j in inst.goods)
     return equilibrium_for_instance(inst, prices, allocation, returned)
 
 
@@ -306,10 +319,7 @@ def _balance(state: SolverState, g: _Residual) -> tuple[dict[int, int], Fraction
     potential: the sum of the squared surpluses."""
     balance(g, state.J | state.touched)
     state.touched.clear()
-    gamma = {}
-    for i in state.live_buyers:
-        a = g.sink_arc(i)
-        gamma[i] = g.cap[a] - g.flow[a]
+    gamma = {i: g.cap[g.sink_arc(i)] - g.flow[g.sink_arc(i)] for i in state.live_buyers}
     return gamma, Fraction(sum(x * x for x in gamma.values()), g.scale * g.scale)
 
 
@@ -321,58 +331,50 @@ def initialize(inst: MarketInstance) -> SolverState:
     smallest budget; goods nobody demands at that price are then repriced
     to the highest indifference point so every good has an edge.  Phase 1's
     begin_phase adds the arcs and checks that: a good without one leaves a
-    deficit.  The graph's sink caps are the buyers' money: no refund yet.
+    deficit.  The graph's caps are the prices and the money: no refund yet.
     """
     report = validate_instance(inst)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(report.violations))
-    min_money = min(inst.money)
-    m = inst.n_goods
-    min_best_utility = min(max(row) for row in inst.utilities)
-    p0 = min(min_money / m, min_best_utility)
+    min_m, total_m, max_u, bits = instance_bit_bounds(inst)
+    stats = RunStats(min_money=min_m, total_money=total_m, max_utility=max_u, input_bits=bits)
+    p0 = min(min_m / inst.n_goods, min(max(row) for row in inst.utilities))
     prices = {j: p0 for j in inst.goods}
     best = [mbpb(inst, prices, i) for i in inst.buyers]
     covered = {j for _, goods in best for j in goods}
     for j in inst.goods:
         if j not in covered:
             prices[j] = max(inst.utilities[i][j] / best[i][0] for i in inst.buyers)
-    min_m, total_m, max_u, bits = instance_bit_bounds(inst)
-    stats = RunStats(
-        min_money=min_m, total_money=total_m, max_utility=max_u, input_bits=bits
-    )
     buyers = tuple(inst.buyers)
     net = FlowNetwork(tuple(inst.goods), buyers, prices, dict(zip(buyers, inst.money)), frozenset())
-    return SolverState(
-        inst=inst, live_buyers=set(buyers), prices=prices, graph=_Residual(net), stats=stats
-    )
+    return SolverState(inst=inst, graph=_Residual(net), stats=stats)
 
 
 def _start_iteration(state: SolverState) -> None:
     """Recompute the active goods, prune inactive edges, refresh Z and bases.
 
-    Dropping the pruned arcs raises FlowError if one carries flow; the graph
-    is then reduced to a fresh build's scale and checked to carry a feasible
-    flow.
+    Theta is 1 here.  Dropping the pruned arcs raises FlowError if one
+    carries flow; the graph is then reduced to a fresh build's scale and
+    checked to carry a feasible flow.
     """
     g = state.graph
     state.J = {j for i in state.I for j in g.goods_of(i)}
     g.drop_arcs([(j, i) for j in state.J for i in g.buyers_of(j) if i not in state.I])
-    state.Z = {i for i in state.live_buyers - state.I if not g.goods_of(i)}
-    state.base_prices = {j: state.prices[j] for j in state.J}
-    state.theta = Fraction(1)
+    state.Z = {i for i in state.live_buyers if i not in state.I and not g.goods_of(i)}
     state.iteration_index += 1
     state.queue = None
     g.reduce()
     g._check_feasible()
+    state.base_prices = state.prices
 
 
-def _add_best_arcs(state: SolverState, g: _Residual, buyers) -> set[int]:
+def _add_best_arcs(inst: MarketInstance, g: _Residual, prices, buyers) -> set[int]:
     """Add to g, in sorted place, each buyer's arcs to the goods at her
-    bang-per-buck (``mbpb``) that g lacks, and return their goods; an arc off
-    it is a bug.  This is the one place where arcs come from prices."""
+    bang-per-buck (``mbpb``) at ``prices`` that g lacks, and return their goods;
+    an arc off it is a bug.  This is the one place where arcs come from prices."""
     added = set()
     for i in sorted(buyers):
-        best = mbpb(state.inst, state.prices, i)[1]
+        best = mbpb(inst, prices, i)[1]
         have = g.goods_of(i)
         if not have <= best:
             raise SolverError(f"buyer {i} kept an edge off her bang-per-buck")
@@ -385,15 +387,17 @@ def _add_best_arcs(state: SolverState, g: _Residual, buyers) -> set[int]:
 def _carry_graph(state: SolverState) -> _Residual:
     """The last phase's graph, carried to the next phase's network.
 
-    Scaled to the final theta (``_at_theta``) it has every new price, and
-    the money returns are in it already (``apply_money_return``).  No live
-    buyer loses an arc: an active buyer's goods were all scaled alike, and
-    any other buyer's arcs lead outside J, whose prices did not move.  So
-    ``_add_best_arcs`` only adds arcs, touching their goods, and the flow
-    stays feasible; on initialize's graph, at phase 1, it adds every arc.
+    Scaled to the final theta (``_at_theta``), which then becomes 1, its
+    source caps are the new prices, and the money returns are in it already
+    (``apply_money_return``).  No live buyer loses an arc: an active buyer's
+    goods were all scaled alike, and any other buyer's arcs lead outside J,
+    whose prices did not move.  So ``_add_best_arcs`` only adds arcs,
+    touching their goods, and the flow stays feasible; on initialize's
+    graph, at phase 1, it adds every arc.
     """
     g = state.graph = _at_theta(state, state.theta)
-    state.touched |= _add_best_arcs(state, g, state.live_buyers)
+    state.theta = Fraction(1)
+    state.touched |= _add_best_arcs(state.inst, g, state.prices, state.live_buyers)
     return g
 
 
@@ -423,7 +427,6 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
         state.I = set()
         state.J = set()
         state.Z = set()
-        state.theta = Fraction(1)
         return state.phi, True
     state.I = {i for i, x in gamma.items() if x == delta}
     _start_iteration(state)
@@ -488,9 +491,10 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
         violated = goods & state.J
         if not violated:
             raise SolverError("invariant violation without scaled goods")
-        worth_buyers = state.leftover(*{i for j in violated for i in g.buyers_of(j)})
-        base = sum((state.base_prices[j] for j in violated), Fraction(0))
-        theta_v = worth_buyers / base
+        # V's buyers' money over V's prices at theta = 1, at h's scale.
+        h = state.graph
+        worth = sum(h.cap[h.sink_arc(i)] for i in {i for j in violated for i in h.buyers_of(j)})
+        theta_v = Fraction(worth, sum(h.cap[j] for j in violated))
         if not (state.theta <= theta_v < theta_hi):
             raise SolverError("tight set candidate out of range")
         theta_hi = theta_v
@@ -512,7 +516,7 @@ def _candidates(state: SolverState) -> list[Event]:
         # holds until one of its goods joins J.
         best = state.outside.get(i)
         if best is None or not best[1].isdisjoint(state.J):
-            best = state.outside[i] = mbpb(state.inst, state.prices, i, outside)
+            best = state.outside[i] = mbpb(state.inst, state.base_prices, i, outside)
         alpha_out, goods = best
         if goods:
             candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
@@ -565,10 +569,9 @@ def next_event(state: SolverState) -> Event:
 
 
 def _set_theta(state: SolverState, theta: Fraction) -> None:
+    """Raise theta, and with it the prices of J that the graph states."""
     if theta < state.theta:
         raise SolverError("theta may only rise within an iteration")
-    for j in state.J:
-        state.prices[j] = state.base_prices[j] * theta
     state.theta = theta
 
 
@@ -583,9 +586,10 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     """
     u = state.inst.utilities[i][j]
     alpha_i = _alpha_bar_active(state, i) / state.theta
-    if u != alpha_i * state.prices[j]:
+    if u != alpha_i * state.base_prices[j]:
         raise SolverError("new edge does not satisfy the bang-per-buck equality")
-    state.graph = g = _at_theta(state, state.theta)
+    g = state.graph = _at_theta(state, state.theta)
+    state.theta = Fraction(1)  # the graph's J caps hold theta now
     g.add_arc(j, i)
     state.touched.add(j)
     _, new_phi = _balance(state, g)
@@ -604,9 +608,10 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
     still holds money: such a buyer regains her bang-per-buck edges at the
     next rebuild, which reopens price slack, so the run must continue.
     """
-    worth_s = sum((state.prices[j] for j in S), Fraction(0))
-    worth_neighbors = state.leftover(*{i for j in S for i in state.graph.buyers_of(j)})
-    if worth_s != worth_neighbors:
+    # p(S) against its buyers' money, times g.scale and theta's denominator.
+    g, num, den = state.graph, state.theta.numerator, state.theta.denominator
+    worth_s = sum(g.cap[j] * (num if j in state.J else den) for j in S)
+    if worth_s != den * sum(g.cap[g.sink_arc(i)] for i in {i for j in S for i in g.buyers_of(j)}):
         raise SolverError("tight set is not exactly tight")
     if S == set(state.inst.goods) and not state.Z:
         return "terminal"
@@ -635,9 +640,9 @@ def apply_money_return(state: SolverState, i: int) -> str:
     if not spend:
         _remove_buyer(state, i)
         return "II"
-    # The new return is money - spend and the old one money - leftover, so
-    # this also keeps returned money from decreasing.
-    if Fraction(spend, g.scale) > state.leftover(i):
+    # The new return, money - spend, may not fall below the old one; g's
+    # scale is the graph's times theta's denominator.
+    if spend > state.graph.cap[g.sink_arc(i)] * state.theta.denominator:
         raise SolverError("partial return outside the feasible range")
     g.cap[g.sink_arc(i)] = spend
     g.augment()
@@ -661,7 +666,6 @@ def _remove_buyer(state: SolverState, i: int) -> None:
     g.set_sink_cap(g.sink_arc(i), 0)
     g.drop_arcs([(j, i) for j in goods])
     state.touched |= goods
-    state.live_buyers.discard(i)
     state.I.discard(i)
     state.Z.discard(i)
 
@@ -679,7 +683,7 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
         j = event.good
         u = state.inst.utilities[i][j]
         alpha_i = _alpha_bar_zero_degree(state, i) / state.theta
-        if u != alpha_i * state.prices[j]:
+        if u != alpha_i * state.base_prices[j]:
             raise SolverError("zero-degree crossing does not satisfy the equality")
         state.Z.discard(i)
         state.touched.add(j)
@@ -716,15 +720,13 @@ def run_phase(state: SolverState) -> PhaseOutcome:
     raise SolverError("event budget exceeded within a phase")
 
 
-def _phase_cap(inst: MarketInstance) -> int:
+def _phase_cap(n: int, stats: RunStats) -> int:
     """Runaway guard: a generous multiple of the polynomial phase bound."""
-    n = inst.n_buyers
-    _, total_m, max_u, _ = instance_bit_bounds(inst)
     # Each bit length is at least the log2 it stands for, in exact integers.
     bound = 64 * n**3 * (
         n.bit_length()
-        + n * (math.ceil(max_u) + 2).bit_length()
-        + (math.ceil(total_m) + 2).bit_length()
+        + n * (math.ceil(stats.max_utility) + 2).bit_length()
+        + (math.ceil(stats.total_money) + 2).bit_length()
     )
     return 4 * (bound + 16)
 
@@ -732,14 +734,13 @@ def _phase_cap(inst: MarketInstance) -> int:
 def _extract(state: SolverState) -> Equilibrium:
     """The equilibrium at the terminal prices: the allocation is a maximum
     flow pushed from zero on ``_at_theta``'s copy, which must fill every
-    source arc and every live buyer's sink arc."""
+    source arc and every sink arc (a removed buyer's is 0 of 0)."""
     g = _at_theta(state, state.theta)
     g.flow = [0] * len(g.flow)
     g.augment()
-    sinks = [g.sink_arc(i) for i in state.live_buyers]
-    if g.deficit() or any(g.flow[a] != g.cap[a] for a in sinks):
+    if g.deficit() or any(g.flow[a] != g.cap[a] for a in map(g.sink_arc, state.inst.buyers)):
         raise SolverError("terminal network is not saturated on both sides")
-    return _equilibrium_of(state.inst, g, state.prices)
+    return _equilibrium_of(state.inst, g)
 
 
 def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
@@ -768,7 +769,7 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
         return eq
     buyers = [i for i in inst.buyers if eq.alpha[i] >= 1]
     g = _at_theta(state, state.theta)
-    _add_best_arcs(state, g, buyers)
+    _add_best_arcs(inst, g, eq.prices, buyers)
     g.rescale(math.lcm(g.scale, *(inst.money[i].denominator for i in buyers)) // g.scale)
     for i in buyers:
         g.cap[g.sink_arc(i)] = int(inst.money[i] * g.scale)
@@ -789,7 +790,7 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
     g.augment()
     if g.deficit():
         raise SolverError("lexicographic refund split is not feasible")
-    return _equilibrium_of(inst, g, eq.prices)
+    return _equilibrium_of(inst, g)
 
 
 def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[Equilibrium, RunStats]:
@@ -798,7 +799,7 @@ def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[
     state.recorder = recorder
     stats = state.stats
     trace = stats.potential_trace
-    phase_cap = _phase_cap(inst)
+    phase_cap = _phase_cap(inst.n_buyers, stats)
     while True:
         if state.phase_index > phase_cap:
             raise SolverError("phase budget exceeded; runtime bound violated")
@@ -834,8 +835,6 @@ def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[
     denoms += [x.denominator for row in eq.allocation for x in row]
     denoms += [s.denominator for s in eq.returned]
     stats.output_max_denominator = max(denoms)
-    if not state.live_buyers:
-        stats.note = "all buyers removed before a full tight set"
     return eq, stats
 
 

@@ -295,11 +295,11 @@ def _kept_component_graph():
     "case",
     [
         # test_rescaling_across_levels' network: three rescales, two pinned levels.
-        lambda: (flownet._Residual(net_of([1, 1], [1] * 5, [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)])), None, 30),
+        lambda: (flownet._Residual(net_of([1, 1], [1] * 5, [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)])), [0, 1], 30),
         _kept_component_graph,
         # Buyer 0 is pinned at surplus 1; buyer 1, lowered to cap 0 there,
         # is saturated at the last level, at 0.
-        lambda: (flownet._Residual(net_of([1, 2], [2, 1], [(0, 0), (1, 1)])), None, 1),
+        lambda: (flownet._Residual(net_of([1, 2], [2, 1], [(0, 0), (1, 1)])), [0, 1], 1),
     ],
     ids=["three-rescales", "kept-component", "last-level"],
 )
@@ -344,7 +344,7 @@ def test_balance_from_any_start_flow(checked_augment, seed):
     lowered = net_of(prices, [c * F(rng.randint(0, 4), 4) for c in moneys], edges)
     g = flownet._Residual(net, max_flow(lowered))
     before, scale = list(g.cap), g.scale
-    balance(g)
+    balance(g, range(m))
     factor = g.scale // scale
     assert g.scale == scale * factor
     assert g.cap == [None if c is None else c * factor for c in before]

@@ -53,36 +53,100 @@ def inst_of(u, m):
     )
 
 
-def _network(state: SolverState, theta: Fraction | None = None, zero_buyer: int | None = None) -> FlowNetwork:
-    """The network a solver state stands for, built afresh: the reference for the phase graph.
+def _leftover(g, i: int) -> Fraction:
+    """Buyer i's left-over money on the solver's graph g: her sink cap over scale."""
+    return F(g.cap[g.sink_arc(i)], g.scale)
 
-    It is built over every buyer: a removed buyer, and ``zero_buyer``, get
-    sink cap 0, and a removed buyer has no edge, as on the solver's graph.
-    The edges are the graph's good -> buyer arcs into live buyers only, so a
-    graph that keeps an arc into a removed buyer differs from this build."""
-    prices = {}
-    for j in state.inst.goods:
-        if theta is not None and j in state.J:
-            prices[j] = state.base_prices[j] * theta
-        else:
-            prices[j] = state.prices[j]
-    sink_caps = {}
-    for i in state.inst.buyers:
-        live = i in state.live_buyers and i != zero_buyer
-        sink_caps[i] = state.leftover(i) if live else Fraction(0)
-    at = state.graph.vertices
-    return FlowNetwork(
-        goods=tuple(state.inst.goods),
-        buyers=tuple(state.inst.buyers),
-        source_caps=prices,
-        sink_caps=sink_caps,
-        # The graph's good -> buyer arcs, the arcs that leave a good, into live buyers.
-        edges=frozenset(
-            (at[u][1], at[v][1])
-            for u, v in state.graph.ends
-            if at[u][0] == "g" and at[v][1] in state.live_buyers
-        ),
-    )
+
+class _Ledger:
+    """The prices and removals of the solves run while it is installed, kept
+    apart from the solver's graph, which states both: the reference that
+    ``network`` builds from, so that a graph with a wrong price or a removed
+    buyer left in differs from it.
+
+    It starts from initialize's prices, which the test_initialize_* tests
+    hold to hand-computed values.  On each _set_theta it sets
+    p_j = base_j * theta for j in J, base_j taken at its own record of the
+    iteration start.  It marks a buyer removed on a type II money return or
+    a z_removal."""
+
+    def __init__(self, monkeypatch):
+        self.prices, self.base, self.removed = {}, {}, set()
+        initialize, start, set_theta = solver.initialize, solver._start_iteration, solver._set_theta
+        money_return, z_events = solver.apply_money_return, solver.apply_z_events
+
+        def opened(inst):
+            state = initialize(inst)
+            self.prices, self.removed = dict(state.prices), set()
+            return state
+
+        def started(state):
+            start(state)
+            self.base = {j: self.prices[j] for j in state.J}
+
+        def raised(state, theta):
+            set_theta(state, theta)
+            self.prices.update({j: self.base[j] * theta for j in state.J})
+
+        def returned(state, i):
+            kind = money_return(state, i)
+            if kind == "II":
+                self.removed.add(i)
+            return kind
+
+        def z_event(state, event):
+            if event.kind == "z_removal":
+                self.removed.add(event.buyer)
+            return z_events(state, event)
+
+        monkeypatch.setattr(solver, "initialize", opened)
+        monkeypatch.setattr(solver, "_start_iteration", started)
+        monkeypatch.setattr(solver, "_set_theta", raised)
+        monkeypatch.setattr(solver, "apply_money_return", returned)
+        monkeypatch.setattr(solver, "apply_z_events", z_event)
+
+    def network(
+        self, state: SolverState, theta: Fraction | None = None, zero_buyer: int | None = None
+    ) -> FlowNetwork:
+        """The network a solver state stands for, built afresh: the reference for the phase graph.
+
+        Its prices are the ledger's, with J's at ``theta`` times their base
+        if given.  It is built over every buyer: a removed buyer, whose sink
+        cap on the graph must be 0, and ``zero_buyer`` get sink cap 0, and a
+        removed buyer has no edge, as on the solver's graph.  A live buyer's
+        sink cap is the graph's.  The edges are the graph's good -> buyer
+        arcs into live buyers only, so a graph that keeps an arc into a
+        removed buyer differs from this build."""
+        g = state.graph
+        assert all(g.cap[g.sink_arc(i)] == 0 for i in self.removed)
+        prices = {}
+        for j in state.inst.goods:
+            if theta is not None and j in state.J:
+                prices[j] = self.base[j] * theta
+            else:
+                prices[j] = self.prices[j]
+        sink_caps = {}
+        for i in state.inst.buyers:
+            live = i not in self.removed and i != zero_buyer
+            sink_caps[i] = _leftover(g, i) if live else Fraction(0)
+        at = g.vertices
+        return FlowNetwork(
+            goods=tuple(state.inst.goods),
+            buyers=tuple(state.inst.buyers),
+            source_caps=prices,
+            sink_caps=sink_caps,
+            # The graph's good -> buyer arcs, the arcs that leave a good, into live buyers.
+            edges=frozenset(
+                (at[u][1], at[v][1])
+                for u, v in g.ends
+                if at[u][0] == "g" and at[v][1] not in self.removed
+            ),
+        )
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    return _Ledger(monkeypatch)
 
 
 def test_mbpb_strict_max():
@@ -151,12 +215,11 @@ def test_a_good_without_an_edge_fails_phase_one(monkeypatch):
     # them and checks that every good has one, since a good without one
     # leaves its source arc unfilled.  At (1/2, 1/2) the buyer's best ratio
     # is 4 on both goods; at (1/2, 1) it is 4 on good 0 alone.  The graph's
-    # source cap is set with the price, so phase 1's deficit is good 1's 1.
+    # source cap is the price, so phase 1's deficit is good 1's 1.
     init = solver.initialize
 
     def uncovered(inst):
         state = init(inst)
-        state.prices[1] = F(1)
         g = state.graph
         g.cap[1] = g.scale  # good j's source arc is arc j
         return state
@@ -196,15 +259,15 @@ def test_begin_phase_prunes_into_zero_degree():
 
 def _crafted_state(u, m, prices, edges, I, J):
     state = initialize(inst_of(u, m))
-    state.prices = {j: F(p) for j, p in prices.items()}
     state.I = set(I)
     state.J = set(J)
     state.Z = set()
-    state.base_prices = {j: state.prices[j] for j in J}
     state.theta = F(1)
-    # The iteration graph: the network at the given prices on the given edges.
-    net = replace(build_network(state.inst, state.prices), edges=frozenset(edges))
-    state.graph = flownet._Residual(net)
+    # The iteration graph: the network at the given prices on the given
+    # edges.  The iteration starts at its prices.
+    net = build_network(state.inst, {j: F(p) for j, p in prices.items()})
+    state.graph = flownet._Residual(replace(net, edges=frozenset(edges)))
+    state.base_prices = state.prices
     return state
 
 
@@ -274,7 +337,7 @@ def test_next_event_tight_set_linear_worth():
     begin_phase(state)
     ev = next_event(state)
     assert ev.kind == "tight_set"
-    leftover = sum(state.leftover(i) for i in (0, 1))
+    leftover = sum(inst.money)  # no refund yet
     base = sum(state.base_prices[j] for j in state.J)
     assert ev.theta_star == leftover / base
 
@@ -727,7 +790,7 @@ def test_maxflow_calls_count_every_max_flow(monkeypatch, inst):
 
 
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
-def test_warm_and_cold_tight_set_probes_agree(monkeypatch, inst):
+def test_warm_and_cold_tight_set_probes_agree(monkeypatch, ledger, inst):
     # Every tight-set search of a solve gives the same answer on the
     # iteration graph, which carries the kept start flow, as on a graph of
     # the same network that starts from the zero flow.
@@ -737,7 +800,7 @@ def test_warm_and_cold_tight_set_probes_agree(monkeypatch, inst):
     def both(state, theta_cap):
         nonlocal warm
         found = search(state, theta_cap)
-        kept, state.graph = state.graph, flownet._Residual(_network(state, theta=F(1)))
+        kept, state.graph = state.graph, flownet._Residual(ledger.network(state, theta=F(1)))
         try:
             assert search(state, theta_cap) == found
         finally:
@@ -751,7 +814,7 @@ def test_warm_and_cold_tight_set_probes_agree(monkeypatch, inst):
 
 
 @pytest.mark.parametrize("inst", EIGHT_BY_EIGHT)
-def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
+def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, ledger, inst):
     # apply_new_edge balances the iteration graph from its start flow.  The
     # surplus vector must equal the one from the zero flow.  The flow may
     # differ from balanced_flow's, but it must be a maximum flow with
@@ -764,7 +827,7 @@ def test_warm_and_cold_balanced_surplus_agree_at_new_edges(monkeypatch, inst):
         if state.iteration_index:  # a new edge, not a phase start
             warm += any(g.flow)
         gamma, phi = balance(state, g)
-        net = _network(state)
+        net = ledger.network(state)
         # A removed buyer, cap 0 and no edge in net, has surplus 0.
         assert {i: F(gamma.get(i, 0), g.scale) for i in state.inst.buyers} == balanced_surplus(net)
         flow = g.as_flow()
@@ -879,7 +942,7 @@ CARRIED_GRAPH_CORPUS = [*EIGHT_BY_EIGHT, rational_instance(3, 16, 4), generate_r
 
 
 @pytest.mark.parametrize("inst", CARRIED_GRAPH_CORPUS)
-def test_carried_graph_matches_fresh_build(monkeypatch, inst):
+def test_carried_graph_matches_fresh_build(monkeypatch, ledger, inst):
     # The phase's graph is carried from iteration to iteration; at every
     # iteration start it must be the graph built afresh from the network and
     # its flow: same adjacency order, same scale, same caps and flows.  A
@@ -892,12 +955,12 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
         nonlocal checked, removed
         start(state)
         g = state.graph
-        fresh = flownet._Residual(_network(state, theta=F(1)), g.as_flow())
+        fresh = flownet._Residual(ledger.network(state, theta=F(1)), g.as_flow())
         assert g.vertices == fresh.vertices
         assert g.scale == fresh.scale
         assert _by_vertex(g) == _by_vertex(fresh)
         checked += 1
-        removed += len(state.inst.buyers) - len(state.live_buyers)
+        removed += len(ledger.removed)
 
     monkeypatch.setattr(solver, "_start_iteration", compare)
     _, stats = solve(inst)
@@ -907,7 +970,7 @@ def test_carried_graph_matches_fresh_build(monkeypatch, inst):
 
 
 @pytest.mark.parametrize("inst", CARRIED_GRAPH_CORPUS)
-def test_carried_phase_start_graph_has_the_fresh_build_edges(monkeypatch, inst):
+def test_carried_phase_start_graph_has_the_fresh_build_edges(monkeypatch, ledger, inst):
     # Every phase start carries the last phase's graph, or initialize's,
     # and adds the arcs that mbpb gives and it lacks: its edge set must be
     # build_network's at the new prices, refunds and live buyers.
@@ -917,8 +980,9 @@ def test_carried_phase_start_graph_has_the_fresh_build_edges(monkeypatch, inst):
     def checked(state):
         nonlocal carried
         g = carry(state)
-        returns = {i: state.inst.money[i] - state.leftover(i) for i in state.inst.buyers}
-        snap = {"prices": state.prices, "returns": returns, "live_buyers": state.live_buyers}
+        returns = {i: state.inst.money[i] - _leftover(g, i) for i in state.inst.buyers}
+        live = set(state.inst.buyers) - ledger.removed
+        snap = {"prices": ledger.prices, "returns": returns, "live_buyers": live}
         net = snapshot_network(state.inst, snap)
         assert {(j, i) for j in state.inst.goods for i in g.buyers_of(j)} == net.edges
         carried += 1
@@ -980,10 +1044,11 @@ def test_full_money_return_takes_the_buyer_out_of_the_graph(monkeypatch):
     assert full_returns == 12
 
 
-def test_phase_snapshots_refund_every_removed_buyer_in_full():
-    # The graph's sink caps are the solve's only record of refunds: at every
-    # phase boundary each refund lies in [0, money], and a buyer taken out
-    # by a full money return or a zero-degree removal has all of it back.
+def test_phase_snapshots_refund_every_removed_buyer_in_full(ledger):
+    # The graph's sink caps are the solve's only record of refunds and
+    # removals: at every phase boundary each refund lies in [0, money], and
+    # a buyer taken out by a full money return or a zero-degree removal has
+    # all of it back.
     removed, kinds = set(), set()
     for seed in range(3):
         inst = generate_refund_heavy_instance(seed, 12)
@@ -995,21 +1060,24 @@ def test_phase_snapshots_refund_every_removed_buyer_in_full():
             out = set(inst.buyers) - snap["live_buyers"]
             assert all(returns[i] == inst.money[i] for i in out)
             removed |= {(seed, i) for i in out}
+        # The snapshots' live sets, read off the graph, end at the ledger's.
+        assert out == ledger.removed
         kinds |= {row["kind"] for row in recorder.events}
     # Twelve full money returns and one zero-degree removal.
     assert len(removed) == 13 and "z_removal" in kinds
 
 
-def _candidates_from_scratch(state):
+def _candidates_from_scratch(state, prices):
     """Every refund and crossing candidate, rebuilt from the state at an
-    event: the reference for the candidates next_event keeps."""
+    event and the ledger's ``prices``: the reference for the candidates
+    next_event keeps."""
     outside = [j for j in state.inst.goods if j not in state.J]
     candidates: list[Event] = []
 
     def crossing(kind: str, i: int, abar: Fraction) -> None:
         # Scaled ratios fall as abar / theta, so buyer i first meets the
         # outside goods of best ratio, at theta = abar / alpha_out.
-        alpha_out, goods = mbpb(state.inst, state.prices, i, outside)
+        alpha_out, goods = mbpb(state.inst, prices, i, outside)
         if goods:
             candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
 
@@ -1028,7 +1096,7 @@ EVENT_QUEUE_CORPUS = [*CARRIED_GRAPH_CORPUS, generate_random_instance(0, 60, 3, 
 
 
 @pytest.mark.parametrize("inst", EVENT_QUEUE_CORPUS)
-def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, inst):
+def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, ledger, inst):
     # next_event builds the candidates at an iteration's first event and
     # keeps them; at every event the kept candidates of the buyers still
     # active or zero-degree must be those rebuilt from scratch, the queue's
@@ -1039,7 +1107,7 @@ def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, inst):
 
     def checked(state):
         nonlocal events, kept
-        expected = sorted(_candidates_from_scratch(state), key=Event.sort_key)
+        expected = sorted(_candidates_from_scratch(state, ledger.prices), key=Event.sort_key)
         kept += state.queue is not None
         ev = original(state)
         live = [e for _, e in state.queue if e.buyer in state.I or e.buyer in state.Z]
@@ -1159,7 +1227,7 @@ def test_iteration_invariant_is_checked_once_per_z_event(monkeypatch):
         generate_random_instance(4, 8, 8, 10),
     ],
 )
-def test_money_returns_and_extraction_match_fresh_networks(monkeypatch, inst):
+def test_money_returns_and_extraction_match_fresh_networks(monkeypatch, ledger, inst):
     # A money return and the extraction push from zero on copies of the
     # phase graph.  They must give what max_flow and the maximal min cut
     # give on the network built afresh: the same phase type, the same new
@@ -1169,28 +1237,28 @@ def test_money_returns_and_extraction_match_fresh_networks(monkeypatch, inst):
 
     def checked_return(state, i):
         nonlocal returns
-        net0 = _network(state, zero_buyer=i)
+        net0 = ledger.network(state, zero_buyer=i)
         f0 = max_flow(net0)
         if f0.value == net0.total_price:
             expected = ("II", state.inst.money[i])
         else:
             cut = maximal_min_cut(net0, f0)
             worth_s = sum((net0.source_caps[j] for j in cut.goods_part()), F(0))
-            worth_t = sum((state.leftover(b) for b in cut.buyers_part() if b != i), F(0))
+            worth_t = sum((_leftover(state.graph, b) for b in cut.buyers_part() if b != i), F(0))
             expected = ("III", state.inst.money[i] - (worth_s - worth_t))
         kind = money_return(state, i)
-        assert (kind, state.inst.money[i] - state.leftover(i)) == expected
+        assert (kind, state.inst.money[i] - _leftover(state.graph, i)) == expected
         returns += 1
         return kind
 
     def checked_extract(state):
         nonlocal extracted
         extracted += 1
-        f = max_flow(_network(state))
+        f = max_flow(ledger.network(state))
         eq = extract(state)
         for i in state.inst.buyers:
             for j in state.inst.goods:
-                x = f.on(("g", j), ("b", i)) / state.prices[j] if i in state.live_buyers else 0
+                x = f.on(("g", j), ("b", i)) / ledger.prices[j] if i not in ledger.removed else 0
                 assert eq.allocation[i][j] == x
         return eq
 
