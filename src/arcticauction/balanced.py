@@ -88,24 +88,24 @@ enumeration of the surplus vector, are in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .flownet import Flow, FlowError, FlowNetwork, _Residual
 
 
-def _water_level(caps: list[int], target: int) -> Fraction:
+def _water_level(caps: list[int], target: int) -> tuple[int, int]:
     """Solve sum_i max(c_i - delta, 0) = target for delta >= 0, on integers.
 
-    Requires 0 <= target <= sum(caps), else FlowError; the left side is
-    piecewise linear and strictly decreasing until it hits zero.
+    Returns delta as the reduced pair (num, den).  Requires
+    0 <= target <= sum(caps), else FlowError; the left side is piecewise
+    linear and strictly decreasing until it hits zero.
     """
     caps = sorted(caps, reverse=True)
     total = sum(caps)
     if target > total or target < 0:
         raise FlowError("water level target out of range")
     if target == total:
-        return Fraction(0)
+        return 0, 1
     # With the k largest caps above the level: sum(top k) - k*delta = target,
     # and caps[k] <= delta <= caps[k - 1], compared as k*delta = prefix - target.
     prefix = 0
@@ -113,7 +113,8 @@ def _water_level(caps: list[int], target: int) -> Fraction:
         prefix += c
         excess = prefix - target
         if excess <= k * c and (k == len(caps) or excess >= k * caps[k]):
-            return Fraction(excess, k)
+            d = gcd(excess, k)
+            return excess // d, k // d
     raise FlowError("water level search failed")
 
 
@@ -160,8 +161,7 @@ def balance(g: _Residual, goods) -> None:
         target = sum(cap[j - 1] for j in goods_of(buyers))
         if target >= sum(caps):
             return 0, 1
-        level = _water_level(caps, target)
-        return level.numerator, level.denominator
+        return _water_level(caps, target)
 
     def lower_caps(live: list[int], num: int, den: int) -> int:
         # Sink caps max(c_i - num/den, 0), rescaled to stay integral; a

@@ -307,6 +307,26 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
     return eq, stats
 
 
+def best_ratio(nums, dens, goods) -> tuple[int, int, list[int]]:
+    """The bang-per-buck rule, the one place a best ratio is computed: the
+    best nums[j] / dens[j] over the goods j in ``goods`` with nums[j] > 0,
+    as the pair (nums[j], dens[j]) of a good attaining it, and the goods
+    attaining it, in ``goods``' order; (0, 1, []) if no num is positive.
+    ``nums`` and ``dens`` are ints indexed by good, each den positive: a
+    buyer's utilities and the prices, each over one common denominator."""
+    top, bottom, best = 0, 1, []
+    for j in goods:
+        num = nums[j]
+        if num > 0:
+            den = dens[j]
+            lhs, rhs = num * bottom, top * den
+            if lhs > rhs:
+                top, bottom, best = num, den, [j]
+            elif lhs == rhs:
+                best.append(j)
+    return top, bottom, best
+
+
 def mbpb(inst: MarketInstance, prices, i: int, goods=None) -> tuple[Fraction, frozenset[int]]:
     """Buyer i's bang-per-buck at positive prices, and the goods attaining it.
 
@@ -314,23 +334,13 @@ def mbpb(inst: MarketInstance, prices, i: int, goods=None) -> tuple[Fraction, fr
     ``goods`` (every good by default); the goods returned are those of
     positive utility that attain it.  ``prices`` is indexed by good: a dict
     or a tuple.  (0, frozenset()) when no good in ``goods`` has positive
-    utility.  This is the one place a best ratio is computed from prices.
-
-    Ratios are compared as integers, num / den against the best so far by
-    cross-multiplying, and one Fraction is built for the best ratio.
+    utility.  It is ``best_ratio``'s Fraction form.
     """
     row = inst.utilities[i]
-    top, bottom, best = 0, 1, []
-    for j in inst.goods if goods is None else goods:
-        u = row[j]
-        if u.numerator > 0:
-            p = prices[j]
-            num, den = u.numerator * p.denominator, u.denominator * p.numerator
-            lhs, rhs = num * bottom, top * den
-            if lhs > rhs:
-                top, bottom, best = num, den, [j]
-            elif lhs == rhs:
-                best.append(j)
+    goods = inst.goods if goods is None else list(goods)  # read twice
+    nums = {j: row[j].numerator * prices[j].denominator for j in goods}
+    dens = {j: row[j].denominator * prices[j].numerator for j in goods}
+    top, bottom, best = best_ratio(nums, dens, goods)
     return Fraction(top, bottom), frozenset(best)
 
 

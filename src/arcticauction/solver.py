@@ -21,89 +21,61 @@ refund vector is lexicographically maximal by buyer index at the final
 prices; a post-pass of max-flows on a copy of the solve's graph computes it
 after extraction.
 
-Within an iteration, the search for the first tight goods set probes the
-invariant at a falling sequence of theta values.  Each probe is warm-started
-from the iteration's start flow: the balanced flow that began the phase or
-followed the last new edge.  That flow stays feasible for the whole
-iteration: the scaled goods' source caps only grow with theta, the sink caps
-are fixed, a zero-degree buyer only gains an edge or leaves without one, and
-the edges pruned at iteration start carry no flow (such flow would be a
-residual path into the active set from a buyer of lower surplus, which a
-balanced flow does not have).  A probe reads only extreme min cuts, which
-are the same for every maximum flow, so the start flow changes how much
-augmenting is done, never an answer.  The next new edge balances from the
-same flow, for the same reason, and peels only the equality-graph
-components that the iteration can have changed: ``_balance`` names their
-goods, the scaled goods, the new edge's and those of a zero-degree event
-or a removal, and ``balance`` finds the components.  Every other component
-keeps its balanced flow.  Which balanced flow a step ends with depends on
-its start flow, but the absorbed set, the pruned-arc check and the probes'
-cuts are the same for every balanced flow (see ``balanced``).
+Within an iteration, every probe of the tight-set search and the next new
+edge's balance start from the iteration's start flow: the balanced flow
+that began the phase or followed the last new edge.  That flow stays
+feasible for the whole iteration: the scaled goods' source caps only grow
+with theta, the sink caps are fixed, a zero-degree buyer only gains an edge
+or leaves without one, and the edges pruned at iteration start carry no
+flow (such flow would be a residual path into the active set from a buyer
+of lower surplus, which a balanced flow does not have).  Every phase starts
+from the last one's graph, or initialize's, brought to the new prices with
+arcs only added (``_carry_graph``), and balances it from the flow it holds,
+peeling only the components that changed (``_balance``).  Carried flows
+change how much augmenting is done, never an answer: a probe reads only
+extreme min cuts, the same for every maximum flow, and the surplus vector,
+I, J, the absorbed sets and the pruned-arc check are the same for every
+balanced flow (see ``balanced``).
 
 A solve keeps one integer residual graph, built by initialize with no arcs
-and carried through every step of every phase.  Each good's source cap over
-the scale is its price (times theta for J), its good -> buyer arcs are the
-equality graph, and each buyer's sink cap is her left-over money, 0 once
-she is removed: the solver keeps no other record of the prices, the edges,
-the refunds or the removals.  At each iteration start it is the iteration's
-network at theta = 1 under the start flow: the pruned arcs are dropped
-(checked to carry no flow), and every value is divided by the common gcd,
-so its ints are those of a fresh build and cannot grow from one iteration
-to the next; then its flow is checked to be feasible.  A zero-degree event
-edits it in place: a new edge is an arc added in sorted place, a removal
-sets the buyer's sink cap to zero and leaves an isolated vertex.  Each
-probe, and the invariant check after a zero-degree event, augments a copy
-of it at theta = a/b (``_at_theta``): every capacity and flow times b and
-the scaled goods' source caps times a, on the same arcs and adjacency
-lists.  A new edge takes the same copy at the event's theta, adds its arc,
-balances it in place and reads the absorbed buyers off it; that copy is the
-next iteration's graph, at theta = 1.  A money return and the final
-extraction push from zero on the same copy with its flow zeroed, which
-finds the flow ``max_flow`` finds on the network built afresh.  The return
-is then written into the graph: a partial one sets the buyer's sink cap to
-her new spend, giving back the flow over it along her in-arcs and off her
-goods' source arcs; a full one also drops her arcs, and her vertex stays,
-cut off, with cap 0.
-
-Every phase starts from the last one's graph, or initialize's
-(``_carry_graph``): scaled to the final theta, which then becomes 1, it has
-the new prices and refunds, and its flow stays feasible.  No live buyer
-loses an arc there: an active buyer's goods were all scaled alike, and any
-other buyer's arcs lead outside J, whose prices did not move.  So only the
-arcs ``mbpb`` gives and the graph lacks are added (``_add_best_arcs``); at
-phase 1 that is every arc.  The graph is then balanced from the flow it
-holds, and ``_balance`` names the goods whose components are peeled: the
-scaled goods, a new arc's and a refunded buyer's.  ``balance`` finds their
-components, and every other component has the same caps and arcs as at the
-last balance, less arcs without flow, so its flow is balanced already.  A
-removed buyer is a component of her own and is never peeled.  The surplus
-vector, I, J, the absorbed sets and every probe's cut are the same for every
-balanced flow (see ``balanced``), so carrying the flow changes no answer.
-The refund split runs on a copy of the graph too: a solve builds one network
-and one graph, in initialize.  At phase start the balanced flow itself must
+and carried through every step of every phase (``SolverState.graph``): the
+solver keeps no other record of the prices, the edges, the refunds or the
+removals, and builds no other network or graph.  At each iteration start
+it is the iteration's network at theta = 1 under the start flow, its ints
+those of a fresh build (``_start_iteration``).  A zero-degree event edits
+it in place.  Each probe, and the invariant check after a zero-degree
+event, augments a copy of it at theta (``_at_theta``); a new edge balances
+that copy with its arc added, and the copy is the next iteration's graph.
+A money return, the final extraction and the refund split push from zero
+on such a copy with its flow zeroed, which finds the flow ``max_flow``
+finds on the network built afresh; a return is then written into the graph
+(``apply_money_return``).  At phase start the balanced flow itself must
 fill every source arc.  No other check is needed: phase 1's begin_phase
 checks the opening prices before anything changes, which also covers
 initialize's repricing (a good left without an edge leaves a deficit of at
 least its price); a tight-set event's theta is that of the search's last
-probe, which found no deficit on the same graph; and a full return's flow is
-already a maximum flow of the network without the buyer.  Every refund, in a
-money return and in the refund split, is a max-flow deficit
-(``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
-0, and stays for perfbench's check.
+probe, which found no deficit on the same graph; and a full return's flow
+is already a maximum flow of the network without the buyer.  Every refund
+is a max-flow deficit (``_least_spend``).  A solve calls no ``max_flow``:
+``maxflow_calls`` reads 0, and stays for perfbench's check.
 
-Events are found from candidates built once per iteration.  Within an
-iteration base_prices, J and the active buyers' arcs do not change, so each
-active buyer's refund theta (her bang-per-buck at iteration-start prices)
-and first crossing are fixed; a zero-degree buyer's are too, and a
-zero-degree event takes only its own buyer out of Z.  So the first event
-builds every candidate into a heap ordered by ``Event.sort_key``, and a
-later event only drops the entries of buyers that left Z; only the
-tight-set search runs at every event.  The outside goods' prices are fixed
-for the whole phase and J only grows, so a buyer's best outside ratio and
-its goods are kept for the phase and computed again only when one of those
-goods joins J.  Checking the heap's head against theta checks every
-candidate, and ``_alpha_bar_active``'s checks run once per iteration, on
-data that does not change within it.
+Events are found from candidates built once per iteration, on the graph's
+ints: a buyer's bang-per-buck is ``market.best_ratio`` of her utilities,
+ints over one row denominator (``SolverState.rows``), against the graph's
+source caps, and within a row the row denominator and g.scale cancel.
+Within an iteration the source caps, J and the active buyers' arcs do not
+change, so each active buyer's refund theta (her bang-per-buck at
+iteration-start prices) and first crossing are fixed; a zero-degree
+buyer's are too, and a zero-degree event takes only its own buyer out of
+Z.  So the first event builds every candidate into a heap ordered by
+cross-multiplying theta's int pairs, and a later event only drops the
+entries of buyers that left Z; a Fraction is built only for the heap's
+head.  Checking the head against theta checks every candidate.  J only
+grows within a phase and its goods are all scaled alike, so two sets of
+goods are kept for the phase, as goods since every iteration start
+rescales the caps: a buyer's best goods outside J, until one of them joins
+J, and a zero-degree buyer's best goods in J, which only the goods J
+gained since can beat.
 
 Which maximum flow a step finds changes no answer: this is a contract.
 Outside the extraction and the refund split, a solve reads only what every
@@ -134,6 +106,7 @@ from .market import (
     Equilibrium,
     MarketInstance,
     RunStats,
+    best_ratio,
     equilibrium_for_instance,
     instance_bit_bounds,
     mbpb,
@@ -169,6 +142,24 @@ class Event:
             self.buyer if self.buyer is not None else -1,
             self.good if self.good is not None else -1,
         )
+
+
+class _Candidate:
+    """An event candidate at theta = num / den, not reduced; candidates
+    compare as ``Event.sort_key`` orders their events, on ints."""
+
+    __slots__ = ("num", "den", "kind", "buyer", "good", "tie")
+
+    def __init__(self, num: int, den: int, kind: str, buyer: int, good: int | None = None):
+        self.num, self.den, self.kind, self.buyer, self.good = num, den, kind, buyer, good
+        self.tie = (EVENT_PRIORITY[kind], buyer, -1 if good is None else good)
+
+    def __lt__(self, other: "_Candidate") -> bool:
+        lhs, rhs = self.num * other.den, other.num * self.den
+        return lhs < rhs or lhs == rhs and self.tie < other.tie
+
+    def event(self) -> Event:
+        return Event(self.kind, Fraction(self.num, self.den), buyer=self.buyer, good=self.good)
 
 
 @dataclass
@@ -228,11 +219,12 @@ class SolverState:
     # good -> buyer arcs the equality graph's edges, and its sink caps the
     # buyers' left-over money, 0 for a removed buyer.
     graph: _Residual
+    # Each buyer's utilities over one row denominator: u_ij = rows[i][j] / row_dens[i].
+    rows: list[tuple[int, ...]]
+    row_dens: list[int]
     I: set[int] = field(default_factory=set)
-    J: set[int] = field(default_factory=set)
+    J: frozenset[int] = frozenset()
     Z: set[int] = field(default_factory=set)
-    # Every good's price at the iteration start: a cache read off the graph.
-    base_prices: dict[int, Fraction] = field(default_factory=dict)
     theta: Fraction = Fraction(1)
     phi: Fraction = Fraction(0)
     stats: RunStats = field(default_factory=RunStats)
@@ -243,12 +235,13 @@ class SolverState:
     # balanced, beyond J's: a new arc's good and a refunded buyer's goods.
     # Their components must be peeled again.
     touched: set[int] = field(default_factory=set)
-    # The iteration's refund and crossing candidates, a heap of
-    # (Event.sort_key, Event); built by the iteration's first next_event.
-    queue: list[tuple[tuple, Event]] | None = None
-    # Each buyer's best ratio over the goods outside J, and the goods
-    # attaining it, kept for the phase.
-    outside: dict[int, tuple[Fraction, frozenset[int]]] = field(default_factory=dict)
+    # The iteration's refund and crossing candidates, a heap; built by the
+    # iteration's first next_event.
+    queue: list[_Candidate] | None = None
+    # Kept for the phase (see the module docstring): each buyer's best goods
+    # outside J, and each zero-degree buyer's J and best goods in it.
+    outside: dict[int, frozenset[int]] = field(default_factory=dict)
+    inside: dict[int, tuple[frozenset[int], list[int]]] = field(default_factory=dict)
 
     @property
     def prices(self) -> dict[int, Fraction]:
@@ -347,7 +340,9 @@ def initialize(inst: MarketInstance) -> SolverState:
             prices[j] = max(inst.utilities[i][j] / best[i][0] for i in inst.buyers)
     buyers = tuple(inst.buyers)
     net = FlowNetwork(tuple(inst.goods), buyers, prices, dict(zip(buyers, inst.money)), frozenset())
-    return SolverState(inst=inst, graph=_Residual(net), stats=stats)
+    dens = [math.lcm(*(u.denominator for u in row)) for row in inst.utilities]
+    rows = [tuple(u.numerator * (d // u.denominator) for u in row) for row, d in zip(inst.utilities, dens)]
+    return SolverState(inst=inst, graph=_Residual(net), rows=rows, row_dens=dens, stats=stats)
 
 
 def _start_iteration(state: SolverState) -> None:
@@ -358,29 +353,29 @@ def _start_iteration(state: SolverState) -> None:
     checked to carry a feasible flow.
     """
     g = state.graph
-    state.J = {j for i in state.I for j in g.goods_of(i)}
+    state.J = frozenset(j for i in state.I for j in g.goods_of(i))
     g.drop_arcs([(j, i) for j in state.J for i in g.buyers_of(j) if i not in state.I])
     state.Z = {i for i in state.live_buyers if i not in state.I and not g.goods_of(i)}
     state.iteration_index += 1
     state.queue = None
     g.reduce()
     g._check_feasible()
-    state.base_prices = state.prices
 
 
-def _add_best_arcs(inst: MarketInstance, g: _Residual, prices, buyers) -> set[int]:
-    """Add to g, in sorted place, each buyer's arcs to the goods at her
-    bang-per-buck (``mbpb``) at ``prices`` that g lacks, and return their goods;
-    an arc off it is a bug.  This is the one place where arcs come from prices."""
+def _add_best_arcs(state: SolverState, g: _Residual, buyers) -> set[int]:
+    """Add to g, in sorted place, each buyer's arcs to the goods of her best
+    row-to-source-cap ratio that g lacks, and return their goods; an arc off
+    it is a bug.  This is the one place where arcs come from prices."""
     added = set()
     for i in sorted(buyers):
-        best = mbpb(inst, prices, i)[1]
+        best = best_ratio(state.rows[i], g.cap, state.inst.goods)[2]
         have = g.goods_of(i)
-        if not have <= best:
+        if not have.issubset(best):
             raise SolverError(f"buyer {i} kept an edge off her bang-per-buck")
-        for j in sorted(best - have):
-            g.add_arc(j, i)
-            added.add(j)
+        for j in best:
+            if j not in have:
+                g.add_arc(j, i)
+                added.add(j)
     return added
 
 
@@ -397,16 +392,13 @@ def _carry_graph(state: SolverState) -> _Residual:
     """
     g = state.graph = _at_theta(state, state.theta)
     state.theta = Fraction(1)
-    state.touched |= _add_best_arcs(state.inst, g, state.prices, state.live_buyers)
+    state.touched |= _add_best_arcs(state, g, state.live_buyers)
     return g
 
 
 def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     """Open a phase: bring the graph to the new prices, balance flow, pick the active sets.
 
-    Every phase carries the last phase's graph, or initialize's, to the new
-    prices (``_carry_graph``) and balances it from the flow it holds,
-    peeling only the components that changed (``_balance``).
     Returns (potential at phase start, terminal flag).  The terminal flag is
     set when every buyer's surplus is already zero, in which case the full
     goods set is tight and the run ends.
@@ -414,6 +406,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     state.phase_index += 1
     state.iteration_index = 0
     state.outside.clear()
+    state.inside.clear()
     g = _carry_graph(state)
     gamma, state.phi = _balance(state, g)
     if state.recorder is not None:
@@ -425,7 +418,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     delta = max(gamma.values())
     if delta == 0:
         state.I = set()
-        state.J = set()
+        state.J = frozenset()
         state.Z = set()
         return state.phi, True
     state.I = {i for i, x in gamma.items() if x == delta}
@@ -433,24 +426,37 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     return state.phi, False
 
 
-def _alpha_bar_active(state: SolverState, i: int) -> Fraction:
-    """Bang-per-buck of an active buyer at iteration-start prices.
-
-    All of an active buyer's edges are best-ratio ties inside the scaled
-    set; anything else is a maintenance bug.
-    """
+def _alpha_bar_active(state: SolverState, i: int) -> tuple[int, int]:
+    """Bang-per-buck of an active buyer at iteration-start prices, as the
+    row utility and source cap (u, c) of a good attaining it: the ratio is
+    u * g.scale / (c * row_dens[i]).  All of an active buyer's edges are
+    best-ratio ties inside the scaled set; anything else is a bug."""
     goods = state.graph.goods_of(i)
     if not goods:
         raise SolverError(f"active buyer {i} has no edges")
-    alpha, best = mbpb(state.inst, state.base_prices, i, goods)
-    if best != goods:
+    u, c, best = best_ratio(state.rows[i], state.graph.cap, goods)
+    if len(best) != len(goods):
         raise SolverError(f"active buyer {i} has unequal edge ratios")
-    return alpha
+    return u, c
 
 
-def _alpha_bar_zero_degree(state: SolverState, i: int) -> Fraction:
-    """Bang-per-buck of a zero-degree buyer; attained inside the scaled set."""
-    return mbpb(state.inst, state.base_prices, i, state.J)[0]
+def _alpha_bar_zero_degree(state: SolverState, i: int) -> tuple[int, int]:
+    """Bang-per-buck of a zero-degree buyer, attained inside the scaled set, as
+    ``_alpha_bar_active`` gives it: over her kept best goods and J's new ones."""
+    J = state.J
+    kept = state.inside.get(i)
+    goods = J if kept is None else {*kept[1], *(J - kept[0])}
+    u, c, best = best_ratio(state.rows[i], state.graph.cap, goods)
+    state.inside[i] = (J, best)
+    return u, c
+
+
+def _meets(state: SolverState, alpha: tuple[int, int], r: int, p: int) -> bool:
+    """Whether a buyer's bang-per-buck alpha, as ``_alpha_bar_active`` gives
+    it, over theta is the ratio of row utility r to source cap p: that of an
+    unscaled good, or money's 1, as her row denominator over g.scale."""
+    (u, c), theta = alpha, state.theta
+    return u * p * theta.denominator == c * r * theta.numerator
 
 
 def _tight_set_search(state: SolverState, theta_cap: Fraction):
@@ -462,11 +468,7 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     contain no scaled good never change worth and are ignored.
 
     Each probe augments from the iteration's start flow on a scaled copy of
-    the iteration graph (``_at_theta``; the flow is feasible at every
-    theta >= 1) and reads its cut off that copy.  The cuts are extreme min
-    cuts, the same for every maximum flow, so the result does not depend on
-    the start flow; probes build no network and no residual graph, and make
-    no ``max_flow`` call.
+    the iteration graph (``_at_theta``) and reads its cut off that copy.
 
     At most |J| + 1 probes: only the scaled goods' source caps move with
     theta, so the source-nearest min cuts are nested as theta falls
@@ -501,34 +503,31 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     raise SolverError("tight set search failed to settle")
 
 
-def _candidates(state: SolverState) -> list[Event]:
+def _candidates(state: SolverState) -> list[_Candidate]:
     """The iteration's refund and crossing candidates, one of each per active
     or zero-degree buyer.  A buyer's crossing candidates all share one
     bang-per-buck, so only its first crossing, the lowest good on ties, can
-    win and is the only one built."""
+    win and is the only one built.  A refund's theta is her bang-per-buck."""
+    cap, scale = state.graph.cap, state.graph.scale
     outside = [j for j in state.inst.goods if j not in state.J]
-    candidates: list[Event] = []
+    candidates: list[_Candidate] = []
 
-    def crossing(kind: str, i: int, abar: Fraction) -> None:
-        # Scaled ratios fall as abar / theta, so buyer i first meets the
-        # outside goods of best ratio, at theta = abar / alpha_out.  Outside
-        # prices are fixed for the phase and J only grows, so that ratio
-        # holds until one of its goods joins J.
-        best = state.outside.get(i)
-        if best is None or not best[1].isdisjoint(state.J):
-            best = state.outside[i] = mbpb(state.inst, state.base_prices, i, outside)
-        alpha_out, goods = best
-        if goods:
-            candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
+    def add(refund: str, crossing: str, i: int, u: int, c: int) -> None:
+        candidates.append(_Candidate(u * scale, c * state.row_dens[i], refund, i))
+        # Scaled ratios fall as (u / c) / theta, so buyer i first meets the
+        # outside goods of best ratio r / cap_j, at theta = u cap_j / (c r);
+        # they stay her best outside until one of them joins J.
+        row, best = state.rows[i], state.outside.get(i)
+        if best is None or not best.isdisjoint(state.J):
+            best = state.outside[i] = frozenset(best_ratio(row, cap, outside)[2])
+        if best:
+            j = min(best)
+            candidates.append(_Candidate(u * cap[j], c * row[j], crossing, i, j))
 
     for i in state.I:
-        abar = _alpha_bar_active(state, i)
-        candidates.append(Event("money_return", abar, buyer=i))
-        crossing("new_edge", i, abar)
+        add("money_return", "new_edge", i, *_alpha_bar_active(state, i))
     for i in state.Z:
-        abar = _alpha_bar_zero_degree(state, i)
-        candidates.append(Event("z_removal", abar, buyer=i))
-        crossing("z_new_edge", i, abar)
+        add("z_removal", "z_new_edge", i, *_alpha_bar_zero_degree(state, i))
     return candidates
 
 
@@ -538,28 +537,24 @@ def next_event(state: SolverState) -> Event:
     Ties at equal theta resolve by kind (refunds precede everything: prices
     cannot rise past an unpaid buyer), then by the lowest buyer index, then
     by the lowest good index.  This only orders events: the refund split a
-    solve reports is fixed afterwards by _lex_max_refunds.
-
-    The candidates (``_candidates``) are built at the iteration's first
-    event and kept in the heap ``state.queue``.  Within an iteration
-    base_prices, J and the active buyers' arcs are fixed, and a zero-degree
-    event only takes its own buyer out of Z, so a later event only drops the
-    entries of buyers that left Z.  Only the tight-set search runs at every
-    event.
+    solve reports is fixed afterwards by _lex_max_refunds.  The candidates
+    (``_candidates``) are built at the iteration's first event and kept in
+    the heap ``state.queue`` (see the module docstring).
     """
     queue = state.queue
     if queue is None:
-        queue = state.queue = [(ev.sort_key(), ev) for ev in _candidates(state)]
+        queue = state.queue = _candidates(state)
         heapq.heapify(queue)
-    while queue and queue[0][1].buyer not in state.I and queue[0][1].buyer not in state.Z:
+    while queue and queue[0].buyer not in state.I and queue[0].buyer not in state.Z:
         heapq.heappop(queue)
     if not queue:
         raise SolverError("no candidate events in iteration")
-    first = queue[0][1]
+    head, theta = queue[0], state.theta
+    first = head.event()
     # The earliest candidate, so this checks them all; a refund's theta is
     # the buyer's bang-per-buck at iteration-start prices, so this also
     # checks that no buyer's is below 1.
-    if first.theta_star < state.theta:
+    if head.num * theta.denominator < theta.numerator * head.den:
         raise SolverError(f"{first.kind} event in the past: {first.theta_star} < {state.theta}")
     found = _tight_set_search(state, first.theta_star)
     if found is None:
@@ -584,9 +579,7 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     graph.  Only the components with a good of J or of a new arc are peeled
     again (``_balance``); every other one keeps its flow and surpluses.
     """
-    u = state.inst.utilities[i][j]
-    alpha_i = _alpha_bar_active(state, i) / state.theta
-    if u != alpha_i * state.base_prices[j]:
+    if not _meets(state, _alpha_bar_active(state, i), state.rows[i][j], state.graph.cap[j]):
         raise SolverError("new edge does not satisfy the bang-per-buck equality")
     g = state.graph = _at_theta(state, state.theta)
     state.theta = Fraction(1)  # the graph's J caps hold theta now
@@ -632,8 +625,7 @@ def apply_money_return(state: SolverState, i: int) -> str:
     the solve's only record of refunds: her cap is set to beta, or she is
     removed.
     """
-    abar = _alpha_bar_active(state, i)
-    if abar != state.theta:
+    if not _meets(state, _alpha_bar_active(state, i), state.row_dens[i], state.graph.scale):
         raise SolverError("money return fired away from bang-per-buck 1")
     g = _at_theta(state, state.theta)
     spend = _least_spend(g, i)
@@ -676,14 +668,12 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
     if i not in state.Z:
         raise SolverError(f"buyer {i} is not zero-degree")
     if event.kind == "z_removal":
-        if _alpha_bar_zero_degree(state, i) != state.theta:
+        if not _meets(state, _alpha_bar_zero_degree(state, i), state.row_dens[i], state.graph.scale):
             raise SolverError("zero-degree removal fired away from bang-per-buck 1")
         _remove_buyer(state, i)
     elif event.kind == "z_new_edge":
         j = event.good
-        u = state.inst.utilities[i][j]
-        alpha_i = _alpha_bar_zero_degree(state, i) / state.theta
-        if u != alpha_i * state.base_prices[j]:
+        if not _meets(state, _alpha_bar_zero_degree(state, i), state.rows[i][j], state.graph.cap[j]):
             raise SolverError("zero-degree crossing does not satisfy the equality")
         state.Z.discard(i)
         state.touched.add(j)
@@ -769,7 +759,7 @@ def _lex_max_refunds(state: SolverState, eq: Equilibrium) -> Equilibrium:
         return eq
     buyers = [i for i in inst.buyers if eq.alpha[i] >= 1]
     g = _at_theta(state, state.theta)
-    _add_best_arcs(inst, g, eq.prices, buyers)
+    _add_best_arcs(state, g, buyers)
     g.rescale(math.lcm(g.scale, *(inst.money[i].denominator for i in buyers)) // g.scale)
     for i in buyers:
         g.cap[g.sink_arc(i)] = int(inst.money[i] * g.scale)

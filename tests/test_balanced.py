@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -200,10 +201,13 @@ def test_surplus_drop_bounds_potential_drop():
 )
 @settings(max_examples=300, deadline=None)
 def test_water_level_solves_its_equation(caps, share):
-    # The level delta >= 0 with sum_i max(c_i - delta, 0) = target, on ints.
+    # The level delta >= 0 with sum_i max(c_i - delta, 0) = target, on ints,
+    # as a reduced int pair.
     target = int(sum(caps) * share)
-    delta = _water_level(caps, target)
-    assert isinstance(delta, Fraction) and delta >= 0
+    num, den = _water_level(caps, target)
+    assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+    delta = Fraction(num, den)
+    assert delta >= 0
     assert sum(max(c - delta, 0) for c in caps) == target
     with pytest.raises(ValueError):
         _water_level(caps, sum(caps) + 1)

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from arcticauction.market import (
     MarketFormatError,
     MarketInstance,
     RunStats,
+    best_ratio,
     format_rational,
     generate_random_instance,
     generate_refund_heavy_instance,
@@ -290,3 +292,39 @@ def test_mbpb_matches_fraction_division(case):
     expected = _mbpb_by_division(inst, prices, 0, inst.goods if goods is None else goods)
     assert (alpha, best) == expected
     assert type(alpha) is Fraction
+
+
+@st.composite
+def _int_rule_cases(draw):
+    """A utility row with zeros and denominators up to 10^6, positive prices
+    that often tie its ratios, and the goods to look at: every good, or a
+    subset in any order."""
+    m = draw(st.integers(1, 8))
+    value = st.builds(Fraction, st.integers(1, 10**7), st.integers(1, 10**6))
+    utilities = [draw(st.just(Fraction(0)) | value) for _ in range(m)]
+    ratios = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2)])
+    prices = [u / draw(ratios) if u > 0 and draw(st.booleans()) else draw(value) for u in utilities]
+    goods = draw(st.just(range(m)) | st.lists(st.integers(0, m - 1), unique=True))
+    return utilities, prices, goods
+
+
+@given(case=_int_rule_cases())
+@settings(max_examples=300, deadline=None)
+def test_best_ratio_matches_fraction_division(case):
+    # The integer rule on a row as ints over its denominator and prices as
+    # ints over theirs, as the solver holds them: the pair it gives is a
+    # best good's, and over both denominators it is the best ratio by
+    # division; the goods are those attaining it, in the order looked at.
+    utilities, prices, goods = case
+    row_den, scale = lcm(*(u.denominator for u in utilities)), lcm(*(p.denominator for p in prices))
+    nums = [u.numerator * (row_den // u.denominator) for u in utilities]
+    dens = [p.numerator * (scale // p.denominator) for p in prices]
+    num, den, best = best_ratio(nums, dens, goods)
+    ratios = {j: utilities[j] / prices[j] for j in goods if utilities[j] > 0}
+    if not ratios:
+        assert (num, den, best) == (0, 1, [])
+        return
+    alpha = max(ratios.values())
+    assert best == [j for j in goods if ratios.get(j) == alpha]
+    assert (num, den) == (nums[best[0]], dens[best[0]])
+    assert Fraction(num * scale, den * row_den) == alpha

@@ -21,6 +21,7 @@ from arcticauction.market import (
     format_rational,
     generate_random_instance,
     generate_refund_heavy_instance,
+    stats_to_doc,
     validate_instance,
 )
 from arcticauction.oracle import oracle_solve
@@ -267,7 +268,6 @@ def _crafted_state(u, m, prices, edges, I, J):
     # edges.  The iteration starts at its prices.
     net = build_network(state.inst, {j: F(p) for j, p in prices.items()})
     state.graph = flownet._Residual(replace(net, edges=frozenset(edges)))
-    state.base_prices = state.prices
     return state
 
 
@@ -338,8 +338,46 @@ def test_next_event_tight_set_linear_worth():
     ev = next_event(state)
     assert ev.kind == "tight_set"
     leftover = sum(inst.money)  # no refund yet
-    base = sum(state.base_prices[j] for j in state.J)
+    base = sum(state.prices[j] for j in state.J)  # theta is still 1
     assert ev.theta_star == leftover / base
+
+
+def _bang_per_buck_faults():
+    """(crafted state, step, message) for each bang-per-buck check of the
+    event layer, the step run on the state with one fault planted."""
+    crossing = ([[2, F(3, 2)], [0, 1]], [5, 3], {0: 1, 1: 1}, {(0, 0), (1, 1)})
+    zero_degree = ([[2, 0], [3, 1]], [5, 3], {0: 1, 1: 1}, {(0, 0)})
+
+    def at(theta, args, Z=()):
+        state = _crafted_state(*args, I={0}, J={0})
+        state.theta, state.Z = F(theta), set(Z)
+        return state
+
+    return [
+        # Buyer 0's two edges have ratios 2 and 1.
+        (at(1, ([[2, 1]], [5], {0: 1, 1: 1}, {(0, 0), (1, 0)})), next_event, "unequal edge ratios"),
+        # Her refund is at theta = 3.
+        (at(4, ([[3]], [5], {0: 1}, {(0, 0)})), next_event, "money_return event in the past"),
+        (at(1, ([[3]], [5], {0: 1}, {(0, 0)})), lambda s: solver.apply_money_return(s, 0),
+         "money return fired away from bang-per-buck 1"),
+        # Her crossing to good 1 is at theta = 4/3.
+        (at(F(5, 4), crossing), lambda s: solver.apply_new_edge(s, 0, 1),
+         "new edge does not satisfy the bang-per-buck equality"),
+        # Zero-degree buyer 1's ratio over J is 3, and her crossing is at 3 too.
+        (at(2, zero_degree, Z={1}), lambda s: solver.apply_z_events(s, Event("z_removal", F(2), buyer=1)),
+         "zero-degree removal fired away from bang-per-buck 1"),
+        (at(2, zero_degree, Z={1}),
+         lambda s: solver.apply_z_events(s, Event("z_new_edge", F(2), buyer=1, good=1)),
+         "zero-degree crossing does not satisfy the equality"),
+    ]
+
+
+@pytest.mark.parametrize("state, step, message", _bang_per_buck_faults())
+def test_bang_per_buck_checks_catch_their_faults(state, step, message):
+    # Each check compares the graph's ints; a state one fault away from its
+    # condition must trip it.
+    with pytest.raises(solver.SolverError, match=message):
+        step(state)
 
 
 def test_solve_forced_clearing():
@@ -929,6 +967,29 @@ def rational_instance(seed, n, m):
             return inst
 
 
+RATIONAL = [rational_instance(seed, n, m) for n, m in ((16, 4), (4, 16)) for seed in range(3)]
+RATIONAL_DIGEST = "7e7c8e8f2ea9015d690a66c627e8a888482ac8708c643dae8a6f430247275901"
+RATIONAL_STATS_DIGEST = "6384c2805cda98992cf02484c3b226c61e24596c9cd80e6fffbb08bd69b1d7f1"
+RATIONAL_TRACED_DIGEST = "0faf22e8bd641c092a36189fd84647000f0d223dc9e393f309bcbaf08bf57e4e"
+
+
+def _stats_digest(insts) -> str:
+    """One hash of the stats documents (``stats_to_doc``) of the solves of ``insts``."""
+    digest = hashlib.sha256()
+    for inst in insts:
+        digest.update(json.dumps(stats_to_doc(solve(inst)[1]), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_answers_stats_and_traces_pinned_on_rational_seeds():
+    # Rational money and utilities with denominators up to 10^6, on both
+    # rectangular shapes: every event kind fires.  The answers, the
+    # RunStats and the recorder's events and snapshots are pinned.
+    assert answers_digest(RATIONAL) == RATIONAL_DIGEST
+    assert _stats_digest(RATIONAL) == RATIONAL_STATS_DIGEST
+    assert _traces_digest(RATIONAL) == RATIONAL_TRACED_DIGEST
+
+
 def _by_vertex(g):
     """g per vertex tuple: each adjacency list's heads in order, and each arc's cap and flow."""
     at = g.vertices
@@ -1068,27 +1129,27 @@ def test_phase_snapshots_refund_every_removed_buyer_in_full(ledger):
 
 
 def _candidates_from_scratch(state, prices):
-    """Every refund and crossing candidate, rebuilt from the state at an
-    event and the ledger's ``prices``: the reference for the candidates
-    next_event keeps."""
+    """Every refund and crossing candidate, rebuilt in Fractions from the
+    state at an event and the ledger's ``prices`` at its theta: the
+    reference for the candidates next_event keeps.  A buyer's bang-per-buck
+    at iteration-start prices is theta times hers at ``prices`` over her
+    goods, J for a zero-degree buyer."""
     outside = [j for j in state.inst.goods if j not in state.J]
     candidates: list[Event] = []
 
-    def crossing(kind: str, i: int, abar: Fraction) -> None:
+    def add(refund: str, crossing: str, i: int, goods) -> None:
+        abar = mbpb(state.inst, prices, i, goods)[0] * state.theta
+        candidates.append(Event(refund, abar, buyer=i))
         # Scaled ratios fall as abar / theta, so buyer i first meets the
         # outside goods of best ratio, at theta = abar / alpha_out.
-        alpha_out, goods = mbpb(state.inst, prices, i, outside)
-        if goods:
-            candidates.append(Event(kind, abar / alpha_out, buyer=i, good=min(goods)))
+        alpha_out, best = mbpb(state.inst, prices, i, outside)
+        if best:
+            candidates.append(Event(crossing, abar / alpha_out, buyer=i, good=min(best)))
 
     for i in sorted(state.I):
-        abar = solver._alpha_bar_active(state, i)
-        candidates.append(Event("money_return", abar, buyer=i))
-        crossing("new_edge", i, abar)
+        add("money_return", "new_edge", i, state.graph.goods_of(i))
     for i in sorted(state.Z):
-        abar = solver._alpha_bar_zero_degree(state, i)
-        candidates.append(Event("z_removal", abar, buyer=i))
-        crossing("z_new_edge", i, abar)
+        add("z_removal", "z_new_edge", i, state.J)
     return candidates
 
 
@@ -1099,9 +1160,9 @@ EVENT_QUEUE_CORPUS = [*CARRIED_GRAPH_CORPUS, generate_random_instance(0, 60, 3, 
 def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, ledger, inst):
     # next_event builds the candidates at an iteration's first event and
     # keeps them; at every event the kept candidates of the buyers still
-    # active or zero-degree must be those rebuilt from scratch, the queue's
-    # head their minimum, and the event that fires that minimum or a tight
-    # set before it.
+    # active or zero-degree must be those rebuilt from scratch, in the
+    # order of their events' sort keys, the queue's head their minimum, and
+    # the event that fires that minimum or a tight set before it.
     original = solver.next_event
     events = kept = 0
 
@@ -1110,9 +1171,9 @@ def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, ledger, ins
         expected = sorted(_candidates_from_scratch(state, ledger.prices), key=Event.sort_key)
         kept += state.queue is not None
         ev = original(state)
-        live = [e for _, e in state.queue if e.buyer in state.I or e.buyer in state.Z]
-        assert sorted(live, key=Event.sort_key) == expected
-        assert state.queue[0][1] == expected[0]
+        live = [c for c in state.queue if c.buyer in state.I or c.buyer in state.Z]
+        assert [c.event() for c in sorted(live)] == expected
+        assert state.queue[0].event() == expected[0]
         assert ev == expected[0] or (ev.kind == "tight_set" and ev.sort_key() < expected[0].sort_key())
         events += 1
         return ev
