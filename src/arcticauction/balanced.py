@@ -25,6 +25,11 @@ Gallo-Grigoriadis-Tarjan parametric max-flow):
   falls in delta while positive, so delta* is at least S's level.  The
   steps that follow therefore end at the same level from any of these
   starts, and in one step when the start is already that level.  The
+  groups are scanned by their start surplus, highest first, and the scan
+  stops at the first group whose start surplus, rescaled, is not above
+  the best bound so far: a group's level is at most its start surplus
+  unless a good that fed it has died since, and a skipped group only
+  leaves the start lower, never wrong.  The
   solver hands ``balance`` the last balanced flow, scaled, whose surplus
   level sets are mostly the new levels' groups, so most levels start at
   their value.  When every maximum flow fills every source arc, as under
@@ -145,11 +150,14 @@ def balance(g: _Residual, goods) -> None:
     # Each peeled buyer vertex's full cap, scaled with the graph, and goods.
     full = {b: cap[b - 1] for b in range(m + 1, t) if b in seen}
     goods_at = {b: [v for v, _, forward in adj[b] if not forward] for b in full}
-    # The peeled buyers grouped by the surplus the given flow leaves them.
+    # The peeled buyers grouped by the surplus the given flow leaves them,
+    # highest first, each with that surplus at the entry scale; ``grown`` is
+    # the product of the rescales since.
     by_surplus: dict[int, list[int]] = {}
     for b in full:
         by_surplus.setdefault(cap[b - 1] - flow[b - 1], []).append(b)
-    groups = list(by_surplus.values())
+    groups = sorted(by_surplus.items(), reverse=True)
+    grown = 1
 
     def goods_of(buyers) -> set[int]:
         return {v for b in buyers for v in goods_at[b]} - dead
@@ -167,9 +175,11 @@ def balance(g: _Residual, goods) -> None:
         # Sink caps max(c_i - num/den, 0), rescaled to stay integral; a
         # buyer now over its cap gives the excess back along its in-arcs.
         # Returns the level on the new scale.
+        nonlocal grown
         d = den // gcd(num, den)
         if d > 1:
             g.rescale(d)
+            grown *= d
             for b in full:
                 full[b] *= d
         level = num * d // den
@@ -185,7 +195,9 @@ def balance(g: _Residual, goods) -> None:
         # the network can still fully absorb, searched from a lower bound.
         bound = sum(full[b] for b in live) - sum(cap[j - 1] for j in goods_of(live))
         num, den = max(bound, 0), len(live)
-        for group in groups:
+        for start, group in groups:
+            if start * grown * den <= num:
+                break
             n, d = water_level(group)
             if n * den > num * d:
                 num, den = n, d
@@ -213,7 +225,7 @@ def balance(g: _Residual, goods) -> None:
             raise FlowError("no buyers pinned at the top surplus level")
         dead |= goods_of(pinned)
         live = [b for b in live if reached[b] is not None]
-        groups = [kept for group in groups if (kept := [b for b in group if reached[b] is not None])]
+        groups = [(start, kept) for start, group in groups if (kept := [b for b in group if reached[b] is not None])]
     for b, c in full.items():
         cap[b - 1] = c
 

@@ -390,6 +390,15 @@ class _Residual:
         """The buyers with an arc from good j."""
         return {v - 1 - self.m for v, _, forward in self.adj[1 + j] if forward}
 
+    def degree(self, i: int) -> int:
+        """How many goods have an arc into buyer i: its arcs but the sink arc."""
+        return len(self.adj[1 + self.m + i]) - 1
+
+    def pairs(self) -> list[tuple[int, int, int]]:
+        """(j, i, a) for each arc a from good j to buyer i."""
+        m, first = self.m, len(self.vertices) - 2
+        return [(u - 1, v - 1 - m, a) for a, (u, v) in enumerate(self.ends[first:], first)]
+
     def as_flow(self) -> Flow:
         """The graph's flow in the network's terms."""
         at, scale, flow = self.vertices, self.scale, self.flow

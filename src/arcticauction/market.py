@@ -150,11 +150,12 @@ def bit_size(x: Fraction) -> int:
     return abs(x.numerator).bit_length() + x.denominator.bit_length()
 
 
-def instance_bit_bounds(inst: MarketInstance) -> tuple[Fraction, Fraction, Fraction, int]:
-    """Return (min money, total money, max utility, total input bit size)."""
+def instance_bit_bounds(inst: MarketInstance, row_max: list[Fraction]) -> tuple[Fraction, Fraction, Fraction, int]:
+    """Return (min money, total money, max utility, total input bit size),
+    given ``row_max``, each buyer's largest utility."""
     min_money = min(inst.money)
     total_money = sum(inst.money, Fraction(0))
-    max_utility = max(max(row) for row in inst.utilities)
+    max_utility = max(row_max)
     bits = sum(bit_size(m) for m in inst.money)
     bits += sum(bit_size(u) for row in inst.utilities for u in row)
     return min_money, total_money, max_utility, bits

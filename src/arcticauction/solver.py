@@ -37,6 +37,14 @@ extreme min cuts, the same for every maximum flow, and the surplus vector,
 I, J, the absorbed sets and the pruned-arc check are the same for every
 balanced flow (see ``balanced``).
 
+Most tight-set searches make no probe.  Since the start flow fills every
+source arc, no set of J can go tight while theta is below B, the least
+sink cap over inflow of the active buyers at theta = 1 (the mediant bound,
+``_tight_set_search``).  B is read off the iteration graph in O(|I|) at
+each search, and the search returns at once when the next candidate event
+comes before it.  Its premise, the filled source arcs, is the invariant
+that the two iteration starts check.
+
 A solve keeps one integer residual graph, built by initialize with no arcs
 and carried through every step of every phase (``SolverState.graph``): the
 solver keeps no other record of the prices, the edges, the refunds or the
@@ -49,15 +57,16 @@ that copy with its arc added, and the copy is the next iteration's graph.
 A money return, the final extraction and the refund split push from zero
 on such a copy with its flow zeroed, which finds the flow ``max_flow``
 finds on the network built afresh; a return is then written into the graph
-(``apply_money_return``).  At phase start the balanced flow itself must
-fill every source arc.  No other check is needed: phase 1's begin_phase
-checks the opening prices before anything changes, which also covers
-initialize's repricing (a good left without an edge leaves a deficit of at
-least its price); a tight-set event's theta is that of the search's last
-probe, which found no deficit on the same graph; and a full return's flow
-is already a maximum flow of the network without the buyer.  Every refund
-is a max-flow deficit (``_least_spend``).  A solve calls no ``max_flow``:
-``maxflow_calls`` reads 0, and stays for perfbench's check.
+(``apply_money_return``).  At phase start and at each new edge, the two
+ways an iteration starts, the balanced flow itself must fill every source
+arc.  No other check is needed: phase 1's begin_phase checks the opening
+prices before anything changes, which also covers initialize's repricing
+(a good left without an edge leaves a deficit of at least its price); a
+tight-set event's theta is that of the search's last probe, which found no
+deficit on the same graph; and a full return's flow is already a maximum
+flow of the network without the buyer.  Every refund is a max-flow deficit
+(``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
+0, and stays for perfbench's check.
 
 Events are found from candidates built once per iteration, on the graph's
 ints: a buyer's bang-per-buck is ``market.best_ratio`` of her utilities,
@@ -112,6 +121,9 @@ from .market import (
     mbpb,
     validate_instance,
 )
+
+
+_ZERO = Fraction(0)
 
 
 class SolverError(RuntimeError):
@@ -226,7 +238,9 @@ class SolverState:
     J: frozenset[int] = frozenset()
     Z: set[int] = field(default_factory=set)
     theta: Fraction = Fraction(1)
-    phi: Fraction = Fraction(0)
+    # The potential, the sum of the squared surpluses, as the int pair
+    # (sum of squares at g.scale, g.scale squared), not reduced.
+    potential: tuple[int, int] = (0, 1)
     stats: RunStats = field(default_factory=RunStats)
     phase_index: int = 0
     iteration_index: int = 0
@@ -251,6 +265,11 @@ class SolverState:
             j: Fraction(c * num, g.scale * den) if j in self.J else Fraction(c, g.scale)
             for j, c in enumerate(g.cap[: g.m])
         }
+
+    @property
+    def phi(self) -> Fraction:
+        """The potential as a Fraction."""
+        return Fraction(*self.potential)
 
     @property
     def live_buyers(self) -> list[int]:
@@ -285,14 +304,16 @@ def _least_spend(g: _Residual, i: int) -> int:
 
 def _equilibrium_of(inst: MarketInstance, g: _Residual) -> Equilibrium:
     """The equilibrium of g's flow, which fills every sink arc, at g's source caps
-    over scale: x_ij is the flow j -> i over p_j, the refund money less inflow."""
-    f = g.as_flow()
-    prices = tuple(Fraction(g.cap[j], g.scale) for j in inst.goods)
-    allocation = tuple(
-        tuple(f.on(("g", j), ("b", i)) / prices[j] for j in inst.goods) for i in inst.buyers
-    )
-    returned = tuple(inst.money[i] - f.into_buyer(i) for i in inst.buyers)
-    return equilibrium_for_instance(inst, prices, allocation, returned)
+    over scale: x_ij is the flow j -> i over p_j, in which the scale cancels,
+    and the refund money less inflow."""
+    cap, flow, scale = g.cap, g.flow, g.scale
+    prices = tuple(Fraction(cap[j], scale) for j in inst.goods)
+    allocation = [[_ZERO] * inst.n_goods for _ in inst.buyers]
+    for j, i, a in g.pairs():
+        if flow[a]:
+            allocation[i][j] = Fraction(flow[a], cap[j])
+    returned = tuple(inst.money[i] - Fraction(flow[g.sink_arc(i)], scale) for i in inst.buyers)
+    return equilibrium_for_instance(inst, prices, tuple(map(tuple, allocation)), returned)
 
 
 def _require_iteration_invariant(state: SolverState, where: str) -> None:
@@ -302,18 +323,19 @@ def _require_iteration_invariant(state: SolverState, where: str) -> None:
         raise SolverError(f"price cut invariant broken at {where}")
 
 
-def _balance(state: SolverState, g: _Residual) -> tuple[dict[int, int], Fraction]:
+def _balance(state: SolverState, g: _Residual) -> tuple[dict[int, int], tuple[int, int]]:
     """Balance g's flow in place, peeling only the equality-graph components
     with a good of J (scaled) or of ``state.touched`` (see ``balance``).
     Since the last balance every other component can only have lost arcs
     without flow, pruned at an iteration start, so its flow is balanced
     already: it still fills every source arc, and no residual path was
     added.  Returns each live buyer's surplus times g.scale, and the
-    potential: the sum of the squared surpluses."""
+    potential, the sum of the squared surpluses, as ``SolverState.potential``
+    holds it."""
     balance(g, state.J | state.touched)
     state.touched.clear()
     gamma = {i: g.cap[g.sink_arc(i)] - g.flow[g.sink_arc(i)] for i in state.live_buyers}
-    return gamma, Fraction(sum(x * x for x in gamma.values()), g.scale * g.scale)
+    return gamma, (sum(x * x for x in gamma.values()), g.scale * g.scale)
 
 
 def initialize(inst: MarketInstance) -> SolverState:
@@ -329,9 +351,12 @@ def initialize(inst: MarketInstance) -> SolverState:
     report = validate_instance(inst)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(report.violations))
-    min_m, total_m, max_u, bits = instance_bit_bounds(inst)
+    dens = [math.lcm(*(u.denominator for u in row)) for row in inst.utilities]
+    rows = [tuple(u.numerator * (d // u.denominator) for u in row) for row, d in zip(inst.utilities, dens)]
+    row_max = [Fraction(max(row), d) for row, d in zip(rows, dens)]
+    min_m, total_m, max_u, bits = instance_bit_bounds(inst, row_max)
     stats = RunStats(min_money=min_m, total_money=total_m, max_utility=max_u, input_bits=bits)
-    p0 = min(min_m / inst.n_goods, min(max(row) for row in inst.utilities))
+    p0 = min(min_m / inst.n_goods, min(row_max))
     prices = {j: p0 for j in inst.goods}
     best = [mbpb(inst, prices, i) for i in inst.buyers]
     covered = {j for _, goods in best for j in goods}
@@ -340,8 +365,6 @@ def initialize(inst: MarketInstance) -> SolverState:
             prices[j] = max(inst.utilities[i][j] / best[i][0] for i in inst.buyers)
     buyers = tuple(inst.buyers)
     net = FlowNetwork(tuple(inst.goods), buyers, prices, dict(zip(buyers, inst.money)), frozenset())
-    dens = [math.lcm(*(u.denominator for u in row)) for row in inst.utilities]
-    rows = [tuple(u.numerator * (d // u.denominator) for u in row) for row, d in zip(inst.utilities, dens)]
     return SolverState(inst=inst, graph=_Residual(net), rows=rows, row_dens=dens, stats=stats)
 
 
@@ -355,7 +378,7 @@ def _start_iteration(state: SolverState) -> None:
     g = state.graph
     state.J = frozenset(j for i in state.I for j in g.goods_of(i))
     g.drop_arcs([(j, i) for j in state.J for i in g.buyers_of(j) if i not in state.I])
-    state.Z = {i for i in state.live_buyers if i not in state.I and not g.goods_of(i)}
+    state.Z = {i for i in state.live_buyers if i not in state.I and not g.degree(i)}
     state.iteration_index += 1
     state.queue = None
     g.reduce()
@@ -408,7 +431,7 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     state.outside.clear()
     state.inside.clear()
     g = _carry_graph(state)
-    gamma, state.phi = _balance(state, g)
+    gamma, state.potential = _balance(state, g)
     if state.recorder is not None:
         state.recorder.record_phase(state, "phase_start")
     # The invariant: the balanced flow, a feasible flow, fills every source
@@ -470,14 +493,32 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     Each probe augments from the iteration's start flow on a scaled copy of
     the iteration graph (``_at_theta``) and reads its cut off that copy.
 
-    At most |J| + 1 probes: only the scaled goods' source caps move with
-    theta, so the source-nearest min cuts are nested as theta falls
-    (Gallo-Grigoriadis-Tarjan).  A violated probe at theta_hi gives a
+    None below B, the mediant bound, with no probe: B is the least sink
+    cap over inflow, c_i / f_i, over the active buyers with inflow, read off
+    the iteration graph, where theta is 1 and the start flow is held.  That
+    flow fills every source arc (checked at phase start and at each new
+    edge), and within an iteration every arc from J ends in I (J = N(I),
+    and the arcs from J to the rest are pruned at iteration start) while
+    I's goods are all in J.  So for goods S_J of J and S_O outside it, the
+    buyers of S_J and of S_O are disjoint; p(S_O) is at most its buyers'
+    money, and p(S_J) at most the inflow f(Gamma(S_J)) of its buyers, whose
+    money is c(Gamma(S_J)) >= B f(Gamma(S_J)) by the mediant inequality.
+    Below B no goods set holding a good of J is tight or violated, and a
+    probe would return None.  A flow with no inflow into I, which cannot
+    fill J's source arcs, gives no bound, and the search probes.
+
+    Above B, at most |J| + 1 probes: only the scaled goods' source caps
+    move with theta, so the source-nearest min cuts are nested as theta
+    falls (Gallo-Grigoriadis-Tarjan).  A violated probe at theta_hi gives a
     nonempty scaled part V and the next candidate theta_v < theta_hi, at
     which V is exactly tight; a violated probe there has scaled part inside
     V, and equal to V only if it gives theta_v again, which is an error.
     So each violated probe strictly shrinks V, and one more probe settles.
     """
+    h, num, den = state.graph, theta_cap.numerator, theta_cap.denominator
+    inflow = [(h.flow[a], h.cap[a]) for a in map(h.sink_arc, state.I) if h.flow[a]]
+    if inflow and all(num * f < c * den for f, c in inflow):
+        return None
     theta_hi = theta_cap
     for _ in range(len(state.J) + 1):
         g = _at_theta(state, theta_hi)
@@ -494,7 +535,6 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
         if not violated:
             raise SolverError("invariant violation without scaled goods")
         # V's buyers' money over V's prices at theta = 1, at h's scale.
-        h = state.graph
         worth = sum(h.cap[h.sink_arc(i)] for i in {i for j in violated for i in h.buyers_of(j)})
         theta_v = Fraction(worth, sum(h.cap[j] for j in violated))
         if not (state.theta <= theta_v < theta_hi):
@@ -585,10 +625,15 @@ def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     state.theta = Fraction(1)  # the graph's J caps hold theta now
     g.add_arc(j, i)
     state.touched.add(j)
-    _, new_phi = _balance(state, g)
-    if new_phi > state.phi:
+    _, (sq, sc) = _balance(state, g)
+    # The invariant, as at phase start: the next iteration's search bound
+    # reads the start flow as filling every source arc.
+    if g.deficit():
+        raise SolverError("price cut invariant broken at new edge")
+    old_sq, old_sc = state.potential
+    if sq * old_sc > old_sq * sc:
         raise SolverError("potential increased across a balanced-flow recompute")
-    state.phi = new_phi
+    state.potential = sq, sc
     state.I |= g.buyers_reaching(state.I)
     _start_iteration(state)
     return state

@@ -278,6 +278,38 @@ def test_broken_water_level_exits_3(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_a_new_edge_that_leaves_a_source_arc_unfilled_exits_3(tmp_path, capsys, monkeypatch):
+    # The balanced flow after a new edge must fill every source arc: the
+    # next iteration's tight-set search reads its bound off that flow.  A
+    # balance that leaves one unit of a source arc unfilled there is a
+    # broken contract: exit 3, the new edge's message, no traceback.
+    new_edge, balance = solver.apply_new_edge, solver.balance
+    edges = []
+
+    def counted(state, i, j):
+        edges.append((i, j))
+        return new_edge(state, i, j)
+
+    def short(g, goods):
+        balance(g, goods)
+        if edges:
+            # One unit off a path s -> j -> i -> t; good j's source arc is arc j.
+            j, i, a = next((j, i, a) for j, i, a in g.pairs() if g.flow[a])
+            for arc in (j, a, g.sink_arc(i)):
+                g.flow[arc] -= 1
+
+    monkeypatch.setattr(solver, "apply_new_edge", counted)
+    monkeypatch.setattr(solver, "balance", short)
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--seed", 1, "--buyers", 4, "--goods", 3, "-o", inst]) == 0
+    capsys.readouterr()
+    assert run(["solve", "-i", inst]) == 3
+    captured = capsys.readouterr()
+    assert edges
+    assert captured.err == "internal contract violation: price cut invariant broken at new edge\n"
+    assert captured.out == ""
+
+
 def test_determinism_of_solve(tmp_path):
     inst = tmp_path / "inst.json"
     out1 = tmp_path / "eq1.json"
@@ -354,3 +386,59 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
         assert 0 <= row["median_s"] <= row["max_s"] <= row["total_s"]
     for row in doc["refund_heavy_rows"] + doc["oracle_rows"]:
         assert re.fullmatch("[0-9a-f]{64}", row["answers_sha256"])
+
+
+def _bench_sweep():
+    """tools/bench_sweep.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_sweep.py"
+    spec = importlib.util.spec_from_file_location("bench_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_bench_sweep_against_times_two_checkouts_side_by_side():
+    # With --against, a fresh pair of worker processes, one per checkout,
+    # times each item, the two alternating in ABBA order; each row then
+    # carries both checkouts' answers digests and the per-seed time ratios.
+    # Here both are this checkout, so every answer matches.
+    root = Path(__file__).resolve().parents[1]
+    sweep = _bench_sweep()
+    started = []
+
+    class Counted(sweep.Worker):
+        def __init__(self, src):
+            started.append(src)
+            super().__init__(src)
+
+    sweep.Worker = Counted
+    todo = [("rows", 3, 3, 0), ("rows", 3, 3, 1), ("refund_heavy_rows", 4, 4, 0), ("oracle_rows", 2, 2, 5)]
+    rows, against = sweep.compare(todo, *sweep.side_by_side(todo, 1, root))
+    assert started == [root / "src", root / "src"] * len(todo)
+    assert [len(rows[key]) for key in sweep.FAMILIES] == [len(against[key]) for key in sweep.FAMILIES] == [1, 1, 0, 1]
+    row = rows["rows"][0]
+    assert [s["seed"] for s in row["solves"]] == [0, 1]
+    assert row["answers_sha256"] == against["rows"][0]["answers_sha256"] == answers_digest(
+        generate_random_instance(seed, 3, 3, 10) for seed in (0, 1)
+    )
+    for row in (r for key in sweep.FAMILIES for r in rows[key]):
+        assert row["same_answers"] and row["median_ratio"] > 0 and 0 <= row["faster"] <= 2
+
+
+def test_bench_sweep_against_exits_1_when_answers_differ(tmp_path, monkeypatch, capsys):
+    # A row whose answers differ between the two checkouts is written with
+    # same_answers false, named on stderr, and the sweep exits 1.
+    root = Path(__file__).resolve().parents[1]
+    sweep = _bench_sweep()
+    monkeypatch.chdir(tmp_path)
+    sweep.items = lambda sizes, seeds: [("rows", 3, 3, 0), ("bank_rows", 6, 3, 0)]
+    counts = dict.fromkeys(sweep.COUNTED, 1)
+    sweep.side_by_side = lambda todo, repeat, there: (
+        [(0.001, counts, "a"), (0.001, counts, "b")],
+        [(0.002, counts, "a"), (0.001, counts, "c")],
+    )
+    assert sweep.main(["--tag", "t", "--against", str(root)]) == 1
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["rows"][0]["same_answers"] and doc["rows"][0]["median_ratio"] == 0.5
+    assert not doc["bank_rows"][0]["same_answers"]
+    assert "answers differ on bank_rows 6x3" in capsys.readouterr().err

@@ -215,7 +215,7 @@ def test_bit_bounds():
         money=(Fraction(3), Fraction(5)),
         utilities=((Fraction(1), Fraction(7, 2)), (Fraction(2), Fraction(1))),
     )
-    mn, total, mx, bits = instance_bit_bounds(inst)
+    mn, total, mx, bits = instance_bit_bounds(inst, [max(row) for row in inst.utilities])
     assert mn == 3 and total == 8 and mx == Fraction(7, 2)
     assert bits > 0
 

@@ -990,6 +990,61 @@ def test_answers_stats_and_traces_pinned_on_rational_seeds():
     assert _traces_digest(RATIONAL) == RATIONAL_TRACED_DIGEST
 
 
+MEDIANT_CORPUS = [
+    *EIGHT_BY_EIGHT,
+    rational_instance(3, 16, 4),
+    *(generate_refund_heavy_instance(seed, n) for n in (8, 12) for seed in range(3)),
+    *BANK,
+]
+
+
+def test_searches_settled_without_a_probe_find_no_tight_set(monkeypatch, ledger):
+    # A tight-set search below the mediant bound B, the least sink cap over
+    # inflow of the active buyers on the iteration graph, makes no copy of
+    # the graph and returns None.  The network built afresh at theta_cap
+    # must agree: its price cut is a minimum cut and its maximal min cut
+    # holds no good of J.  Every set a search finds lies at or above B.
+    # With the flow zeroed there is no inflow and so no bound: the search
+    # must probe, and find what it found from the start flow, since the
+    # extreme min cuts are the same for every maximum flow.
+    search, at_theta = solver._tight_set_search, solver._at_theta
+    copies = skipped = found = 0
+
+    def counted(state, theta):
+        nonlocal copies
+        copies += 1
+        return at_theta(state, theta)
+
+    def watched(state, theta_cap):
+        nonlocal copies, skipped, found
+        g = state.graph
+        inflow = [F(g.cap[a], g.flow[a]) for a in map(g.sink_arc, state.I) if g.flow[a]]
+        copies = 0
+        result = search(state, theta_cap)
+        if not inflow:
+            assert copies
+        elif not copies:
+            skipped += 1
+            assert result is None and theta_cap < min(inflow)
+            net = ledger.network(state, theta=theta_cap)
+            assert check_invariant(net)
+            assert not set(maximal_min_cut(net, max_flow(net)).goods_part()) & state.J
+        if result is not None:
+            found += 1
+            assert min(inflow) <= result[0]
+        start_flow, g.flow = g.flow, [0] * len(g.flow)
+        copies = 0
+        assert search(state, theta_cap) == result and copies
+        g.flow = start_flow
+        return result
+
+    monkeypatch.setattr(solver, "_at_theta", counted)
+    monkeypatch.setattr(solver, "_tight_set_search", watched)
+    for inst in MEDIANT_CORPUS:
+        solve(inst)
+    assert skipped > 0 and found > 0
+
+
 def _by_vertex(g):
     """g per vertex tuple: each adjacency list's heads in order, and each arc's cap and flow."""
     at = g.vertices
