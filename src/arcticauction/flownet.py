@@ -25,12 +25,12 @@ on Python ints: each network's capacities, and the given flow's values, are
 multiplied by the LCM of their denominators, and results leave it only at
 the API boundary, as Fractions (flow values and flow value) and vertex
 tuples; cut capacities are summed from the network's own Fractions.
-Its layout is positional, and only this module computes it: with m goods,
-vertex 0 is s, good j is vertex 1 + j, buyer i is vertex 1 + m + i and t
-comes last, and vertex v's source or sink arc is arc v - 1.  Each
-adjacency list is sorted by vertex number, which fixes which augmenting
-paths max_flow takes, hence which maximum flow it returns, hence the
-allocation a solve reports.  Changing it changes answers, not just speed.
+Its layout is positional, and ``balanced.balance`` reads arcs off it too:
+with m goods, vertex 0 is s, good j is vertex 1 + j, buyer i is vertex
+1 + m + i and t comes last, and vertex v's source or sink arc is arc v - 1.
+Each adjacency list is sorted by vertex number, which fixes which
+augmenting paths max_flow takes, hence which maximum flow it returns, hence
+the allocation a solve reports.  Changing it changes answers, not just speed.
 """
 
 from __future__ import annotations

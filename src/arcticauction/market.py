@@ -36,6 +36,8 @@ def parse_rational(token) -> Fraction:
             return Fraction(token.strip())
         except ZeroDivisionError as exc:
             raise MarketFormatError(f"zero denominator: {token!r}") from exc
+        except ValueError as exc:
+            raise MarketFormatError(f"number token past the interpreter's int-string limit: {exc}") from exc
     raise MarketFormatError(f"not a rational token: {token!r}")
 
 
@@ -47,6 +49,8 @@ def parse_json_object(text: str) -> dict:
         raise MarketFormatError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise MarketFormatError("JSON nested too deeply") from exc
+    except ValueError as exc:
+        raise MarketFormatError(f"number token past the interpreter's int-string limit: {exc}") from exc
     if not isinstance(doc, dict):
         raise MarketFormatError("document must be a JSON object")
     return doc

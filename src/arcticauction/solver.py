@@ -79,12 +79,7 @@ buyer's are too, and a zero-degree event takes only its own buyer out of
 Z.  So the first event builds every candidate into a heap ordered by
 cross-multiplying theta's int pairs, and a later event only drops the
 entries of buyers that left Z; a Fraction is built only for the heap's
-head.  Checking the head against theta checks every candidate.  J only
-grows within a phase and its goods are all scaled alike, so two sets of
-goods are kept for the phase, as goods since every iteration start
-rescales the caps: a buyer's best goods outside J, until one of them joins
-J, and a zero-degree buyer's best goods in J, which only the goods J
-gained since can beat.
+head.  Checking the head against theta checks every candidate.
 
 Which maximum flow a step finds changes no answer: this is a contract.
 Outside the extraction and the refund split, a solve reads only what every
@@ -252,10 +247,6 @@ class SolverState:
     # The iteration's refund and crossing candidates, a heap; built by the
     # iteration's first next_event.
     queue: list[_Candidate] | None = None
-    # Kept for the phase (see the module docstring): each buyer's best goods
-    # outside J, and each zero-degree buyer's J and best goods in it.
-    outside: dict[int, frozenset[int]] = field(default_factory=dict)
-    inside: dict[int, tuple[frozenset[int], list[int]]] = field(default_factory=dict)
 
     @property
     def prices(self) -> dict[int, Fraction]:
@@ -369,7 +360,7 @@ def initialize(inst: MarketInstance) -> SolverState:
 
 
 def _start_iteration(state: SolverState) -> None:
-    """Recompute the active goods, prune inactive edges, refresh Z and bases.
+    """Recompute the active goods, prune inactive edges, refresh Z.
 
     Theta is 1 here.  Dropping the pruned arcs raises FlowError if one
     carries flow; the graph is then reduced to a fresh build's scale and
@@ -428,8 +419,6 @@ def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
     """
     state.phase_index += 1
     state.iteration_index = 0
-    state.outside.clear()
-    state.inside.clear()
     g = _carry_graph(state)
     gamma, state.potential = _balance(state, g)
     if state.recorder is not None:
@@ -465,12 +454,8 @@ def _alpha_bar_active(state: SolverState, i: int) -> tuple[int, int]:
 
 def _alpha_bar_zero_degree(state: SolverState, i: int) -> tuple[int, int]:
     """Bang-per-buck of a zero-degree buyer, attained inside the scaled set, as
-    ``_alpha_bar_active`` gives it: over her kept best goods and J's new ones."""
-    J = state.J
-    kept = state.inside.get(i)
-    goods = J if kept is None else {*kept[1], *(J - kept[0])}
-    u, c, best = best_ratio(state.rows[i], state.graph.cap, goods)
-    state.inside[i] = (J, best)
+    ``_alpha_bar_active`` gives it."""
+    u, c, _ = best_ratio(state.rows[i], state.graph.cap, state.J)
     return u, c
 
 
@@ -555,14 +540,10 @@ def _candidates(state: SolverState) -> list[_Candidate]:
     def add(refund: str, crossing: str, i: int, u: int, c: int) -> None:
         candidates.append(_Candidate(u * scale, c * state.row_dens[i], refund, i))
         # Scaled ratios fall as (u / c) / theta, so buyer i first meets the
-        # outside goods of best ratio r / cap_j, at theta = u cap_j / (c r);
-        # they stay her best outside until one of them joins J.
-        row, best = state.rows[i], state.outside.get(i)
-        if best is None or not best.isdisjoint(state.J):
-            best = state.outside[i] = frozenset(best_ratio(row, cap, outside)[2])
+        # outside goods of best ratio r / p, at theta = u p / (c r).
+        r, p, best = best_ratio(state.rows[i], cap, outside)
         if best:
-            j = min(best)
-            candidates.append(_Candidate(u * cap[j], c * row[j], crossing, i, j))
+            candidates.append(_Candidate(u * p, c * r, crossing, i, best[0]))
 
     for i in state.I:
         add("money_return", "new_edge", i, *_alpha_bar_active(state, i))

@@ -5,7 +5,8 @@ verification failed, 2 bad input, 3 contract violation) and never in a
 traceback; every exit-0 solve and oracle answer passes the exact KKT
 verifier.  Instances are at most 4x4, with coprime and huge denominators,
 tied utilities and 1xm or nx1 shapes; the oracle's are at most 3x3 or just
-past its 4x4 size guard.
+past its 4x4 size guard.  On valid instances of at most 3x3, ``solve`` must
+give the enumeration oracle's prices and refunds bit for bit.
 """
 
 import contextlib
@@ -21,6 +22,8 @@ from arcticauction.cli import main
 from arcticauction.costmarket import parse_cost_instance, parse_cost_solution
 from arcticauction.kkt import verify_arctic_kkt, verify_cost_kkt
 from arcticauction.market import MarketFormatError, parse_equilibrium, parse_instance
+from arcticauction.oracle import oracle_solve
+from arcticauction.solver import solve
 
 FUZZ = settings(max_examples=25, deadline=None)
 
@@ -200,6 +203,25 @@ def test_oracle_ends_in_a_documented_exit_code(doc):
         eq, _ = parse_equilibrium(p["out"].read_text(), inst)
         assert verify_arctic_kkt(inst, eq).overall
         assert run(["verify", "-i", p["inst"], "--solution", p["out"]])[0] == 0
+
+
+@given(
+    doc=instance_docs(corrupt=False, shapes=st.tuples(st.integers(1, 3), st.integers(1, 3))),
+    data=st.data(),
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_solve_matches_the_oracle(doc, data):
+    # Money comes from a pool of at most two values, so refund splits tie.
+    # Allocations are not unique, so only prices and refunds are compared.
+    pool = data.draw(st.lists(positive(), min_size=1, max_size=2))
+    doc["money"] = [token(data.draw(st.sampled_from(pool))) for _ in doc["money"]]
+    text = json.dumps(doc)
+    assume(parses(parse_instance, text))
+    inst = parse_instance(text)
+    eq, _ = solve(inst)
+    expected = oracle_solve(inst).equilibrium
+    assert (eq.prices, eq.returned) == (expected.prices, expected.returned)
+    assert verify_arctic_kkt(inst, eq).overall
 
 
 @st.composite

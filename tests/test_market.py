@@ -1,5 +1,6 @@
 """Instance model: parsing, validation, serialization, random generation."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -25,6 +26,7 @@ from arcticauction.market import (
     serialize_instance,
     validate_instance,
 )
+from arcticauction.costmarket import parse_cost_instance
 from arcticauction.solver import solve
 
 rationals = st.fractions(
@@ -232,6 +234,30 @@ def test_rejects_decimal_and_exponent_tokens():
     for token in ("2.5", "1e3", "nan", "inf", "1/2/3"):
         with pytest.raises(MarketFormatError):
             parse_rational(token)
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "bare"])
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (parse_instance, '{"money": [%s], "utilities": [["1"]]}'),
+        (parse_cost_instance, '{"money": [%s], "utilities": [["1"]], "costs": ["1"]}'),
+        (parse_equilibrium, '{"prices": [%s], "returned": ["0"], "allocation": [["1"]], "alpha": ["1"]}'),
+    ],
+    ids=["instance", "cost_instance", "equilibrium"],
+)
+def test_a_number_token_past_the_int_digit_limit_is_a_format_error(parse, doc, quote):
+    # Called as a library, the interpreter's int <-> str limit (4,300 digits
+    # by default) holds, so a longer number token, quoted or a bare JSON
+    # literal, is bad input; where there is no limit it parses.
+    token = "7" * 5000
+    text = doc % (quote + token + quote)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < len(token):
+        with pytest.raises(MarketFormatError, match="int-string limit"):
+            parse(text)
+    else:
+        parse(text)
 
 
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
