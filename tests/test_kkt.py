@@ -1,11 +1,20 @@
 """Exact optimality verification: pass on true optima, catch perturbations."""
 
+import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
-from arcticauction.costmarket import CostMarketInstance, CostSolution
+from arcticauction.costmarket import (
+    CostMarketInstance,
+    CostSolution,
+    generate_random_cost_instance,
+    solve_cost_market,
+)
 from arcticauction.kkt import verify_arctic_kkt, verify_cost_kkt, verify_market_clearing
-from arcticauction.market import MarketInstance, equilibrium_for_instance
+from arcticauction.market import MarketInstance, equilibrium_for_instance, generate_random_instance
+from arcticauction.oracle import oracle_cost_solve, oracle_solve
+from arcticauction.solver import solve
 
 F = Fraction
 
@@ -187,3 +196,65 @@ def test_both_programs_name_negative_allocations_alike():
         alloc = report.condition_results[2]
         assert not alloc.passed and alloc.residual == -1
         assert alloc.detail == "negative entries: [(0, 1)]"
+
+
+def _report_digest(reports) -> str:
+    """sha256 over each report's to_json() and its (name, passed, residual, detail) tuples."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(report.to_json().encode())
+        rows = [(c.name, c.passed, c.residual, c.detail) for c in report.condition_results]
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+def _pinned_reports():
+    """Every report the digest below pins, passing and failing, in a fixed order."""
+    rng = random.Random(424242)
+    shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(200)]
+    # Criterion 01's corpus: the solver's and the oracle's equilibria.
+    for k, (n, m) in enumerate(shapes):
+        inst = generate_random_instance(1000 + k, n, m, 10)
+        for eq in (solve(inst)[0], oracle_solve(inst).equilibrium):
+            yield verify_arctic_kkt(inst, eq)
+            yield verify_market_clearing(inst, eq)
+    # The greedy and the oracle cost solutions of the same shapes.
+    for k, (n, m) in enumerate(shapes):
+        inst = generate_random_cost_instance(1000 + k, n, m, 10)
+        yield verify_cost_kkt(inst, solve_cost_market(inst))
+        yield verify_cost_kkt(inst, oracle_cost_solve(inst))
+    # The single-condition perturbations and the other failing documents above.
+    inst = inst_of([[2, 1], [1, 2]], [1, 1])
+    docs = [
+        (inst, eq_of(inst, [1, 1], [[1, 0], [0, 1]], [0, 0])),
+        (inst, eq_of(inst, [1, 1], [[F(1, 2), 0], [0, 1]], [0, 0])),
+        (inst, eq_of(inst, [1, 1], [[1, 0], [0, 1]], [F(1, 2), 0])),
+        (inst, eq_of(inst, [2, 1], [[1, 0], [0, 1]], [0, 0])),
+        (inst, eq_of(inst, [1, 1], [[1, F(-1, 4)], [F(1, 4), 1]], [0, 0])),
+    ]
+    inst = inst_of([[5], [1]], [10, 1])
+    eq = eq_of(inst, [5], [[1], [0]], [5, 1])
+    docs += [(inst, replace(eq, alpha=tuple(map(F, a)))) for a in ((1, 1), (1, F(1, 10)), (2, F(1, 5)))]
+    docs += [(inst, replace(eq, prices=(F(price),))) for price in (0, -5)]
+    inst = inst_of([[1], [1]], [1, 1])
+    docs += [(inst, eq_of(inst, [1], [[1], [1]], [0, 0])), (inst, eq_of(inst, [1], [[1], [0]], [0, 0]))]
+    inst = inst_of([[F(1, 2)]], [1])
+    docs += [(inst, eq_of(inst, [F(3, 5)], [[1]], [F(1, 2)]))]
+    inst = inst_of([[2]], [1])
+    docs += [(inst, eq_of(inst, [1], [[F(1, 2)]], [0])), (inst, eq_of(inst, [F(1, 2)], [[1]], [F(1, 4)]))]
+    inst = inst_of([[2, 1]], [3])
+    docs += [(inst, eq_of(inst, [3, 1], [[1, -1]], [1]))]
+    for inst, eq in docs:
+        yield verify_arctic_kkt(inst, eq)
+        yield verify_market_clearing(inst, eq)
+    base = inst_of([[2, 1]], [3])
+    cost_inst = CostMarketInstance(base=base, unit_costs=(F(1), F(2)))
+    yield verify_cost_kkt(cost_inst, cost_solution([F(1, 2), 2], [[6, 0]], [6, 0], [0], [3]))
+    yield verify_cost_kkt(cost_inst, cost_solution([1, 2], [[4, -1]], [4, -1], [0], [3]))
+    yield verify_cost_kkt(cost_inst, cost_solution([1, 2], [[1, 0]], [2, 1], [1], [3]))
+
+
+def test_reports_are_pinned():
+    # Every condition's name, order, flag, residual and detail, passing or
+    # failing, and the report's JSON, byte for byte.
+    assert _report_digest(_pinned_reports()) == "adb8589d49d0f95d4a4b8950314b531617d4e6a312f5c4c71fe44dc29359210d"
