@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -412,12 +411,13 @@ class _Residual:
         with this graph: no network, LCM, sort or feasibility check.  Its
         flow is feasible when this graph's is and n >= d.
         """
-        g = copy(self)
+        g = _Residual.__new__(_Residual)  # attributes in __init__'s order, so the instance dicts share keys
+        g.m, g.vertices, g.scale, g.ends = self.m, self.vertices, self.scale * d, self.ends
         g.cap = [None if c is None else c * d for c in self.cap]
         for j in goods:
             g.cap[j] = self.cap[j] * n
         g.flow = [f * d for f in self.flow]
-        g.scale = self.scale * d
+        g.adj = self.adj
         return g
 
     def deficit(self) -> int:

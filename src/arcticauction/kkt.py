@@ -3,8 +3,16 @@
 Checks the primal constraints and the eight stationarity/complementarity
 conditions of the two convex programs (the auction program and its
 production-cost variant), plus the per-buyer facts any equilibrium must
-satisfy.  All residuals are exact rationals obtained by cross-multiplying,
-so a report either passes with zero residual or names the violated side.
+satisfy.  Each verifier first puts the solution on ints in one pass
+(``_OnInts``): the prices over one common denominator, the money and the
+refunds over another, each utility row over its row denominator
+(``market.over_one_den``, which also gives the solver its rows), and the
+column sums, the utility aggregates w_i and the spends, each summed once
+over the nonzero allocations, whose common denominator is a third.  A
+condition is then the sign, or the zero, of one cross-multiplied int
+numerator over a positive int denominator, and its residual is that exact
+rational, built once; so a report either passes with zero residual or
+names the violated side.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .market import Equilibrium, MarketInstance, format_rational
+from .market import Equilibrium, MarketInstance, format_rational, over_one_den
 
 
 @dataclass(frozen=True)
@@ -53,45 +62,62 @@ class KktReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _eq(name, lhs, rhs, detail=""):
-    return ConditionResult(name, lhs == rhs, lhs - rhs, detail)
-
-
-def _ge(name, lhs, rhs, detail=""):
-    return ConditionResult(name, lhs >= rhs, lhs - rhs, detail)
-
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _buyer_aggregates(inst: MarketInstance, allocation):
-    bundle = []
-    for i in inst.buyers:
-        bundle.append(
-            sum((inst.utilities[i][j] * allocation[i][j] for j in inst.goods), ZERO)
-        )
-    return bundle
+def _over(num: int, den: int) -> Fraction:
+    """The residual num / den, den > 0; a zero one is ZERO, with no gcd."""
+    return Fraction(num, den) if num else ZERO
 
 
-def _primal(inst: MarketInstance, sol, good_condition) -> list[ConditionResult]:
-    """The primal conditions both programs share: good_condition(j, col) on
-    each good's column sum, then nonnegative allocations and refunds."""
-    n, m = inst.n_buyers, inst.n_goods
+class _OnInts:
+    """A solution (prices p, allocation x, refunds s) on ints, from one pass:
+    p_j = p[j] / P, m_i = money[i] / Q, s_i = s[i] / Q, u_ij = rows[i][j] /
+    dens[i], and over X, the allocations' common denominator, good j's column
+    sum col[j] / X, buyer i's w_i = w[i] / (dens[i] X) and her spend
+    sum_j x_ij p_j = spend[i] / (P X).  ``bought[i]`` lists her goods with
+    x_ij > 0, ``holds[i]`` says whether any x_ij is nonzero, and ``neg_x``
+    holds the negative entries (i, j) in row order."""
+
+    def __init__(self, inst: MarketInstance, sol):
+        n, m = inst.n_buyers, inst.n_goods
+        if len(sol.prices) != m or len(sol.allocation) != n or len(sol.returned) != n:
+            raise ValueError("dimension mismatch between instance and solution")
+        self.p, self.P = over_one_den(sol.prices)
+        q, self.Q = over_one_den((*inst.money, *sol.returned))
+        self.money, self.s = q[:n], q[n:]
+        self.rows, self.dens = zip(*map(over_one_den, inst.utilities))
+        nonzero = [(i, j, v) for i, row in enumerate(sol.allocation) for j in inst.goods if (v := row[j])]
+        self.X = X = lcm(*(v.denominator for _, _, v in nonzero))
+        self.col, self.w, self.spend = [0] * m, [0] * n, [0] * n
+        self.bought, self.holds, self.neg_x = [[] for _ in range(n)], [False] * n, []
+        for i, j, v in nonzero:
+            a = v.numerator * (X // v.denominator)
+            self.col[j] += a
+            self.w[i] += self.rows[i][j] * a
+            self.spend[i] += self.p[j] * a
+            self.holds[i] = True
+            if a > 0:
+                self.bought[i].append(j)
+            else:
+                self.neg_x.append((i, j))
+
+
+def _primal(v: _OnInts, sol, supply) -> list[ConditionResult]:
+    """The primal conditions both programs share: ``supply``, the results
+    on each good's column sum, then nonnegative allocations and refunds."""
     x, s = sol.allocation, sol.returned
-    if len(sol.prices) != m or len(x) != n or len(s) != n:
-        raise ValueError("dimension mismatch between instance and solution")
-    out = [good_condition(j, sum((x[i][j] for i in inst.buyers), ZERO)) for j in inst.goods]
-    neg_x = [(i, j) for i in inst.buyers for j in inst.goods if x[i][j] < 0]
+    out = list(supply)
     out.append(
         ConditionResult(
             "primal_nonneg_allocation",
-            not neg_x,
-            min((x[i][j] for i, j in neg_x), default=ZERO),
-            detail=f"negative entries: {neg_x}" if neg_x else "",
+            not v.neg_x,
+            min((x[i][j] for i, j in v.neg_x), default=ZERO),
+            detail=f"negative entries: {v.neg_x}" if v.neg_x else "",
         )
     )
-    neg_s = [i for i in inst.buyers if s[i] < 0]
+    neg_s = [i for i, si in enumerate(v.s) if si < 0]
     out.append(ConditionResult("primal_nonneg_refund", not neg_s, min((s[i] for i in neg_s), default=ZERO)))
     return out
 
@@ -103,42 +129,43 @@ def verify_arctic_kkt(inst: MarketInstance, eq: Equilibrium) -> KktReport:
     (forced by complementarity) and is chosen as 1, the largest admissible
     value, when no money is returned.
     """
+    v = _OnInts(inst, eq)
+    X = v.X
+    over = [_over(c - X, X) for c in v.col]  # each column sum minus 1
+    out = _primal(v, eq, (ConditionResult(f"primal_supply_good_{j}", c <= X, over[j]) for j, c in enumerate(v.col)))
+    for j, pj in enumerate(v.p):
+        out.append(ConditionResult(f"kkt1_price_nonneg_{j}", pj >= 0, eq.prices[j]))
+    for j, pj in enumerate(v.p):
+        if pj > 0:
+            out.append(ConditionResult(f"kkt2_priced_good_sold_{j}", v.col[j] == X, over[j]))
+    out.extend(_dual_conditions(v))
+    out.extend(_equilibrium_facts(eq, v))
+    out.extend(_trichotomy(eq, v))
+    return KktReport(tuple(out), ONE)
+
+
+def _dual_conditions(v: _OnInts) -> list[ConditionResult]:
+    """kkt3-kkt8, shared by the auction and production-cost programs.  Both
+    take the dual scalar lam as 1, so lam (w_i + s_i) is written w_i + s_i."""
     lam = ONE
-    x, s, p = eq.allocation, eq.returned, eq.prices
-    out = _primal(inst, eq, lambda j, col: ConditionResult(f"primal_supply_good_{j}", col <= 1, col - 1))
-    w = _buyer_aggregates(inst, x)
-    total_s = sum(s, ZERO)
-
-    for j in inst.goods:
-        out.append(_ge(f"kkt1_price_nonneg_{j}", p[j], ZERO))
-    for j in inst.goods:
-        if p[j] > 0:
-            col = sum((x[i][j] for i in inst.buyers), ZERO)
-            out.append(_eq(f"kkt2_priced_good_sold_{j}", col, ONE))
-    out.extend(_dual_conditions(inst, x, s, p, w, lam, total_s))
-    out.extend(_equilibrium_facts(inst, eq, w))
-    out.extend(_trichotomy(inst, eq, w))
-    return KktReport(tuple(out), lam)
-
-
-def _dual_conditions(inst, x, s, p, w, lam, total_s) -> list[ConditionResult]:
-    """kkt3-kkt8, shared by the auction and production-cost programs."""
-    out = [_ge("kkt3_dual_scalar_bound", ONE, lam)]
-    if total_s > 0:
-        out.append(_eq("kkt4_refund_forces_dual", lam, ONE))
-
-    for i in inst.buyers:
-        for j in inst.goods:
-            # u_ij / p_j <= (w_i + s_i) / m_i, cross-multiplied.
-            lhs = inst.utilities[i][j] * inst.money[i]
-            rhs = (w[i] + s[i]) * p[j]
-            out.append(
-                ConditionResult(f"kkt5_ratio_bound_{i}_{j}", lhs <= rhs, lhs - rhs)
-            )
-            if x[i][j] > 0:
-                out.append(_eq(f"kkt6_allocated_at_best_ratio_{i}_{j}", lhs, rhs))
-    for i in inst.buyers:
-        if w[i] + s[i] <= 0:
+    out = [ConditionResult("kkt3_dual_scalar_bound", lam <= 1, 1 - lam)]
+    if sum(v.s) > 0:
+        out.append(ConditionResult("kkt4_refund_forces_dual", lam == 1, lam - 1))
+    P, Q, X, p = v.P, v.Q, v.X, v.p
+    totals = []  # (w_i + s_i) dens[i] X Q, buyer by buyer
+    for i, (row, d, mi) in enumerate(zip(v.rows, v.dens, v.money)):
+        total = v.w[i] * Q + v.s[i] * d * X
+        totals.append(total)
+        # u_ij / p_j <= (w_i + s_i) / m_i, cross-multiplied over d X Q P.
+        a, den, bought = mi * X * P, d * X * Q * P, set(v.bought[i])
+        for j, u in enumerate(row):
+            num = u * a - total * p[j]
+            residual = _over(num, den)
+            out.append(ConditionResult(f"kkt5_ratio_bound_{i}_{j}", num <= 0, residual))
+            if j in bought:
+                out.append(ConditionResult(f"kkt6_allocated_at_best_ratio_{i}_{j}", num == 0, residual))
+    for i, (total, d, mi) in enumerate(zip(totals, v.dens, v.money)):
+        if total <= 0:
             out.append(
                 ConditionResult(
                     f"kkt7_dual_ratio_{i}", False, Fraction(-1),
@@ -146,81 +173,71 @@ def _dual_conditions(inst, x, s, p, w, lam, total_s) -> list[ConditionResult]:
                 )
             )
             continue
-        out.append(
-            ConditionResult(
-                f"kkt7_dual_ratio_{i}",
-                lam * (w[i] + s[i]) >= inst.money[i],
-                lam * (w[i] + s[i]) - inst.money[i],
-            )
-        )
-        if s[i] > 0:
-            out.append(
-                _eq(f"kkt8_refunded_{i}", lam * (w[i] + s[i]), inst.money[i])
-            )
-
+        num = total - mi * d * X
+        residual = _over(num, d * X * Q)
+        out.append(ConditionResult(f"kkt7_dual_ratio_{i}", num >= 0, residual))
+        if v.s[i] > 0:
+            out.append(ConditionResult(f"kkt8_refunded_{i}", num == 0, residual))
     return out
 
 
-def _equilibrium_facts(inst, eq, w) -> list[ConditionResult]:
+def _equilibrium_facts(eq, v: _OnInts) -> list[ConditionResult]:
     """The four per-buyer facts every equilibrium satisfies."""
-    x, s, p = eq.allocation, eq.returned, eq.prices
+    P, p = v.P, v.p
     out = []
-    for i in inst.buyers:
-        alpha = eq.alpha[i]
+    for i, (row, d, alpha) in enumerate(zip(v.rows, v.dens, eq.alpha)):
         # alpha_i is the best ratio: u_ij <= alpha_i p_j for all j, with equality
         # at some u_ij > 0.  Compared as ints, never divided: a price may be 0.
-        row, a, b = inst.utilities[i], alpha.numerator, alpha.denominator
-        gap = [
-            u.numerator * b * q.denominator - a * q.numerator * u.denominator for u, q in zip(row, p)
-        ]
+        a, b = alpha.numerator, alpha.denominator
+        gap = [u * b * P - a * q * d for u, q in zip(row, p)]
         ok = max(gap) <= 0 and 0 in (g for g, u in zip(gap, row) if u > 0)
         out.append(ConditionResult(f"fact_alpha_best_ratio_{i}", ok, ZERO if ok else -ONE))
-        bought = [j for j in inst.goods if x[i][j] > 0]
+        bought = v.bought[i]
         if bought:
-            ok = all(
-                inst.utilities[i][j] == alpha * p[j] for j in bought
-            ) and alpha >= 1
+            ok = all(gap[j] == 0 for j in bought) and a >= b
             out.append(
                 ConditionResult(
                     f"fact_mbpb_support_{i}", ok, ZERO if ok else Fraction(-1),
                     detail="every purchased good attains the best ratio, which is >= 1",
                 )
             )
-        if s[i] > 0 and bought:
-            ok = alpha == 1 and all(p[j] == inst.utilities[i][j] for j in bought)
+        if v.s[i] > 0 and bought:
+            ok = a == b and all(p[j] * d == row[j] * P for j in bought)
             out.append(
                 ConditionResult(
-                    f"fact_mixed_buyer_at_bound_{i}", ok, alpha - 1,
+                    f"fact_mixed_buyer_at_bound_{i}", ok, _over(a - b, b),
                     detail="mixed money/goods buyer purchases at her price ceilings",
                 )
             )
         if not bought:
-            ok = all(p[j] >= inst.utilities[i][j] for j in inst.goods) and alpha <= 1
+            ok = all(q * d >= u * P for u, q in zip(row, p)) and a <= b
             out.append(
                 ConditionResult(
-                    f"fact_priced_out_{i}", ok, alpha - 1,
+                    f"fact_priced_out_{i}", ok, _over(a - b, b),
                     detail="a buyer with no goods faces prices at or above her ceilings",
                 )
             )
     return out
 
 
-def _trichotomy(inst, eq, w) -> list[ConditionResult]:
+def _trichotomy(eq, v: _OnInts) -> list[ConditionResult]:
     """Exactly one of the three terminal cases holds for each buyer."""
-    x, s, p = eq.allocation, eq.returned, eq.prices
+    PX, Q = v.P * v.X, v.Q
     out = []
-    for i in inst.buyers:
+    for i, (e, si, mi) in enumerate(zip(v.spend, v.s, v.money)):
         alpha = eq.alpha[i]
-        spend = sum((x[i][j] * p[j] for j in inst.goods), ZERO)
-        if alpha > 1:
-            ok = s[i] == 0 and spend == inst.money[i]
-            residual = spend - inst.money[i] if s[i] == 0 else s[i]
-        elif alpha == 1:
-            ok = spend + s[i] == inst.money[i]
-            residual = spend + s[i] - inst.money[i]
+        a, b = alpha.numerator, alpha.denominator
+        # spend_i - m_i, and spend_i + s_i - m_i, over P X Q
+        short, left = e * Q - mi * PX, e * Q + (si - mi) * PX
+        if a > b:
+            ok = si == 0 and short == 0
+            residual = _over(short, PX * Q) if si == 0 else eq.returned[i]
+        elif a == b:
+            ok = left == 0
+            residual = _over(left, PX * Q)
         else:
-            ok = s[i] == inst.money[i] and all(x[i][j] == 0 for j in inst.goods)
-            residual = s[i] - inst.money[i]
+            ok = si == mi and not v.holds[i]
+            residual = _over(si - mi, Q)
         out.append(
             ConditionResult(f"trichotomy_{i}", ok, residual, detail=f"alpha={alpha}")
         )
@@ -229,15 +246,15 @@ def _trichotomy(inst, eq, w) -> list[ConditionResult]:
 
 def verify_market_clearing(inst: MarketInstance, eq: Equilibrium) -> KktReport:
     """All goods fully sold at positive prices; every budget exactly split."""
-    x, s, p = eq.allocation, eq.returned, eq.prices
+    v = _OnInts(inst, eq)
+    PX, Q, X = v.P * v.X, v.Q, v.X
     out = []
-    for j in inst.goods:
-        out.append(ConditionResult(f"positive_price_{j}", p[j] > 0, p[j]))
-        col = sum((x[i][j] for i in inst.buyers), ZERO)
-        out.append(_eq(f"good_cleared_{j}", col, ONE))
-    for i in inst.buyers:
-        spend = sum((x[i][j] * p[j] for j in inst.goods), ZERO)
-        out.append(_eq(f"budget_split_{i}", spend + s[i], inst.money[i]))
+    for j, (pj, c) in enumerate(zip(v.p, v.col)):
+        out.append(ConditionResult(f"positive_price_{j}", pj > 0, eq.prices[j]))
+        out.append(ConditionResult(f"good_cleared_{j}", c == X, _over(c - X, X)))
+    for i, (e, si, mi) in enumerate(zip(v.spend, v.s, v.money)):
+        left = e * Q + (si - mi) * PX
+        out.append(ConditionResult(f"budget_split_{i}", left == 0, _over(left, PX * Q)))
     return KktReport(tuple(out), ONE)
 
 
@@ -248,19 +265,21 @@ def verify_cost_kkt(inst, sol) -> KktReport:
     to avoid a circular import).  Includes the zero-profit identity.
     """
     base: MarketInstance = inst.base
-    d = inst.unit_costs
-    lam = ONE
-    x, s, p, y = sol.allocation, sol.returned, sol.prices, sol.produced
-    out = _primal(base, sol, lambda j, col: _eq(f"primal_production_balance_{j}", col, y[j]))
-    w = _buyer_aggregates(base, x)
-    total_s = sum(s, ZERO)
-
-    for j in base.goods:
-        out.append(_ge(f"kkt1_cost_covers_price_{j}", d[j] - p[j], ZERO))
-        if y[j] > 0:
-            out.append(_eq(f"kkt2_produced_at_cost_{j}", d[j], p[j]))
-    out.extend(_dual_conditions(base, x, s, p, w, lam, total_s))
-    revenue = sum(base.money, ZERO) - total_s
-    cost = sum((d[j] * y[j] for j in base.goods), ZERO)
-    out.append(_eq("zero_profit", revenue - cost, ZERO))
-    return KktReport(tuple(out), lam)
+    d, y = inst.unit_costs, sol.produced
+    v = _OnInts(base, sol)
+    P, X = v.P, v.X
+    balance = [_over(c * b.denominator - b.numerator * X, X * b.denominator) for c, b in zip(v.col, y)]
+    out = _primal(v, sol, (ConditionResult(f"primal_production_balance_{j}", not r, r) for j, r in enumerate(balance)))
+    for j, (dj, yj, pj) in enumerate(zip(d, y, v.p)):
+        slack = dj.numerator * P - pj * dj.denominator  # d_j - p_j, over d_j's denominator times P
+        residual = _over(slack, dj.denominator * P)
+        out.append(ConditionResult(f"kkt1_cost_covers_price_{j}", slack >= 0, residual))
+        if yj.numerator > 0:
+            out.append(ConditionResult(f"kkt2_produced_at_cost_{j}", slack == 0, residual))
+    out.extend(_dual_conditions(v))
+    # Revenue minus cost, sum_i (m_i - s_i) - sum_j d_j y_j, over the lcm L.
+    cost = [(dj.numerator * yj.numerator, dj.denominator * yj.denominator) for dj, yj in zip(d, y)]
+    L = lcm(v.Q, *(e for _, e in cost))
+    profit = (sum(v.money) - sum(v.s)) * (L // v.Q) - sum(c * (L // e) for c, e in cost)
+    out.append(ConditionResult("zero_profit", profit == 0, _over(profit, L)))
+    return KktReport(tuple(out), ONE)

@@ -12,6 +12,7 @@ import random
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import lcm
 
 
 class MarketFormatError(ValueError):
@@ -310,6 +311,13 @@ def parse_equilibrium(text: str, inst: MarketInstance | None = None) -> tuple[Eq
     stats = stats_from_doc(doc.get("stats", {}))
     eq = Equilibrium(prices=prices, allocation=allocation, returned=returned, alpha=alpha)
     return eq, stats
+
+
+def over_one_den(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as ints over their least common denominator d: (nums, d),
+    nums[k] / d == values[k]; a utility row so is ``best_ratio``'s nums."""
+    d = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 def best_ratio(nums, dens, goods) -> tuple[int, int, list[int]]:

@@ -114,6 +114,7 @@ from .market import (
     equilibrium_for_instance,
     instance_bit_bounds,
     mbpb,
+    over_one_den,
     validate_instance,
 )
 
@@ -152,13 +153,15 @@ class Event:
 
 
 class _Candidate:
-    """An event candidate at theta = num / den, not reduced; candidates
-    compare as ``Event.sort_key`` orders their events, on ints."""
+    """An event candidate at theta = num / den, reduced by their gcd once, so
+    that the heap's comparisons multiply small ints; candidates compare as
+    ``Event.sort_key`` orders their events, on ints."""
 
     __slots__ = ("num", "den", "kind", "buyer", "good", "tie")
 
     def __init__(self, num: int, den: int, kind: str, buyer: int, good: int | None = None):
-        self.num, self.den, self.kind, self.buyer, self.good = num, den, kind, buyer, good
+        g = math.gcd(num, den)
+        self.num, self.den, self.kind, self.buyer, self.good = num // g, den // g, kind, buyer, good
         self.tie = (EVENT_PRIORITY[kind], buyer, -1 if good is None else good)
 
     def __lt__(self, other: "_Candidate") -> bool:
@@ -342,8 +345,7 @@ def initialize(inst: MarketInstance) -> SolverState:
     report = validate_instance(inst)
     if not report.ok:
         raise ValueError("invalid instance: " + "; ".join(report.violations))
-    dens = [math.lcm(*(u.denominator for u in row)) for row in inst.utilities]
-    rows = [tuple(u.numerator * (d // u.denominator) for u in row) for row, d in zip(inst.utilities, dens)]
+    rows, dens = map(list, zip(*map(over_one_den, inst.utilities)))
     row_max = [Fraction(max(row), d) for row, d in zip(rows, dens)]
     min_m, total_m, max_u, bits = instance_bit_bounds(inst, row_max)
     stats = RunStats(min_money=min_m, total_money=total_m, max_utility=max_u, input_bits=bits)

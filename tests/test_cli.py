@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import random
 import re
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -368,10 +371,25 @@ def test_bench_sweep_writes_one_row_per_size(tmp_path, monkeypatch):
     # The bank rows' sizes (100 to 400 buyers) take seconds; smaller ones
     # check the same bookkeeping.
     monkeypatch.setattr(sweep, "BANK_SIZES", (6, 9))
+    monkeypatch.setattr(sweep, "RATIONAL_BANK_SIZES", (5, 7))
     assert sweep.main(["--tag", "t", "--sizes", "3", "4", "--seeds", "2"]) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [row["n"] for row in doc["rows"]] == [3, 4]
     assert [(row["n"], row["m"]) for row in doc["bank_rows"]] == [(6, 3), (9, 3)]
+    from workloads import random_rational_instance  # on the path the sweep gave its rows
+
+    for key in ("rational_bank_rows", "rounded_bank_rows"):
+        assert [(row["n"], row["m"]) for row in doc[key]] == [(5, 3), (7, 3)]
+        for row in doc[key]:
+            instances = [random_rational_instance(random.Random(seed), row["n"], 3) for seed in (0, 1)]
+            if key == "rounded_bank_rows":
+                # Each money is rounded to a multiple of 10^-6; the utilities are kept.
+                instances = [
+                    replace(inst, money=tuple(Fraction(round(x * 10**6), 10**6) for x in inst.money))
+                    for inst in instances
+                ]
+            assert row["answers_sha256"] == answers_digest(instances)
+            assert row["phases"] == row["type1"] + row["type2"] + row["type3"] > 0
     for row in doc["rows"] + doc["bank_rows"]:
         assert [s["seed"] for s in row["solves"]] == [0, 1]
         assert row["answers_sha256"] == answers_digest(
@@ -415,7 +433,7 @@ def test_bench_sweep_against_times_two_checkouts_side_by_side():
     todo = [("rows", 3, 3, 0), ("rows", 3, 3, 1), ("refund_heavy_rows", 4, 4, 0), ("oracle_rows", 2, 2, 5)]
     rows, against = sweep.compare(todo, *sweep.side_by_side(todo, 1, root))
     assert started == [root / "src", root / "src"] * len(todo)
-    assert [len(rows[key]) for key in sweep.FAMILIES] == [len(against[key]) for key in sweep.FAMILIES] == [1, 1, 0, 1]
+    assert [len(rows[key]) for key in sweep.FAMILIES] == [len(against[key]) for key in sweep.FAMILIES] == [1, 1, 0, 0, 0, 1]
     row = rows["rows"][0]
     assert [s["seed"] for s in row["solves"]] == [0, 1]
     assert row["answers_sha256"] == against["rows"][0]["answers_sha256"] == answers_digest(

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from arcticauction.costmarket import (
     CostMarketInstance,
     CostSolution,
@@ -196,6 +198,18 @@ def test_both_programs_name_negative_allocations_alike():
         alloc = report.condition_results[2]
         assert not alloc.passed and alloc.residual == -1
         assert alloc.detail == "negative entries: [(0, 1)]"
+
+
+def test_every_verifier_rejects_a_solution_of_the_wrong_shape():
+    inst = inst_of([[2, 1]], [3])
+    eq = eq_of(inst, [3, 1], [[1, 0]], [0])
+    cost_inst = CostMarketInstance(base=inst, unit_costs=(F(1), F(2)))
+    sol = cost_solution([1, 2], [[3, 0]], [3, 0], [0], [3])
+    cases = ((verify_arctic_kkt, inst, eq), (verify_market_clearing, inst, eq), (verify_cost_kkt, cost_inst, sol))
+    for field, value in (("prices", (F(1),)), ("allocation", ((F(1), F(0)),) * 2), ("returned", ())):
+        for verify, market, doc in cases:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                verify(market, replace(doc, **{field: value}))
 
 
 def _report_digest(reports) -> str:

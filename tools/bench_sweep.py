@@ -19,6 +19,12 @@ money-return regime, which the Baseline instances almost never reach.
 ``bank_rows`` holds the same rows for the many-bidder, few-goods family
 ``generate_random_instance(seed, n, 3, 10)`` at n = 100, 200, 400 and 800,
 where most phases end in a money return.
+``rational_bank_rows`` holds the same rows for that family on rational
+money and utilities, perfbench's ``random_rational_instance(Random(seed),
+n, 3)`` (imported from ``perfbench/workloads.py`` of this checkout), at n =
+200 and 400, and ``rounded_bank_rows`` for its twins, each money rounded to
+the nearest multiple of 10^-6: two families with the same phases whose
+event thetas differ in size.
 ``oracle_rows`` holds ``oracle_solve``'s time per shape over criterion 01's
 corpus, ``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199
 with the sizes drawn from ``random.Random(424242)``, each call timed alone:
@@ -57,13 +63,17 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.append(str(SRC.parent / "perfbench"))  # for workloads.random_rational_instance
 SIZES = (5, 8, 12, 16, 24, 32, 48)
 BANK_SIZES = (100, 200, 400, 800)
+RATIONAL_BANK_SIZES = (200, 400)
 COUNTED = ("phases", "type1", "type2", "type3", "maxflow_calls")
-FAMILIES = ("rows", "refund_heavy_rows", "bank_rows", "oracle_rows")
+FAMILIES = ("rows", "refund_heavy_rows", "bank_rows", "rational_bank_rows", "rounded_bank_rows", "oracle_rows")
 
 
 def best_of(repeat: int, call):
@@ -85,6 +95,8 @@ def items(sizes, seeds: int) -> list[tuple[str, int, int, int]]:
         *(("rows", n, n, seed) for n in sizes for seed in range(seeds)),
         *(("refund_heavy_rows", n, n, seed) for n in sizes for seed in range(seeds)),
         *(("bank_rows", n, 3, seed) for n in BANK_SIZES for seed in range(seeds)),
+        *((key, n, 3, seed) for key in ("rational_bank_rows", "rounded_bank_rows")
+          for n in RATIONAL_BANK_SIZES for seed in range(seeds)),
         *(("oracle_rows", n, m, k) for k, (n, m) in enumerate(shapes)),
     ]
 
@@ -103,6 +115,12 @@ def measure(key: str, n: int, m: int, seed: int, repeat: int) -> tuple[float, di
         return seconds, {}, serialize_equilibrium(result.equilibrium)
     if key == "refund_heavy_rows":
         inst = generate_refund_heavy_instance(seed, n)
+    elif key in ("rational_bank_rows", "rounded_bank_rows"):
+        from workloads import random_rational_instance
+
+        inst = random_rational_instance(random.Random(seed), n, m)
+        if key == "rounded_bank_rows":
+            inst = replace(inst, money=tuple(Fraction(round(x * 10**6), 10**6) for x in inst.money))
     else:
         inst = generate_random_instance(seed, n, m, 10)
     seconds, (eq, stats) = best_of(repeat, lambda: solve(inst))
@@ -269,6 +287,10 @@ def main(argv=None) -> int:
         "refund_heavy_rows": rows["refund_heavy_rows"],
         "bank_instances": "generate_random_instance(seed, n, 3, 10)",
         "bank_rows": rows["bank_rows"],
+        "rational_bank_instances": "perfbench/workloads.py: random_rational_instance(random.Random(seed), n, 3)",
+        "rational_bank_rows": rows["rational_bank_rows"],
+        "rounded_bank_instances": "rational_bank_instances with every money rounded to the nearest multiple of 10^-6",
+        "rounded_bank_rows": rows["rounded_bank_rows"],
         "oracle_instances": "criterion 01: generate_random_instance(1000 + k, n, m, 10)",
         "oracle_rows": rows["oracle_rows"],
     }
@@ -276,15 +298,15 @@ def main(argv=None) -> int:
         doc["against"] = {"commit": commit_of(args.against), **against}
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    for key in ("rows", "refund_heavy_rows", "bank_rows"):
+    for key in FAMILIES[:-1]:
         for row in doc[key]:
             print(
-                f"{key:17s} n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  "
+                f"{key:18s} n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  "
                 f"phases {row['phases']} (type2 {row['type2']}, type3 {row['type3']}){versus(row, len(row['solves']))}"
             )
     for row in doc["oracle_rows"]:
         print(
-            f"oracle_rows       {row['n']}x{row['m']}  {row['count']:3d} solves  median {row['median_s']:.4f} s  "
+            f"oracle_rows        {row['n']}x{row['m']}  {row['count']:3d} solves  median {row['median_s']:.4f} s  "
             f"max {row['max_s']:.3f} s  total {row['total_s']:.2f} s{versus(row, row['count'])}"
         )
     print(f"oracle total {sum(row['total_s'] for row in doc['oracle_rows']):.2f} s")
