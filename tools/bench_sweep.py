@@ -22,9 +22,9 @@ where most phases end in a money return.
 ``rational_bank_rows`` holds the same rows for that family on rational
 money and utilities, perfbench's ``random_rational_instance(Random(seed),
 n, 3)`` (imported from ``perfbench/workloads.py`` of this checkout), at n =
-200 and 400, and ``rounded_bank_rows`` for its twins, each money rounded to
-the nearest multiple of 10^-6: two families with the same phases whose
-event thetas differ in size.
+200 and 400, and ``rounded_bank_rows`` for their twins, each money rounded
+to the nearest multiple of 10^-6: the same utilities with small money
+denominators, so the pair shows what large ones cost.
 ``oracle_rows`` holds ``oracle_solve``'s time per shape over criterion 01's
 corpus, ``generate_random_instance(1000 + k, n, m, 10)`` for k = 0 .. 199
 with the sizes drawn from ``random.Random(424242)``, each call timed alone:
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
         doc["against"] = {"commit": commit_of(args.against), **against}
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    for key in FAMILIES[:-1]:
+    for key in FAMILIES[:-1]:  # the solve families; oracle_rows, the last, print below
         for row in doc[key]:
             print(
                 f"{key:18s} n={row['n']:3d}  median {row['median_s']:.3f} s  max {row['max_s']:.3f} s  "
