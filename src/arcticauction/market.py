@@ -66,15 +66,18 @@ def rational_field(doc: dict, key: str, *shape):
     """
     if key not in doc:
         raise MarketFormatError(f"missing field: {key}")
+    return _parse_field(key, doc[key], shape)
 
-    def parse(value, shape):
-        if not shape:
-            return parse_rational(value)
-        if not isinstance(value, list) or shape[0] not in (None, len(value)):
-            raise MarketFormatError(f"'{key}' is not an array of the expected shape")
-        return tuple(parse(v, shape[1:]) for v in value)
 
-    return parse(doc[key], shape)
+def _parse_field(key: str, value, shape: tuple):
+    """``rational_field``'s recursion, a module function so that a parse
+    leaves no reference cycle behind (a nested function that calls itself
+    is one)."""
+    if not shape:
+        return parse_rational(value)
+    if not isinstance(value, list) or shape[0] not in (None, len(value)):
+        raise MarketFormatError(f"'{key}' is not an array of the expected shape")
+    return tuple(_parse_field(key, v, shape[1:]) for v in value)
 
 
 def format_rational(value: Fraction) -> str:

@@ -76,10 +76,11 @@ Within an iteration the source caps, J and the active buyers' arcs do not
 change, so each active buyer's refund theta (her bang-per-buck at
 iteration-start prices) and first crossing are fixed; a zero-degree
 buyer's are too, and a zero-degree event takes only its own buyer out of
-Z.  So the first event builds every candidate into a heap ordered by
-cross-multiplying theta's int pairs, and a later event only drops the
-entries of buyers that left Z; a Fraction is built only for the heap's
-head.  Checking the head against theta checks every candidate.
+Z.  So the first event builds every candidate, an ``Event`` on theta's
+int pair, into a heap ordered by cross-multiplying those pairs, and a
+later event only drops the entries of buyers that left Z; the heap's head
+is the event returned.  Checking the head against theta checks every
+candidate.
 
 Which maximum flow a step finds changes no answer: this is a contract.
 Outside the extraction and the refund split, a solve reads only what every
@@ -135,41 +136,27 @@ EVENT_PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
 class Event:
-    kind: str
-    theta_star: Fraction
-    buyer: int | None = None
-    good: int | None = None
-    tight_goods: frozenset[int] | None = None
+    """An event at theta = num / den, the pair reduced by its gcd once, so
+    that comparisons multiply small ints.  Events order by theta, then by
+    ``tie``: kind (``EVENT_PRIORITY``), buyer and good, a missing one as -1."""
 
-    def sort_key(self):
-        return (
-            self.theta_star,
-            EVENT_PRIORITY[self.kind],
-            self.buyer if self.buyer is not None else -1,
-            self.good if self.good is not None else -1,
-        )
+    __slots__ = ("num", "den", "kind", "buyer", "good", "tight_goods", "tie")
 
-
-class _Candidate:
-    """An event candidate at theta = num / den, reduced by their gcd once, so
-    that the heap's comparisons multiply small ints; candidates compare as
-    ``Event.sort_key`` orders their events, on ints."""
-
-    __slots__ = ("num", "den", "kind", "buyer", "good", "tie")
-
-    def __init__(self, num: int, den: int, kind: str, buyer: int, good: int | None = None):
+    def __init__(self, num: int, den: int, kind: str, buyer: int | None = None, good: int | None = None,
+                 tight_goods: frozenset[int] | None = None):
         g = math.gcd(num, den)
         self.num, self.den, self.kind, self.buyer, self.good = num // g, den // g, kind, buyer, good
-        self.tie = (EVENT_PRIORITY[kind], buyer, -1 if good is None else good)
+        self.tight_goods = tight_goods
+        self.tie = (EVENT_PRIORITY[kind], -1 if buyer is None else buyer, -1 if good is None else good)
 
-    def __lt__(self, other: "_Candidate") -> bool:
+    @property
+    def theta_star(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __lt__(self, other: "Event") -> bool:
         lhs, rhs = self.num * other.den, other.num * self.den
         return lhs < rhs or lhs == rhs and self.tie < other.tie
-
-    def event(self) -> Event:
-        return Event(self.kind, Fraction(self.num, self.den), buyer=self.buyer, good=self.good)
 
 
 @dataclass
@@ -249,7 +236,7 @@ class SolverState:
     touched: set[int] = field(default_factory=set)
     # The iteration's refund and crossing candidates, a heap; built by the
     # iteration's first next_event.
-    queue: list[_Candidate] | None = None
+    queue: list[Event] | None = None
 
     @property
     def prices(self) -> dict[int, Fraction]:
@@ -530,22 +517,22 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     raise SolverError("tight set search failed to settle")
 
 
-def _candidates(state: SolverState) -> list[_Candidate]:
+def _candidates(state: SolverState) -> list[Event]:
     """The iteration's refund and crossing candidates, one of each per active
     or zero-degree buyer.  A buyer's crossing candidates all share one
     bang-per-buck, so only its first crossing, the lowest good on ties, can
     win and is the only one built.  A refund's theta is her bang-per-buck."""
     cap, scale = state.graph.cap, state.graph.scale
     outside = [j for j in state.inst.goods if j not in state.J]
-    candidates: list[_Candidate] = []
+    candidates: list[Event] = []
 
     def add(refund: str, crossing: str, i: int, u: int, c: int) -> None:
-        candidates.append(_Candidate(u * scale, c * state.row_dens[i], refund, i))
+        candidates.append(Event(u * scale, c * state.row_dens[i], refund, i))
         # Scaled ratios fall as (u / c) / theta, so buyer i first meets the
         # outside goods of best ratio r / p, at theta = u p / (c r).
         r, p, best = best_ratio(state.rows[i], cap, outside)
         if best:
-            candidates.append(_Candidate(u * p, c * r, crossing, i, best[0]))
+            candidates.append(Event(u * p, c * r, crossing, i, best[0]))
 
     for i in state.I:
         add("money_return", "new_edge", i, *_alpha_bar_active(state, i))
@@ -555,7 +542,7 @@ def _candidates(state: SolverState) -> list[_Candidate]:
 
 
 def next_event(state: SolverState) -> Event:
-    """The earliest event as theta rises, ties broken by Event.sort_key.
+    """The earliest event as theta rises, ties broken as ``Event`` orders them.
 
     Ties at equal theta resolve by kind (refunds precede everything: prices
     cannot rise past an unpaid buyer), then by the lowest buyer index, then
@@ -573,17 +560,16 @@ def next_event(state: SolverState) -> Event:
     if not queue:
         raise SolverError("no candidate events in iteration")
     head, theta = queue[0], state.theta
-    first = head.event()
     # The earliest candidate, so this checks them all; a refund's theta is
     # the buyer's bang-per-buck at iteration-start prices, so this also
     # checks that no buyer's is below 1.
     if head.num * theta.denominator < theta.numerator * head.den:
-        raise SolverError(f"{first.kind} event in the past: {first.theta_star} < {state.theta}")
-    found = _tight_set_search(state, first.theta_star)
+        raise SolverError(f"{head.kind} event in the past: {head.theta_star} < {state.theta}")
+    found = _tight_set_search(state, head.theta_star)
     if found is None:
-        return first
+        return head
     theta_t, tight = found
-    return min(first, Event("tight_set", theta_t, tight_goods=tight), key=Event.sort_key)
+    return min(head, Event(theta_t.numerator, theta_t.denominator, "tight_set", tight_goods=tight))
 
 
 def _set_theta(state: SolverState, theta: Fraction) -> None:
@@ -691,7 +677,8 @@ def _remove_buyer(state: SolverState, i: int) -> None:
 
 
 def apply_z_events(state: SolverState, event: Event) -> SolverState:
-    """Handle zero-degree buyer events; theta keeps rising afterwards."""
+    """Handle a zero-degree buyer's event, a z_removal or a z_new_edge;
+    theta keeps rising afterwards."""
     i = event.buyer
     if i not in state.Z:
         raise SolverError(f"buyer {i} is not zero-degree")
@@ -699,15 +686,13 @@ def apply_z_events(state: SolverState, event: Event) -> SolverState:
         if not _meets(state, _alpha_bar_zero_degree(state, i), state.row_dens[i], state.graph.scale):
             raise SolverError("zero-degree removal fired away from bang-per-buck 1")
         _remove_buyer(state, i)
-    elif event.kind == "z_new_edge":
+    else:
         j = event.good
         if not _meets(state, _alpha_bar_zero_degree(state, i), state.rows[i][j], state.graph.cap[j]):
             raise SolverError("zero-degree crossing does not satisfy the equality")
         state.Z.discard(i)
         state.touched.add(j)
         state.graph.add_arc(j, i)
-    else:
-        raise SolverError(f"not a zero-degree event: {event.kind}")
     return state
 
 
@@ -831,7 +816,7 @@ def solve(inst: MarketInstance, recorder: TraceRecorder | None = None) -> tuple[
             outcome = PhaseOutcome("I", terminal=True)
             if state.recorder is not None:
                 state.recorder.record_event(
-                    state, Event("tight_set", Fraction(1), tight_goods=frozenset(inst.goods))
+                    state, Event(1, 1, "tight_set", tight_goods=frozenset(inst.goods))
                 )
         else:
             outcome = run_phase(state)

@@ -15,7 +15,7 @@ from arcticauction.costmarket import (
 )
 from arcticauction.kkt import verify_arctic_kkt, verify_cost_kkt, verify_market_clearing
 from arcticauction.market import MarketInstance, equilibrium_for_instance, generate_random_instance
-from arcticauction.oracle import oracle_cost_solve, oracle_solve
+from arcticauction.oracle import oracle_cost_solve
 from arcticauction.solver import solve
 
 F = Fraction
@@ -222,14 +222,15 @@ def _report_digest(reports) -> str:
     return digest.hexdigest()
 
 
-def _pinned_reports():
-    """Every report the digest below pins, passing and failing, in a fixed order."""
+def _pinned_reports(oracle_results):
+    """Every report the digest below pins, passing and failing, in a fixed
+    order; ``oracle_results`` are the criterion_01_oracle fixture's."""
     rng = random.Random(424242)
     shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(200)]
     # Criterion 01's corpus: the solver's and the oracle's equilibria.
-    for k, (n, m) in enumerate(shapes):
+    for k, ((n, m), result) in enumerate(zip(shapes, oracle_results, strict=True)):
         inst = generate_random_instance(1000 + k, n, m, 10)
-        for eq in (solve(inst)[0], oracle_solve(inst).equilibrium):
+        for eq in (solve(inst)[0], result.equilibrium):
             yield verify_arctic_kkt(inst, eq)
             yield verify_market_clearing(inst, eq)
     # The greedy and the oracle cost solutions of the same shapes.
@@ -268,7 +269,7 @@ def _pinned_reports():
     yield verify_cost_kkt(cost_inst, cost_solution([1, 2], [[1, 0]], [2, 1], [1], [3]))
 
 
-def test_reports_are_pinned():
+def test_reports_are_pinned(criterion_01_oracle):
     # Every condition's name, order, flag, residual and detail, passing or
     # failing, and the report's JSON, byte for byte.
-    assert _report_digest(_pinned_reports()) == "adb8589d49d0f95d4a4b8950314b531617d4e6a312f5c4c71fe44dc29359210d"
+    assert _report_digest(_pinned_reports(criterion_01_oracle[0])) == "adb8589d49d0f95d4a4b8950314b531617d4e6a312f5c4c71fe44dc29359210d"

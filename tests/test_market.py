@@ -1,5 +1,6 @@
 """Instance model: parsing, validation, serialization, random generation."""
 
+import gc
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -26,7 +27,14 @@ from arcticauction.market import (
     serialize_instance,
     validate_instance,
 )
-from arcticauction.costmarket import parse_cost_instance
+from arcticauction.costmarket import (
+    generate_random_cost_instance,
+    parse_cost_instance,
+    parse_cost_solution,
+    serialize_cost_instance,
+    serialize_cost_solution,
+    solve_cost_market,
+)
 from arcticauction.solver import solve
 
 rationals = st.fractions(
@@ -354,3 +362,25 @@ def test_best_ratio_matches_fraction_division(case):
     assert best == [j for j in goods if ratios.get(j) == alpha]
     assert (num, den) == (nums[best[0]], dens[best[0]])
     assert Fraction(num * scale, den * row_den) == alpha
+
+
+def test_parsers_leave_no_reference_cycle():
+    # With the cyclic collector off, a parsed document must be freed by
+    # reference counting alone: a parse that builds a cycle leaves garbage
+    # for gc.collect() to find.
+    inst = generate_random_instance(7, 12, 12, 10)
+    cost_inst = generate_random_cost_instance(7, 4, 3, 10)
+    cases = [
+        (parse_instance, serialize_instance(inst)),
+        (parse_equilibrium, serialize_equilibrium(*solve(inst))),
+        (parse_cost_instance, serialize_cost_instance(cost_inst)),
+        (parse_cost_solution, serialize_cost_solution(solve_cost_market(cost_inst))),
+    ]
+    gc.disable()
+    try:
+        for parse, text in cases:
+            gc.collect()
+            parse(text)
+            assert gc.collect() == 0, parse.__name__
+    finally:
+        gc.enable()

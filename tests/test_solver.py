@@ -364,10 +364,10 @@ def _bang_per_buck_faults():
         (at(F(5, 4), crossing), lambda s: solver.apply_new_edge(s, 0, 1),
          "new edge does not satisfy the bang-per-buck equality"),
         # Zero-degree buyer 1's ratio over J is 3, and her crossing is at 3 too.
-        (at(2, zero_degree, Z={1}), lambda s: solver.apply_z_events(s, Event("z_removal", F(2), buyer=1)),
+        (at(2, zero_degree, Z={1}), lambda s: solver.apply_z_events(s, Event(2, 1, "z_removal", buyer=1)),
          "zero-degree removal fired away from bang-per-buck 1"),
         (at(2, zero_degree, Z={1}),
-         lambda s: solver.apply_z_events(s, Event("z_new_edge", F(2), buyer=1, good=1)),
+         lambda s: solver.apply_z_events(s, Event(2, 1, "z_new_edge", buyer=1, good=1)),
          "zero-degree crossing does not satisfy the equality"),
     ]
 
@@ -1186,26 +1186,42 @@ def test_phase_snapshots_refund_every_removed_buyer_in_full(ledger):
 def _candidates_from_scratch(state, prices):
     """Every refund and crossing candidate, rebuilt in Fractions from the
     state at an event and the ledger's ``prices`` at its theta: the
-    reference for the candidates next_event keeps.  A buyer's bang-per-buck
-    at iteration-start prices is theta times hers at ``prices`` over her
-    goods, J for a zero-degree buyer."""
+    reference for the candidates next_event keeps, each as (theta, kind,
+    buyer, good).  A buyer's bang-per-buck at iteration-start prices is
+    theta times hers at ``prices`` over her goods, J for a zero-degree
+    buyer."""
     outside = [j for j in state.inst.goods if j not in state.J]
-    candidates: list[Event] = []
+    candidates: list[tuple] = []
 
     def add(refund: str, crossing: str, i: int, goods) -> None:
         abar = mbpb(state.inst, prices, i, goods)[0] * state.theta
-        candidates.append(Event(refund, abar, buyer=i))
+        candidates.append((abar, refund, i, None))
         # Scaled ratios fall as abar / theta, so buyer i first meets the
         # outside goods of best ratio, at theta = abar / alpha_out.
         alpha_out, best = mbpb(state.inst, prices, i, outside)
         if best:
-            candidates.append(Event(crossing, abar / alpha_out, buyer=i, good=min(best)))
+            candidates.append((abar / alpha_out, crossing, i, min(best)))
 
     for i in sorted(state.I):
         add("money_return", "new_edge", i, state.graph.goods_of(i))
     for i in sorted(state.Z):
         add("z_removal", "z_new_edge", i, state.J)
     return candidates
+
+
+def _event_order(theta, kind, buyer, good):
+    """The reference event order, on the Fraction theta: by theta, then
+    kind, buyer and good, a missing one as -1."""
+    return (
+        theta,
+        solver.EVENT_PRIORITY[kind],
+        buyer if buyer is not None else -1,
+        good if good is not None else -1,
+    )
+
+
+def _fields(ev: Event) -> tuple:
+    return ev.num, ev.den, ev.kind, ev.buyer, ev.good
 
 
 EVENT_QUEUE_CORPUS = [*CARRIED_GRAPH_CORPUS, generate_random_instance(0, 60, 3, 10)]
@@ -1216,20 +1232,22 @@ def test_kept_candidates_match_a_rebuild_at_every_event(monkeypatch, ledger, ins
     # next_event builds the candidates at an iteration's first event and
     # keeps them; at every event the kept candidates of the buyers still
     # active or zero-degree must be those rebuilt from scratch, in the
-    # order of their events' sort keys, the queue's head their minimum, and
-    # the event that fires that minimum or a tight set before it.
+    # reference order (``_event_order``), the queue's head their minimum,
+    # and the event that fires that minimum or a tight set before it.
     original = solver.next_event
     events = kept = 0
 
     def checked(state):
         nonlocal events, kept
-        expected = sorted(_candidates_from_scratch(state, ledger.prices), key=Event.sort_key)
+        rebuilt = sorted(_candidates_from_scratch(state, ledger.prices), key=lambda c: _event_order(*c))
+        expected = [(t.numerator, t.denominator, kind, i, j) for t, kind, i, j in rebuilt]
         kept += state.queue is not None
         ev = original(state)
         live = [c for c in state.queue if c.buyer in state.I or c.buyer in state.Z]
-        assert [c.event() for c in sorted(live)] == expected
-        assert state.queue[0].event() == expected[0]
-        assert ev == expected[0] or (ev.kind == "tight_set" and ev.sort_key() < expected[0].sort_key())
+        assert [_fields(c) for c in sorted(live)] == expected
+        assert _fields(state.queue[0]) == expected[0]
+        fired = _event_order(ev.theta_star, ev.kind, ev.buyer, ev.good)
+        assert _fields(ev) == expected[0] or (ev.kind == "tight_set" and fired < _event_order(*rebuilt[0]))
         events += 1
         return ev
 
