@@ -262,7 +262,9 @@ def verify_cost_kkt(inst, sol) -> KktReport:
     """Exact check of the production-cost program's KKT system.
 
     ``inst`` is a CostMarketInstance and ``sol`` a CostSolution (duck-typed
-    to avoid a circular import).  Includes the zero-profit identity.
+    to avoid a circular import).  Includes the zero-profit identity, which
+    also requires the stated ``revenue`` and ``profit`` to be the recomputed
+    ones; at a recomputed profit of 0 the detail names a field that is not.
     """
     base: MarketInstance = inst.base
     d, y = inst.unit_costs, sol.produced
@@ -280,6 +282,10 @@ def verify_cost_kkt(inst, sol) -> KktReport:
     # Revenue minus cost, sum_i (m_i - s_i) - sum_j d_j y_j, over the lcm L.
     cost = [(dj.numerator * yj.numerator, dj.denominator * yj.denominator) for dj, yj in zip(d, y)]
     L = lcm(v.Q, *(e for _, e in cost))
-    profit = (sum(v.money) - sum(v.s)) * (L // v.Q) - sum(c * (L // e) for c, e in cost)
-    out.append(ConditionResult("zero_profit", profit == 0, _over(profit, L)))
+    revenue = sum(v.money) - sum(v.s)  # over Q
+    profit = revenue * (L // v.Q) - sum(c * (L // e) for c, e in cost)
+    off = {"revenue": sol.revenue != _over(revenue, v.Q), "profit": sol.profit != 0}
+    false = [name for name, is_off in off.items() if is_off]
+    detail = f"stated fields off the recomputed ones: {', '.join(false)}" if false and not profit else ""
+    out.append(ConditionResult("zero_profit", not profit and not false, _over(profit, L), detail))
     return KktReport(tuple(out), ONE)

@@ -29,13 +29,13 @@ with theta, the sink caps are fixed, a zero-degree buyer only gains an edge
 or leaves without one, and the edges pruned at iteration start carry no
 flow (such flow would be a residual path into the active set from a buyer
 of lower surplus, which a balanced flow does not have).  Every phase starts
-from the last one's graph, or initialize's, brought to the new prices with
-arcs only added (``_carry_graph``), and balances it from the flow it holds,
-peeling only the components that changed (``_balance``).  Carried flows
-change how much augmenting is done, never an answer: a probe reads only
-extreme min cuts, the same for every maximum flow, and the surplus vector,
-I, J, the absorbed sets and the pruned-arc check are the same for every
-balanced flow (see ``balanced``).
+from the last one's graph, or initialize's, with arcs only added
+(``_carry_graph``), and balances it from the flow it holds, peeling only
+the components that changed (``_balance``).  Carried flows change how much
+augmenting is done, never an answer: a probe reads only extreme min cuts,
+the same for every maximum flow, and the surplus vector, I, J, the absorbed
+sets and the pruned-arc check are the same for every balanced flow (see
+``balanced``).
 
 Most tight-set searches make no probe.  Since the start flow fills every
 source arc, no set of J can go tight while theta is below B, the least
@@ -48,23 +48,23 @@ that the two iteration starts check.
 A solve keeps one integer residual graph, built by initialize with no arcs
 and carried through every step of every phase (``SolverState.graph``): the
 solver keeps no other record of the prices, the edges, the refunds or the
-removals, and builds no other network or graph.  At each iteration start
-it is the iteration's network at theta = 1 under the start flow, its ints
+removals, and builds no other network or graph.  At each iteration start it
+is the iteration's network at theta = 1 under the start flow, its ints
 those of a fresh build (``_start_iteration``).  A zero-degree event edits
-it in place.  Each probe, and the invariant check after a zero-degree
-event, augments a copy of it at theta (``_at_theta``); a new edge balances
-that copy with its arc added, and the copy is the next iteration's graph.
-A money return, the final extraction and the refund split push from zero
-on such a copy with its flow zeroed, which finds the flow ``max_flow``
-finds on the network built afresh; a return is then written into the graph
-(``apply_money_return``).  At phase start and at each new edge, the two
-ways an iteration starts, the balanced flow itself must fill every source
-arc.  No other check is needed: phase 1's begin_phase checks the opening
-prices before anything changes, which also covers initialize's repricing
-(a good left without an edge leaves a deficit of at least its price); a
-tight-set event's theta is that of the search's last probe, which found no
-deficit on the same graph; and a full return's flow is already a maximum
-flow of the network without the buyer.  Every refund is a max-flow deficit
+it in place; each probe, and the invariant check after a zero-degree event,
+augments a copy of it at theta (``_at_theta``).  The three steps that end
+an iteration, a new edge, a tight set and a money return, first write theta
+into it and set theta to 1 (``_fold_theta``), so no later step reads theta.
+A money return, the final extraction and the refund split push from zero on
+a copy with its flow zeroed, which finds the flow ``max_flow`` finds on the
+network built afresh.  At phase start and at each new edge, the two ways an
+iteration starts, the balanced flow itself must fill every source arc.  No
+other check is needed: phase 1's begin_phase checks the opening prices
+before anything changes, which also covers initialize's repricing (a good
+left without an edge leaves a deficit of at least its price); a tight-set
+event's theta is that of the search's last probe, which found no deficit on
+the same graph; and a full return's flow is already a maximum flow of the
+network without the buyer.  Every refund is a max-flow deficit
 (``_least_spend``).  A solve calls no ``max_flow``: ``maxflow_calls`` reads
 0, and stays for perfbench's check.
 
@@ -209,12 +209,11 @@ class TraceRecorder:
 @dataclass
 class SolverState:
     inst: MarketInstance
-    # The solve's integer residual graph: at iteration start, the
-    # iteration's network at theta = 1 under its start flow, which probes
-    # scale.  It is the only record of prices, edges, refunds and removals:
-    # its source caps over scale are the prices (times theta for J), its
-    # good -> buyer arcs the equality graph's edges, and its sink caps the
-    # buyers' left-over money, 0 for a removed buyer.
+    # The solve's integer residual graph, built by initialize and never
+    # replaced, the only record of prices, edges, refunds and removals: its
+    # source caps over scale are the prices (times theta for J), its good ->
+    # buyer arcs the equality graph's edges, and its sink caps the buyers'
+    # left-over money, 0 for a removed buyer.
     graph: _Residual
     # Each buyer's utilities over one row denominator: u_ij = rows[i][j] / row_dens[i].
     rows: list[tuple[int, ...]]
@@ -267,6 +266,18 @@ def _at_theta(state: SolverState, theta: Fraction) -> _Residual:
     afresh: the vertex order and adjacency lists are the same, and a buyer
     removed in the phase is an isolated vertex with sink cap 0, on no path."""
     return state.graph.scaled(theta.denominator, theta.numerator, state.J)
+
+
+def _fold_theta(state: SolverState) -> None:
+    """Write theta into the graph in place and set it to 1, first in each
+    step that ends an iteration: the graph's ints become those of
+    ``_at_theta``'s copy, so no price moves."""
+    theta, g = state.theta, state.graph
+    if theta != 1:
+        g.rescale(theta.denominator)
+        for j in state.J:
+            g.cap[j] = g.cap[j] // theta.denominator * theta.numerator
+        state.theta = Fraction(1)
 
 
 def _least_spend(g: _Residual, i: int) -> int:
@@ -385,22 +396,19 @@ def _add_best_arcs(state: SolverState, g: _Residual, buyers) -> set[int]:
 def _carry_graph(state: SolverState) -> _Residual:
     """The last phase's graph, carried to the next phase's network.
 
-    Scaled to the final theta (``_at_theta``), which then becomes 1, its
-    source caps are the new prices, and the money returns are in it already
-    (``apply_money_return``).  No live buyer loses an arc: an active buyer's
-    goods were all scaled alike, and any other buyer's arcs lead outside J,
-    whose prices did not move.  So ``_add_best_arcs`` only adds arcs,
-    touching their goods, and the flow stays feasible; on initialize's
-    graph, at phase 1, it adds every arc.
+    Theta is folded in (``_fold_theta``), so its source caps are the new
+    prices, and the money returns are in it already.  No live buyer loses
+    an arc: an active buyer's goods were all scaled alike, and any other
+    buyer's arcs lead outside J, whose prices did not move.  So
+    ``_add_best_arcs`` only adds arcs, touching their goods, and the flow
+    stays feasible; on initialize's graph, at phase 1, it adds every arc.
     """
-    g = state.graph = _at_theta(state, state.theta)
-    state.theta = Fraction(1)
-    state.touched |= _add_best_arcs(state, g, state.live_buyers)
-    return g
+    state.touched |= _add_best_arcs(state, state.graph, state.live_buyers)
+    return state.graph
 
 
 def begin_phase(state: SolverState) -> tuple[Fraction, bool]:
-    """Open a phase: bring the graph to the new prices, balance flow, pick the active sets.
+    """Open a phase: add the new prices' arcs, balance flow, pick the active sets.
 
     Returns (potential at phase start, terminal flag).  The terminal flag is
     set when every buyer's surplus is already zero, in which case the full
@@ -463,9 +471,6 @@ def _tight_set_search(state: SolverState, theta_cap: Fraction):
     exact tightness point of its scaled goods, which becomes the next
     candidate.  Goods sets that were already tight before this iteration and
     contain no scaled good never change worth and are ignored.
-
-    Each probe augments from the iteration's start flow on a scaled copy of
-    the iteration graph (``_at_theta``) and reads its cut off that copy.
 
     None below B, the mediant bound, with no probe: B is the least sink
     cap over inflow, c_i / f_i, over the active buyers with inflow, read off
@@ -582,16 +587,16 @@ def _set_theta(state: SolverState, theta: Fraction) -> None:
 def apply_new_edge(state: SolverState, i: int, j: int) -> SolverState:
     """Add the crossing edge and absorb residually-connected buyers.
 
-    The network at theta is the iteration graph scaled to theta plus the
-    new arc; it is balanced from the start flow, which stays feasible (J's
-    caps only grew, and the arc is new), and becomes the next iteration's
-    graph.  Only the components with a good of J or of a new arc are peeled
-    again (``_balance``); every other one keeps its flow and surpluses.
+    With theta folded in (``_fold_theta``), the iteration graph gains the
+    arc and is balanced from the start flow, which stays feasible (J's caps
+    only grew, and the arc is new), into the next iteration's graph.  Only
+    the components with a good of J or of a new arc are peeled again
+    (``_balance``); every other one keeps its flow and surpluses.
     """
     if not _meets(state, _alpha_bar_active(state, i), state.rows[i][j], state.graph.cap[j]):
         raise SolverError("new edge does not satisfy the bang-per-buck equality")
-    g = state.graph = _at_theta(state, state.theta)
-    state.theta = Fraction(1)  # the graph's J caps hold theta now
+    _fold_theta(state)
+    g = state.graph
     g.add_arc(j, i)
     state.touched.add(j)
     _, (sq, sc) = _balance(state, g)
@@ -615,10 +620,9 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
     still holds money: such a buyer regains her bang-per-buck edges at the
     next rebuild, which reopens price slack, so the run must continue.
     """
-    # p(S) against its buyers' money, times g.scale and theta's denominator.
-    g, num, den = state.graph, state.theta.numerator, state.theta.denominator
-    worth_s = sum(g.cap[j] * (num if j in state.J else den) for j in S)
-    if worth_s != den * sum(g.cap[g.sink_arc(i)] for i in {i for j in S for i in g.buyers_of(j)}):
+    _fold_theta(state)  # so p(S) and its buyers' money are both graph ints
+    g = state.graph
+    if sum(g.cap[j] for j in S) != sum(g.cap[g.sink_arc(i)] for i in {i for j in S for i in g.buyers_of(j)}):
         raise SolverError("tight set is not exactly tight")
     if S == set(state.inst.goods) and not state.Z:
         return "terminal"
@@ -628,36 +632,32 @@ def apply_tight_set(state: SolverState, S: frozenset[int]):
 def apply_money_return(state: SolverState, i: int) -> str:
     """Return money to buyer i whose bang-per-buck reached exactly 1.
 
-    She keeps spending beta, her least spend on ``_at_theta``'s copy;
-    beta = 0 is a full return, which removes her.  By duality beta is
-    p(S) less the other T buyers' money, (S, T) the goods and buyers on the
-    source side of the maximal min cut with her cap at 0, so it leaves S
-    tight.  The copy, augmented again with her cap at beta, must fill every
-    source arc.  That also checks that i is in T: else the cut would stay
-    minimal, below the total price, with her cap at beta.  The return is
-    then written into the graph the next phase carries, whose sink caps are
-    the solve's only record of refunds: her cap is set to beta, or she is
-    removed.
+    With theta folded in (``_fold_theta``), she keeps spending beta, her
+    least spend on a copy of the graph.  By duality beta is p(S) less the
+    other T buyers' money, (S, T) the goods and buyers on the source side
+    of the maximal min cut with her cap at 0, so it leaves S tight.  The
+    copy, augmented again with her cap at beta, must fill every source arc.
+    That also checks that i is in T: else the cut would stay minimal, below
+    the total price, with her cap at beta.  The return is then written into
+    the graph, whose sink caps are the solve's only record of refunds: her
+    cap is set to beta, or at beta = 0, a full return, she is removed.
     """
     if not _meets(state, _alpha_bar_active(state, i), state.row_dens[i], state.graph.scale):
         raise SolverError("money return fired away from bang-per-buck 1")
+    _fold_theta(state)
+    h = state.graph
     g = _at_theta(state, state.theta)
     spend = _least_spend(g, i)
     if not spend:
         _remove_buyer(state, i)
         return "II"
-    # The new return, money - spend, may not fall below the old one; g's
-    # scale is the graph's times theta's denominator.
-    if spend > state.graph.cap[g.sink_arc(i)] * state.theta.denominator:
+    # The new return, money - spend, may not fall below the old one.
+    if spend > h.cap[h.sink_arc(i)]:
         raise SolverError("partial return outside the feasible range")
     g.cap[g.sink_arc(i)] = spend
     g.augment()
     if g.deficit():
         raise SolverError("price cut invariant broken at partial money return")
-    # Rescaled by theta's denominator, the graph has g's scale, at which
-    # her new cap is the spend.
-    h = state.graph
-    h.rescale(state.theta.denominator)
     h.set_sink_cap(h.sink_arc(i), spend)
     state.touched |= h.goods_of(i)
     return "III"

@@ -109,6 +109,18 @@ def test_cost_command_and_verify(tmp_path):
     assert run(["verify", "-i", inst, "--solution", out]) == 0
 
 
+def test_verify_rejects_a_cost_solution_with_a_false_revenue_and_profit(tmp_path):
+    inst, sol, rep = tmp_path / "c.json", tmp_path / "s.json", tmp_path / "rep.json"
+    inst.write_text(json.dumps({"money": ["3", "5/2"], "utilities": [["2", "1"], ["1", "4"]], "costs": ["1", "2"]}))
+    assert run(["cost", "-i", inst, "-o", sol]) == 0
+    sol.write_text(json.dumps({**json.loads(sol.read_text()), "revenue": "999", "profit": "-7"}))
+    assert run(["verify", "-i", inst, "--solution", sol, "-o", rep]) == 1
+    failed = [c for c in json.loads(rep.read_text())["conditions"] if not c["passed"]]
+    assert failed == [
+        {"name": "zero_profit", "passed": False, "residual": "0", "detail": "stated fields off the recomputed ones: revenue, profit"}
+    ]
+
+
 def test_trace_and_bench(tmp_path):
     inst = tmp_path / "inst.json"
     trace = tmp_path / "trace.csv"
@@ -311,6 +323,46 @@ def test_a_new_edge_that_leaves_a_source_arc_unfilled_exits_3(tmp_path, capsys, 
     assert edges
     assert captured.err == "internal contract violation: price cut invariant broken at new edge\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_tight_set_found_early_exits_3(tmp_path, capsys, monkeypatch, seed):
+    # A tight-set search that reports its set at a theta halfway to the one
+    # where the set goes tight fires a tight set that is not tight yet:
+    # apply_tight_set's exactness check must catch it.
+    search = solver._tight_set_search
+
+    def early(state, theta_cap):
+        found = search(state, theta_cap)
+        if found is None:
+            return None
+        theta, tight = found
+        return (state.theta + theta) / 2, tight
+
+    monkeypatch.setattr(solver, "_tight_set_search", early)
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--seed", seed, "--buyers", 4, "--goods", 4, "-o", inst]) == 0
+    capsys.readouterr()
+    assert run(["solve", "-i", inst]) == 3
+    assert capsys.readouterr() == ("", "internal contract violation: tight set is not exactly tight\n")
+
+
+def test_a_partial_return_one_unit_short_exits_3(tmp_path, capsys, monkeypatch):
+    # A least spend one unit below the true one leaves the buyer too little
+    # sink cap to take what her goods cost: the partial money return's
+    # invariant check must catch it.
+    least_spend = solver._least_spend
+
+    def short(g, i):
+        spend = least_spend(g, i)
+        return spend - 1 if spend > 1 else spend
+
+    monkeypatch.setattr(solver, "_least_spend", short)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"money": ["3"], "utilities": [["1", "1"]]}))
+    assert run(["solve", "-i", inst]) == 3
+    captured = capsys.readouterr()
+    assert captured == ("", "internal contract violation: price cut invariant broken at partial money return\n")
 
 
 def test_determinism_of_solve(tmp_path):

@@ -21,9 +21,16 @@ from hypothesis import assume, given, settings, strategies as st
 from arcticauction.cli import main
 from arcticauction.costmarket import parse_cost_instance, parse_cost_solution
 from arcticauction.kkt import verify_arctic_kkt, verify_cost_kkt
-from arcticauction.market import MarketFormatError, parse_equilibrium, parse_instance
+from arcticauction.market import (
+    MarketFormatError,
+    MarketInstance,
+    generate_random_instance,
+    generate_refund_heavy_instance,
+    parse_equilibrium,
+    parse_instance,
+)
 from arcticauction.oracle import oracle_solve
-from arcticauction.solver import solve
+from arcticauction.solver import TraceRecorder, solve
 
 FUZZ = settings(max_examples=25, deadline=None)
 
@@ -231,6 +238,47 @@ def test_solve_matches_the_oracle(doc, data):
     expected = oracle_solve(inst).equilibrium
     assert (eq.prices, eq.returned) == (expected.prices, expected.returned)
     assert verify_arctic_kkt(inst, eq).overall
+
+
+class _Events(TraceRecorder):
+    """Records each event's kind and theta, and no snapshot."""
+
+    def record_event(self, state, event):
+        self.events.append((event.kind, event.theta_star))
+
+    def record_phase(self, state, label):
+        pass
+
+
+def _solve_recorded(inst):
+    events = _Events()
+    eq, stats = solve(inst, events)
+    return eq, (stats.phase_count, stats.type1, stats.type2, stats.type3), events.events
+
+
+SCALED_INSTANCES = st.one_of(
+    st.builds(lambda seed, n: generate_random_instance(seed, n, n, 10), st.integers(0, 999), st.sampled_from([4, 8, 12])),
+    st.builds(generate_refund_heavy_instance, st.integers(0, 999), st.sampled_from([5, 9])),
+    st.builds(lambda seed: generate_random_instance(seed, 40, 3, 10), st.integers(0, 999)),
+    instance_docs(corrupt=False, valid=True).map(lambda doc: parse_instance(json.dumps(doc))),
+)
+
+
+@given(inst=SCALED_INSTANCES, c=st.sampled_from([Fraction(7), Fraction(1, 3), Fraction(22, 7)]))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_scaling_every_money_and_utility_scales_prices_and_refunds_alone(inst, c):
+    # Scale law: times c, the integer graph is the same up to scale, so
+    # prices and refunds scale by c, and the allocation, every bang-per-buck,
+    # the phase counts by type and the events with their thetas stay as
+    # they are.
+    scaled = MarketInstance(
+        money=tuple(m * c for m in inst.money), utilities=tuple(tuple(u * c for u in row) for row in inst.utilities)
+    )
+    eq, phases, events = _solve_recorded(inst)
+    eq_c, phases_c, events_c = _solve_recorded(scaled)
+    assert eq_c.prices == tuple(p * c for p in eq.prices)
+    assert eq_c.returned == tuple(r * c for r in eq.returned)
+    assert (eq_c.allocation, eq_c.alpha, phases_c, events_c) == (eq.allocation, eq.alpha, phases, events)
 
 
 @st.composite

@@ -181,6 +181,26 @@ def test_cost_kkt_selling_off_cost_fails():
     assert any(c.name == "kkt2_produced_at_cost_0" for c in report.failures())
 
 
+@pytest.mark.parametrize(
+    "stated, named",
+    [
+        ({"revenue": F(999)}, "revenue"),
+        ({"profit": F(-7)}, "profit"),
+        ({"revenue": F(999), "profit": F(-7)}, "revenue, profit"),
+    ],
+    ids=["revenue", "profit", "both"],
+)
+def test_cost_kkt_rejects_a_false_stated_revenue_or_profit(stated, named):
+    # The solution is optimal, so its recomputed profit is 0; only the stated
+    # fields are false, and zero_profit alone fails, naming them.
+    inst = CostMarketInstance(base=inst_of([[2, 1]], [3]), unit_costs=(F(1), F(2)))
+    sol = cost_solution([1, 2], [[3, 0]], [3, 0], [0], [3])
+    report = verify_cost_kkt(inst, replace(sol, **stated))
+    assert [(c.name, c.residual) for c in report.failures()] == [("zero_profit", 0)]
+    assert report.failures()[0].detail == f"stated fields off the recomputed ones: {named}"
+    assert [c.name for c in report.condition_results] == [c.name for c in verify_cost_kkt(inst, sol).condition_results]
+
+
 def test_both_programs_name_negative_allocations_alike():
     # The auction and cost reports share one primal check, so both name the
     # negative entries of an allocation, with the same names in one order.

@@ -1126,6 +1126,58 @@ def test_a_carried_edge_off_bang_per_buck_fails_the_phase_start(monkeypatch):
         solve(EIGHT_BY_EIGHT[0])
 
 
+def test_each_iteration_end_folds_theta_into_the_one_graph(monkeypatch):
+    # The three steps that end an iteration write theta into the solve's
+    # graph in place: each leaves theta at 1 and every price where it was.
+    # The graph is the one initialize built for the whole solve, and a phase
+    # start only adds arcs to it, with no copy.
+    built, carrying = [], []
+    # Each step's count of calls that found theta above 1.
+    folded = dict.fromkeys(("apply_new_edge", "apply_tight_set", "apply_money_return"), 0)
+    initialize, carry, extract, scaled = solver.initialize, solver._carry_graph, solver._extract, flownet._Residual.scaled
+
+    def opened(inst):
+        state = initialize(inst)
+        built.append(state.graph)
+        return state
+
+    def folding(step):
+        def ended(state, *args):
+            prices, moved = state.prices, state.theta != 1
+            result = step(state, *args)
+            assert state.theta == 1 and state.prices == prices
+            assert state.graph is built[-1]
+            folded[step.__name__] += moved
+            return result
+
+        return ended
+
+    def carried(state):
+        carrying.append(True)
+        g = carry(state)
+        carrying.pop()
+        assert g is state.graph is built[-1]
+        return g
+
+    def copied(g, *args):
+        assert not carrying, "_carry_graph copied the graph"
+        return scaled(g, *args)
+
+    def extracted(state):
+        assert state.graph is built[-1]
+        return extract(state)
+
+    monkeypatch.setattr(solver, "initialize", opened)
+    for name in folded:
+        monkeypatch.setattr(solver, name, folding(getattr(solver, name)))
+    monkeypatch.setattr(solver, "_carry_graph", carried)
+    monkeypatch.setattr(flownet._Residual, "scaled", copied)
+    monkeypatch.setattr(solver, "_extract", extracted)
+    for inst in [*REFUND_HEAVY, *BANK]:
+        solve(inst)
+    assert all(folded.values()), folded
+
+
 def test_full_money_return_takes_the_buyer_out_of_the_graph(monkeypatch):
     # A full money return removes the buyer: at the next phase start her
     # vertex has no arc, and her sink arc has cap 0 and no flow, before and
